@@ -162,6 +162,8 @@ def _cmd_lift(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
+    if cfg.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {cfg.trials}")
     model = load_model(cfg.model_path) if cfg.model_path else None
     report = laws.run_law(cfg.law, cfg.seed, cfg.trials, model)
     sys.stdout.write(report.render())
@@ -170,9 +172,12 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _parse_vec(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")], dtype=np.float64)
+        vec = np.array([float(x) for x in text.split(",")], dtype=np.float64)
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"vector components must be finite, got {text!r}")
+    return vec
 
 
 def _cmd_sim(cfg: RunConfig) -> int:

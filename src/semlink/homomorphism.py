@@ -76,7 +76,7 @@ def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
     if v.shape != (m.dim,):
         raise OffImageError(
             f"vector of shape {v.shape} is off the image of {m.tag!r} (dim {m.dim})")
-    if not (np.logical_or(v == 0, v == 1).all() and int(v.sum()) == 1):
+    if not vl.is_one_hot(v):
         raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
     return m.elements[int(np.argmax(v))]
 
@@ -162,14 +162,25 @@ class LiftedRelation:
     def __call__(self, vecs: Sequence[np.ndarray]) -> int:
         if len(vecs) != self.arity:
             raise LiftError(f"relation of arity {self.arity} got {len(vecs)} arguments")
-        idxs = []
-        for v in vecs:
-            try:
-                a = unmap_element(self.map, v)
-            except OffImageError:
-                return 0
-            idxs.append(self.map.index[a])
-        return 1 if tuple(idxs) in self.members else 0
+        try:
+            batch = np.asarray(vecs)[None]
+        except ValueError:  # vectors of unequal lengths: some are off the image
+            return 0
+        return int(self.holds(batch)[0])
+
+    def holds(self, batch: np.ndarray) -> np.ndarray:
+        """Verdicts, as 0/1, for a (B, arity, dim) batch of argument vectors:
+        row b is the argument tuple batch[b, 0], ..., batch[b, arity - 1]."""
+        b = np.asarray(batch)
+        if b.ndim < 2 or b.shape[1] != self.arity:
+            raise LiftError(
+                f"relation of arity {self.arity} got a batch of shape {b.shape}")
+        if b.ndim != 3 or b.shape[2] != self.map.dim:
+            return np.zeros(len(b), dtype=np.int64)  # every vector is off the image
+        on_image = vl.is_one_hot(b, axis=2).all(axis=1)
+        members = self.members
+        return np.array([ok and tuple(idx) in members for ok, idx
+                         in zip(on_image.tolist(), b.argmax(axis=2).tolist())], dtype=np.int64)
 
 
 def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
@@ -178,10 +189,11 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
     for tup in tuples:
         if len(tup) != arity:
             raise LiftError(f"tuple {tup!r} does not have arity {arity}")
-        for a in tup:
-            if a not in m.index:
-                raise LiftError(f"tuple {tup!r} mentions {a!r}, outside domain {m.tag!r}")
-        members.add(tuple(m.index[a] for a in tup))
+        try:
+            members.add(tuple([m.index[a] for a in tup]))
+        except KeyError as exc:
+            raise LiftError(
+                f"tuple {tup!r} mentions {exc.args[0]!r}, outside domain {m.tag!r}") from None
     return LiftedRelation(m, arity, frozenset(members))
 
 

@@ -8,7 +8,7 @@ plain-text report that is byte-identical for identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 import numpy as np
 
@@ -68,6 +68,16 @@ def run_law(law: str, seed: int, trials: int, model: "Model | None" = None) -> L
 # function lift commutation
 
 
+def _lift_mismatch(lifted: hm.LiftedFunction, src: hm.DomainMap, a,
+                   tgt: hm.DomainMap, b) -> "str | None":
+    """What the lift gave for the image of a, if that is not the image of b."""
+    got = lifted(hm.map_element(src, a))
+    want = hm.map_element(tgt, b)
+    if not np.array_equal(got, want):
+        return f"lifted {got.tolist()} expected {want.tolist()}"
+    return None
+
+
 def _law_function(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
     if model is not None and model.functions:
@@ -81,12 +91,8 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
             for args in sorted(fn.table):
                 checks += 1
                 key = args[0] if fn.arity == 1 else args
-                got = lifted(hm.map_element(src, key))
-                want = hm.map_element(fam.entity, fn.table[args])
-                if not np.array_equal(got, want):
-                    failures.append(
-                        f"trial {t}: function {name} at {list(args)}: "
-                        f"lifted {got.tolist()} expected {want.tolist()}")
+                if bad := _lift_mismatch(lifted, src, key, fam.entity, fn.table[args]):
+                    failures.append(f"trial {t}: function {name} at {list(args)}: {bad}")
         return checks, failures
     for t in range(trials):
         ds = int(rng.integers(1, 6))
@@ -99,12 +105,8 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         lifted = hm.lift_function(table, src, tgt)
         for a in src.elements:
             checks += 1
-            got = lifted(hm.map_element(src, a))
-            want = hm.map_element(tgt, table[a])
-            if not np.array_equal(got, want):
-                failures.append(
-                    f"trial {t}: element {a!r}: lifted {got.tolist()} "
-                    f"expected {want.tolist()}")
+            if bad := _lift_mismatch(lifted, src, a, tgt, table[a]):
+                failures.append(f"trial {t}: element {a!r}: {bad}")
     return checks, failures
 
 
@@ -121,12 +123,8 @@ def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
                 lifted = hm.lift_function(table, src, tgt)
                 for a in range(ds):
                     checks += 1
-                    got = lifted(hm.map_element(src, a))
-                    want = hm.map_element(tgt, combo[a])
-                    if not np.array_equal(got, want):
-                        failures.append(
-                            f"table {combo} from {ds} to {dt} at {a}: "
-                            f"lifted {got.tolist()} expected {want.tolist()}")
+                    if bad := _lift_mismatch(lifted, src, a, tgt, combo[a]):
+                        failures.append(f"table {combo} from {ds} to {dt} at {a}: {bad}")
     return checks, failures
 
 
@@ -134,21 +132,35 @@ def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
 # relation biconditional
 
 
-def _relation_instance_failures(label: str, tuples: set, m: hm.DomainMap,
+# entries per argument batch of the relation law: 8 MiB of int64
+_BATCH_ENTRIES = 1 << 20
+
+
+def _argument_batch(m: hm.DomainMap, tuples) -> np.ndarray:
+    """(len(tuples), arity, dim) batch of the mapped vectors of tuples."""
+    return np.array([[hm.map_element(m, a) for a in tup] for tup in tuples],
+                    dtype=np.int64)
+
+
+def _disagreements(label: str, tuples, got: list[int], expected: list[int]) -> list[str]:
+    return [f"{label}: tuple {list(tup)}: lifted {g} extensional {e}"
+            for tup, g, e in zip(tuples, got, expected) if g != e]
+
+
+def _relation_instance_failures(label: str, members, m: hm.DomainMap,
                                 arity: int) -> tuple[int, list[str]]:
-    lifted = hm.lift_relation(tuples, m, arity)
-    checks, failures = 0, []
-    for tup in iproduct(m.elements, repeat=arity):
-        checks += 1
-        direct = 1 if tup in tuples else 0
-        got = lifted([hm.map_element(m, a) for a in tup])
-        if got != direct:
-            failures.append(
-                f"{label}: tuple {list(tup)}: lifted {got} extensional {direct}")
+    """The lift of members asked about every arity-tuple over m, a batch of
+    tuples at a time, and about an off-image tuple."""
+    lifted = hm.lift_relation(members, m, arity)
+    checks, failures = 1, []
+    tuples = iproduct(m.elements, repeat=arity)
+    while chunk := list(islice(tuples, max(1, _BATCH_ENTRIES // (arity * m.dim)))):
+        expected = [1 if tup in members else 0 for tup in chunk]
+        got = lifted.holds(_argument_batch(m, chunk)).tolist()
+        failures += _disagreements(label, chunk, got, expected)
+        checks += len(chunk)
     # off-image arguments must come out false, not raise
-    checks += 1
-    zero = np.zeros(m.dim, dtype=np.int64)
-    if lifted([zero] * arity) != 0:
+    if lifted([np.zeros(m.dim, dtype=np.int64)] * arity) != 0:
         failures.append(f"{label}: off-image argument did not evaluate to 0")
     return checks, failures
 
@@ -162,7 +174,7 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
             name = names[t % len(names)]
             rel = model.relations[name]
             c, f = _relation_instance_failures(
-                f"trial {t}: relation {name}", set(rel.tuples), fam.entity, rel.arity)
+                f"trial {t}: relation {name}", rel.tuples, fam.entity, rel.arity)
             checks += c
             failures += f
         return checks, failures
@@ -186,6 +198,85 @@ def all_relation_masks(d: int, arity: int) -> np.ndarray:
     ints = np.arange(1 << ntup, dtype=np.uint64)
     shifts = np.arange(ntup, dtype=np.uint64)
     return ((ints[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+
+
+def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
+    """Every relation given by a row of masks, a membership mask over the
+    d**arity tuples of range(d) in lexicographic order: lifted through
+    lift_relation, then asked about every tuple and an off-image tuple."""
+    mk = np.asarray(masks)
+    if mk.ndim != 2 or mk.shape[1] != d ** arity:
+        raise ValueError(
+            f"expected (m, {d ** arity}) masks for arity {arity} over {d} elements")
+    m = hm.build_domain_map(range(d), tag=f"d{d}")
+    tuples = list(iproduct(m.elements, repeat=arity))
+    # one batch serves every relation: all tuples, then an off-image tuple
+    batch = np.concatenate([_argument_batch(m, tuples),
+                            np.zeros((1, arity, d), dtype=np.int64)])
+    failures = []
+    for r, mask in enumerate(mk.tolist()):
+        lifted = hm.lift_relation([t for t, bit in zip(tuples, mask) if bit], m, arity)
+        got = lifted.holds(batch).tolist()
+        failures += _disagreements(f"relation {r}", tuples, got[:-1], mask)
+        if got[-1] != 0:
+            failures.append(f"relation {r}: off-image argument did not evaluate to 0")
+    return len(mk) * (len(tuples) + 1), failures
+
+
+# ---------------------------------------------------------------------------
+# connectives: operator faithfulness and majority
+
+
+def sweep_operator_faithfulness(tables, arity: int) -> tuple[int, list[str]]:
+    """Every table (a row of 0/1 outputs in column order) through
+    synth_operator, applied to every input tuple.
+
+    The operators are stacked and multiplied in one product against the
+    matrix whose column j is the Kronecker fold of the embedded input bits
+    of column j, which is apply_operator's arithmetic for every input at
+    once.  Each result must be a one-hot truth vector that projects back to
+    the table's output bit.
+    """
+    rows = np.asarray(tables)
+    ncols = 1 << arity
+    if rows.ndim != 2 or rows.shape[1] != ncols:
+        raise ValueError(f"expected (m, {ncols}) tables for arity {arity}")
+    inputs = np.stack([vl.kron_fold([vl.embed_truth(b) for b in vl.column_bits(j, arity)])
+                       for j in range(ncols)], axis=1)
+    failures: dict[int, str] = {}
+    built, mats = [], []
+    for i, row in enumerate(rows):
+        try:
+            mats.append(vl.synth_operator(vl.TruthTable(arity, row)).mat)
+        except ValueError as exc:
+            failures[i] = f"table {i}: {exc}"
+            continue
+        built.append(i)
+    if mats:
+        results = np.stack(mats) @ inputs  # (tables, 2, columns)
+        bad = ~vl.is_one_hot(results, axis=1) | (results[:, 0, :] != rows[built])
+        for k in np.flatnonzero(bad.any(axis=1)):
+            i, j = built[k], int(np.argmax(bad[k]))
+            failures[i] = (f"table {i}: column {j}: operator gave "
+                           f"{results[k, :, j].tolist()} for output {rows[i, j]}")
+    return len(rows) * ncols, [failures[i] for i in sorted(failures)]
+
+
+def sweep_majority(n: int) -> tuple[int, list[str]]:
+    """Strict n-ary majority by its definition, its polynomial and its
+    operator matrix, compared on every input tuple."""
+    op = vl.majority_matrix(n)
+    failures = []
+    for j in range(1 << n):
+        bits = vl.column_bits(j, n)
+        direct = vl.majority_bit(bits)
+        poly = vl.majority_polynomial(n, bits)
+        routed = vl.project_truth(
+            vl.apply_operator(op, [vl.embed_truth(b) for b in bits]))
+        if not direct == poly == routed:
+            failures.append(f"majority of {list(bits)}: definition {direct} "
+                            f"polynomial {poly} operator {routed}")
+    return 1 << n, failures
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,10 @@ class Model:
         for name, ent in self.constants.items():
             if ent not in dom:
                 raise ModelError(f"constant {name!r} maps to unknown entity {ent!r}")
+        for kind, symbols in (("function", self.functions), ("relation", self.relations)):
+            for name, interp in symbols.items():
+                if interp.arity < 1:
+                    raise ModelError(f"{kind} {name!r} has arity {interp.arity}, expected at least 1")
         for name, fn in self.functions.items():
             need = set(product(self.entities, repeat=fn.arity))
             for args, out in fn.table.items():
@@ -133,10 +137,13 @@ def model_from_dict(data: dict) -> Model:
     (name -> {"arity": n, "table": [[arg1..argn, result], ...]}), "relations"
     (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).
     """
-    try:
-        entities = tuple(data["entities"])
-    except KeyError:
+    if not isinstance(data, dict):
+        raise ModelError(f"model must be a JSON object, got {type(data).__name__}")
+    if "entities" not in data:
         raise ModelError('model file is missing the "entities" key')
+    if not isinstance(data["entities"], list):
+        raise ModelError('"entities" must be an array of entity ids')
+    entities = tuple(data["entities"])
     constants = dict(data.get("constants", {}))
     functions: dict[str, FunctionInterp] = {}
     for name, entry in dict(data.get("functions", {})).items():

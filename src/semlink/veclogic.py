@@ -74,14 +74,17 @@ def embed_truth(bit: int) -> np.ndarray:
 def project_truth(vec: np.ndarray) -> int:
     """Inverse of embed_truth; rejects anything that is not exactly one-hot."""
     v = np.asarray(vec)
-    if v.shape != (2,) or not _is_one_hot(v):
+    if v.shape != (2,) or not is_one_hot(v):
         raise ValueError(f"not a truth vector: {vec!r}")
     return int(v[0])
 
 
-def _is_one_hot(v: np.ndarray) -> bool:
-    ok = np.logical_or(v == 0, v == 1)
-    return bool(ok.all()) and int(np.asarray(v).sum()) == 1
+def is_one_hot(v: np.ndarray, axis: int | None = None) -> "np.bool_ | np.ndarray":
+    """Whether v, or each slice of v along axis, has exactly one entry equal
+    to 1 and every other entry equal to 0."""
+    v = np.asarray(v)
+    size = v.size if axis is None else v.shape[axis]
+    return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == size - 1)
 
 
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -129,13 +132,14 @@ class TruthTable:
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
-        out = np.asarray(self.outputs, dtype=np.int8)
+        out = np.asarray(self.outputs)
         if out.shape != (1 << self.arity,):
             raise ValueError(
                 f"table for arity {self.arity} needs {1 << self.arity} outputs, got {out.shape}")
+        # checked before the int8 cast, which would wrap 256 to 0
         if not np.logical_or(out == 0, out == 1).all():
             raise ValueError("table outputs must be 0 or 1")
-        object.__setattr__(self, "outputs", _frozen(out))
+        object.__setattr__(self, "outputs", _frozen(out.astype(np.int8, copy=False)))
 
     @classmethod
     def from_bits(cls, bits: str, arity: int | None = None) -> "TruthTable":
@@ -179,23 +183,17 @@ class OpMatrix:
         if self.arity < 1 or m.shape != (2, 1 << self.arity):
             raise ValueError(
                 f"operator of arity {self.arity} must be 2 x {1 << self.arity}, got {m.shape}")
-        if not np.logical_or(m == 0, m == 1).all() or not (m.sum(axis=0) == 1).all():
+        if not is_one_hot(m, axis=0).all():
             raise ValueError("every operator column must be a one-hot truth vector")
         object.__setattr__(self, "mat", _frozen(m))
 
 
 def synth_operator(table: TruthTable, cap: int | None = None) -> OpMatrix:
-    """Matrix of a truth table: column j is the embedded output for column j.
-
-    This is the sum over columns of outer(embed(output_j), basis_j).
-    """
+    """Matrix of a truth table: column j is the embedded output for column j,
+    picked from the two embedded truth values, in O(2^n)."""
     _check_arity(table.arity, cap)
-    dim = 1 << table.arity
-    mat = np.zeros((2, dim), dtype=np.int64)
-    eye = np.eye(dim, dtype=np.int64)
-    for j in range(dim):
-        mat += np.outer(embed_truth(int(table.outputs[j])), eye[j])
-    return OpMatrix(table.arity, mat)
+    embedded = np.column_stack([embed_truth(1), embed_truth(0)])  # column 1 - b embeds b
+    return OpMatrix(table.arity, embedded[:, 1 - table.outputs])
 
 
 def apply_operator(op: OpMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
@@ -204,7 +202,7 @@ def apply_operator(op: OpMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError(f"operator of arity {op.arity} got {len(inputs)} inputs")
     for v in inputs:
         w = np.asarray(v)
-        if w.shape != (2,) or not _is_one_hot(w):
+        if w.shape != (2,) or not is_one_hot(w):
             raise ValueError(f"operator input is not a truth vector: {v!r}")
     return op.mat @ kron_fold(inputs)
 

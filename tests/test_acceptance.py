@@ -12,7 +12,6 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from semlink import _kernels as kernels
 from semlink import homomorphism as hm
 from semlink import laws
 from semlink import veclogic as vl
@@ -102,35 +101,19 @@ def test_criterion_2_worked_evaluation_cases():
 
 def test_criterion_3_operator_faithfulness():
     with criterion(3, "project(apply(synth(T))) = T for every table swept", 30.0):
-        # every table of arity 1..3, through the public API
+        # every table of arity 1..3, then 10,000 seeded random arity-4
+        # tables, each through synth_operator and every input tuple
         for n in (1, 2, 3):
-            for bits in iproduct((0, 1), repeat=1 << n):
-                table = vl.TruthTable(n, np.array(bits, dtype=np.int8))
-                op = vl.synth_operator(table)
-                for j in range(1 << n):
-                    ins = [vl.embed_truth(b) for b in vl.column_bits(j, n)]
-                    assert vl.project_truth(vl.apply_operator(op, ins)) == bits[j]
-        # 10,000 seeded random arity-4 tables through the sweep kernel
+            tables = np.array(list(iproduct((0, 1), repeat=1 << n)), dtype=np.int8)
+            assert laws.sweep_operator_faithfulness(tables, n) == (len(tables) << n, [])
         tables = random_truth_tables(make_rng(34), 4, 10_000)
-        assert kernels.faithfulness_sweep(tables, 4) == -1
-        assert kernels.faithfulness_sweep(tables, 4, backend="numpy") == -1
+        assert laws.sweep_operator_faithfulness(tables, 4) == (160_000, [])
 
 
 def test_criterion_4_majority_routes_agree():
     with criterion(4, "majority matrix, polynomial and definition agree, n=1..7", 10.0):
         for n in range(1, 8):
-            op = vl.majority_matrix(n)
-            poly_all = kernels.majority_polynomial_all(n, backend="numpy")
-            for j in range(1 << n):
-                bits = vl.column_bits(j, n)
-                direct = vl.majority_bit(bits)
-                poly = vl.majority_polynomial(n, bits)
-                routed = vl.project_truth(
-                    vl.apply_operator(op, [vl.embed_truth(b) for b in bits]))
-                assert direct == poly == routed == int(poly_all[j])
-            if kernels.HAVE_NUMBA:
-                assert np.array_equal(
-                    kernels.majority_polynomial_all(n, backend="numba"), poly_all)
+            assert laws.sweep_majority(n) == (1 << n, [])
 
 
 def test_criterion_5_homomorphism_laws():
@@ -153,34 +136,22 @@ def test_criterion_5_homomorphism_laws():
                                       hm.map_element(base, table[pair]))
 
         # (b) relation biconditional: every relation of arity 1 and 2 on
-        # domains up to 4 elements, every tuple
+        # domains up to 4 elements, every tuple, through lift_relation
         for d in range(1, 5):
             for arity in (1, 2):
                 masks = laws.all_relation_masks(d, arity)
-                assert kernels.relation_sweep(masks, d, arity) == -1
-        # arity 1 additionally through the lift objects themselves
-        m4 = hm.build_domain_map(range(4), tag="d4")
-        for mask in range(16):
-            tuples = {(i,) for i in range(4) if (mask >> i) & 1}
-            lifted = hm.lift_relation(tuples, m4, 1)
-            for i in range(4):
-                want = 1 if (i,) in tuples else 0
-                assert lifted([hm.map_element(m4, i)]) == want
+                checks, failures = laws.sweep_relations(masks, d, arity)
+                assert not failures, failures[:3]
+                assert checks == len(masks) * (d ** arity + 1)
         # arity 3 on 4 elements: seeded sample plus the empty and full
-        # relations, every tuple, kernel and API both exercised
+        # relations, every tuple
         rng = make_rng(56)
         sample = rng.integers(0, 2, size=(10_000, 64), dtype=np.int8)
         sample[0, :] = 0
         sample[1, :] = 1
-        assert kernels.relation_sweep(sample, 4, 3) == -1
-        for row in sample[:25]:
-            tuples = {t for idx, t in enumerate(iproduct(range(4), repeat=3))
-                      if row[idx]}
-            lifted = hm.lift_relation(tuples, m4, 3)
-            for idx, t in enumerate(iproduct(range(4), repeat=3)):
-                got = lifted([hm.map_element(m4, a) for a in t])
-                assert got == int(row[idx])
-            assert lifted([np.zeros(4, dtype=np.int64)] * 3) == 0
+        checks, failures = laws.sweep_relations(sample, 4, 3)
+        assert not failures, failures[:3]
+        assert checks == 10_000 * 65
 
         # (c) set operations on 1,000 seeded random subset pairs, |D| = 6
         rng = make_rng(57)

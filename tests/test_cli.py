@@ -72,6 +72,14 @@ def test_synth_env_cap(capsys, monkeypatch):
     assert code == 0
 
 
+def test_synth_arity_16(capsys):
+    # 2^16 columns: one column of output per table entry, no 2^n x 2^n basis
+    code, out, _ = run_cli(capsys, "synth", "--table", "0" * 65536, "--arity", "16")
+    assert code == 0
+    rows = out.splitlines()
+    assert [row.split() for row in rows] == [["0"] * 65536, ["1"] * 65536]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -124,6 +132,16 @@ def test_eval_malformed_model(capsys, tmp_path):
     p.write_text("{not json")
     code, _, err = run_cli(capsys, "eval", "--model", str(p), "--expr", "a")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ['["a"]', '{"entities": "abc"}'])
+def test_eval_model_of_wrong_shape(capsys, tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "eval", "--model", str(p), "--expr", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +212,14 @@ def test_check_formula_law_needs_relations(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_rejects_runs_without_checks(capsys, trials):
+    code, out, err = run_cli(capsys, "check", "--law", "sets", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 def test_check_rejects_unknown_law(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--law", "nonsense"])
@@ -230,6 +256,14 @@ def test_sim_zero_vector(capsys):
 def test_sim_malformed_vector(capsys):
     code, _, err = run_cli(capsys, "sim", "1,x", "1,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("u", ["nan,1", "inf,1", "1,-inf"])
+def test_sim_rejects_non_finite(capsys, u):
+    code, out, err = run_cli(capsys, "sim", u, "1,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sim_dimension_mismatch(capsys):

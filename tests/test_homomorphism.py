@@ -156,6 +156,21 @@ def test_lift_relation_off_image_is_false_not_error():
     assert lifted([np.array([1, 0, 0])]) == 1
 
 
+def test_lift_relation_batch_matches_single_calls():
+    m = dmap(3)
+    lifted = hm.lift_relation({(0, 1), (2, 2)}, m, 2)
+    e = [hm.map_element(m, i) for i in range(3)]
+    rows = [[e[0], e[1]], [e[1], e[0]], [e[2], e[2]],
+            [e[0], np.array([0, 1, 1])], [np.zeros(3, dtype=np.int64), e[1]]]
+    assert lifted.holds(np.array(rows)).tolist() == [1, 0, 1, 0, 0]
+    assert [lifted(row) for row in rows] == [1, 0, 1, 0, 0]
+    # vectors of the wrong length are off the image, alone or in a batch
+    assert lifted.holds(np.ones((2, 2, 4), dtype=np.int64)).tolist() == [0, 0]
+    assert lifted([e[0], np.array([0, 1, 0, 0])]) == 0
+    with pytest.raises(hm.LiftError):
+        lifted.holds(np.zeros((2, 3, 3), dtype=np.int64))
+
+
 def test_lift_relation_validation():
     m = dmap(2)
     with pytest.raises(hm.LiftError):

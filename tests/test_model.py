@@ -132,6 +132,26 @@ def test_missing_keys():
         model_from_dict({"entities": ["e1"], "functions": {"f": {"table": []}}})
 
 
+def test_model_must_be_an_object():
+    with pytest.raises(ModelError, match="JSON object"):
+        model_from_dict(["a"])
+
+
+def test_entities_must_be_an_array():
+    # a string would otherwise load as one entity per character
+    with pytest.raises(ModelError, match="entities"):
+        model_from_dict({"entities": "abc"})
+
+
+def test_symbol_arity_must_be_positive():
+    data = _broken(lambda d: d["relations"].__setitem__("Z", {"arity": 0, "tuples": [[]]}))
+    with pytest.raises(ModelError, match="arity 0"):
+        model_from_dict(data)
+    data = _broken(lambda d: d["functions"].__setitem__("z", {"arity": 0, "table": [["e1"]]}))
+    with pytest.raises(ModelError, match="arity 0"):
+        model_from_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # assignments
 

@@ -160,6 +160,8 @@ def test_table_rejects_non_bits():
     with pytest.raises(ValueError):
         TruthTable(1, np.array([2, 0], dtype=np.int8))
     with pytest.raises(ValueError):
+        TruthTable(1, np.array([256, 1]))
+    with pytest.raises(ValueError):
         TruthTable(0, np.array([1], dtype=np.int8))
 
 
