@@ -20,8 +20,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import veclogic as vl
-from .model import Assignment, Model, TruthVal, denote
-from .terms import Connective, Const, FunApp, PredApp, Term, Var
+from .model import Assignment, Model, denote, evaluate  # noqa: F401 (denote is re-exported)
+from .terms import Connective, ConnectiveKind, PredApp, Term
 
 
 class OffImageError(ValueError):
@@ -314,12 +314,8 @@ def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftedFun
     """Lift an interpreted function; n-ary tables lift over the n-fold product
     domain, whose basis vectors are Kronecker products of entity vectors."""
     fn = model.functions[name]
-    src = product_map(fam.entity, fn.arity)
-    if fn.arity == 1:
-        table = {args[0]: out for args, out in fn.table.items()}
-    else:
-        table = dict(fn.table)
-    return lift_function(table, src, fam.entity)
+    table = {args[0] if fn.arity == 1 else args: out for args, out in fn.table.items()}
+    return lift_function(table, product_map(fam.entity, fn.arity), fam.entity)
 
 
 def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftedRelation:
@@ -327,41 +323,42 @@ def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftedRel
     return lift_relation(rel.tuples, fam.entity, rel.arity)
 
 
+class VectorSemantics:
+    """Semantics of the vector route: one-hot entity vectors, lifted functions
+    on the Kronecker fold of their arguments, lifted relations, and operator
+    matrices.  It lifts each symbol once, so it serves a single evaluation."""
+
+    def __init__(self, model: Model, fam: LiftFamily):
+        self.model, self.fam = model, fam
+        self.lifts: dict = {}
+
+    def _lift(self, lift, name: str):
+        if (lift, name) not in self.lifts:
+            self.lifts[lift, name] = lift(self.model, name, self.fam)
+        return self.lifts[lift, name]
+
+    def entity(self, ent: str) -> np.ndarray:
+        return map_element(self.fam.entity, ent)
+
+    def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        return self._lift(lifted_model_function, name)(vl.kron_fold(args))
+
+    def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        return vl.embed_truth(self._lift(lifted_model_relation, name)(args))
+
+    def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
+        return vl.apply_operator(vl.named_operator(kind), args)
+
+
+def vector_denote(term: Term, model: Model, g: Assignment, fam: LiftFamily) -> np.ndarray:
+    """Evaluate a term on the vector side only, down to the leaves.  The
+    projection of the result always agrees with the extensional denotation."""
+    return evaluate(term, model, g, VectorSemantics(model, fam))
+
+
 def lift_logical_connective(term: Term, model: Model, g: Assignment,
                             fam: LiftFamily) -> np.ndarray:
-    """Evaluate a formula entirely on the vector side: predicates are
-    evaluated extensionally at the leaves and embedded, every connective
-    above them is an operator matrix acting on Kronecker products."""
-    match term:
-        case Connective(kind, args):
-            op = vl.named_operator(kind)
-            vecs = [lift_logical_connective(a, model, g, fam) for a in args]
-            return vl.apply_operator(op, vecs)
-        case PredApp(_, _):
-            val = denote(term, model, g)
-            if not isinstance(val, TruthVal):
-                raise LiftError("predicate application did not evaluate to a truth value")
-            return np.asarray(vl.embed_truth(val.bit))
-    raise LiftError(f"term {term!r} is not a formula")
-
-
-def vector_denote(term: Term, model: Model, g: Assignment,
-                  fam: LiftFamily) -> np.ndarray:
-    """Full vector-route evaluator.
-
-    Entity-typed terms run through lifted function tables, with argument
-    tuples folded into product-basis vectors by Kronecker product; formulas
-    run through lift_logical_connective.  The projection of the result
-    always agrees with the extensional denotation.
-    """
-    match term:
-        case Const(_) | Var(_):
-            val = denote(term, model, g)
-            return map_element(fam.entity, val.id)
-        case FunApp(name, args):
-            lf = lifted_model_function(model, name, fam)
-            vecs = [vector_denote(a, model, g, fam) for a in args]
-            return lf(vl.kron_fold(vecs))
-        case PredApp(_, _) | Connective(_, _):
-            return lift_logical_connective(term, model, g, fam)
-    raise LiftError(f"not a term: {term!r}")
+    """vector_denote for formulas; an entity-typed term is refused."""
+    if not isinstance(term, (PredApp, Connective)):
+        raise LiftError(f"term {term!r} is not a formula")
+    return vector_denote(term, model, g, fam)

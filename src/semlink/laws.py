@@ -80,7 +80,9 @@ def _lift_mismatch(lifted: hm.LiftedFunction, src: hm.DomainMap, a,
 
 def _law_function(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
-    if model is not None and model.functions:
+    if model is not None:
+        if not model.functions:
+            raise ValueError("model declares no functions, cannot check function lifts")
         fam = hm.LiftFamily.for_model(model)
         names = sorted(model.functions)
         for t in range(trials):
@@ -167,7 +169,9 @@ def _relation_instance_failures(label: str, members, m: hm.DomainMap,
 
 def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
-    if model is not None and model.relations:
+    if model is not None:
+        if not model.relations:
+            raise ValueError("model declares no relations, cannot check relation lifts")
         fam = hm.LiftFamily.for_model(model)
         names = sorted(model.relations)
         for t in range(trials):
@@ -323,9 +327,11 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
     unary = sorted(n for n, fn in (model.functions.items() if model else ())
                    if fn.arity == 1)
+    if model is not None and not unary:
+        raise ValueError("model declares no unary functions, cannot build chains")
     for t in range(trials):
         length = int(rng.integers(1, 6))
-        if model is not None and unary:
+        if model is not None:
             fam = hm.LiftFamily.for_model(model)
             maps = [fam.entity] * (length + 1)
             names = [unary[int(rng.integers(len(unary)))] for _ in range(length)]

@@ -130,30 +130,49 @@ def variant_assignment(g: Assignment, x: str, k: str, model: Model) -> dict[str,
 # ---------------------------------------------------------------------------
 # loading
 
+def _check_ids(row, what: str):
+    """A row of a model file must be an array of entity id strings."""
+    if not isinstance(row, list) or not all(isinstance(cell, str) for cell in row):
+        raise ModelError(f"{what} {row!r}: expected an array of entity id strings")
+
+
+def _object(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ModelError(f'"{key}" must be an object, got {type(value).__name__}')
+    return value
+
+
 def model_from_dict(data: dict) -> Model:
     """Build a model from the JSON object layout.
 
     Keys: "entities" (array of ids), "constants" (name -> id), "functions"
     (name -> {"arity": n, "table": [[arg1..argn, result], ...]}), "relations"
-    (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).
+    (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).  Entity ids are
+    strings; each violation of the layout raises ModelError naming the row.
     """
     if not isinstance(data, dict):
         raise ModelError(f"model must be a JSON object, got {type(data).__name__}")
     if "entities" not in data:
         raise ModelError('model file is missing the "entities" key')
-    if not isinstance(data["entities"], list):
-        raise ModelError('"entities" must be an array of entity ids')
+    _check_ids(data["entities"], '"entities"')
     entities = tuple(data["entities"])
-    constants = dict(data.get("constants", {}))
+    constants = dict(_object(data, "constants"))
+    for name, ent in constants.items():
+        if not isinstance(ent, str):
+            raise ModelError(f"constant {name!r} maps to {ent!r}, expected an entity id string")
     functions: dict[str, FunctionInterp] = {}
-    for name, entry in dict(data.get("functions", {})).items():
+    for name, entry in _object(data, "functions").items():
         try:
             arity = int(entry["arity"])
             rows = entry["table"]
         except (KeyError, TypeError):
             raise ModelError(f'function {name!r} needs "arity" and "table" keys')
+        if not isinstance(rows, list):
+            raise ModelError(f'function {name!r}: "table" must be an array of rows')
         table: dict[tuple[str, ...], str] = {}
         for row in rows:
+            _check_ids(row, f"function {name!r} row")
             if len(row) != arity + 1:
                 raise ModelError(
                     f"function {name!r} row {row!r}: expected {arity} arguments plus a result")
@@ -163,12 +182,16 @@ def model_from_dict(data: dict) -> Model:
             table[args] = row[-1]
         functions[name] = FunctionInterp(arity, table)
     relations: dict[str, RelationInterp] = {}
-    for name, entry in dict(data.get("relations", {})).items():
+    for name, entry in _object(data, "relations").items():
         try:
             arity = int(entry["arity"])
             tuples = entry["tuples"]
         except (KeyError, TypeError):
             raise ModelError(f'relation {name!r} needs "arity" and "tuples" keys')
+        if not isinstance(tuples, list):
+            raise ModelError(f'relation {name!r}: "tuples" must be an array of tuples')
+        for tup in tuples:
+            _check_ids(tup, f"relation {name!r} tuple")
         relations[name] = RelationInterp(arity, frozenset(tuple(t) for t in tuples))
     return Model(entities, constants, functions, relations)
 
@@ -193,37 +216,75 @@ _CLASSICAL = {
 }
 
 
+@dataclass(frozen=True)
+class Extensional:
+    """The extensional route: entity ids, function tables, tuple sets, bits."""
+
+    model: Model
+
+    def entity(self, ent: str) -> EntityVal:
+        return EntityVal(ent)
+
+    def fun(self, name: str, args: list[EntityVal]) -> EntityVal:
+        return EntityVal(self.model.functions[name].table[tuple(a.id for a in args)])
+
+    def pred(self, name: str, args: list[EntityVal]) -> TruthVal:
+        return TruthVal(int(tuple(a.id for a in args) in self.model.relations[name].tuples))
+
+    def conn(self, kind: ConnectiveKind, args: list[TruthVal]) -> TruthVal:
+        return TruthVal(_CLASSICAL[kind](*(a.bit for a in args)))
+
+
+def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
+    """The one structural recursion over terms, for either route.
+
+    Leaves resolve to entity ids, and each symbol is checked against the
+    model, before any argument is evaluated.  The semantics `sem` makes the
+    values: sem.entity(id) at a leaf, sem.fun(name, args), sem.pred(name,
+    args) or sem.conn(kind, args) at a node.  enter(term, depth), if given,
+    sees every node on entry, the root at depth 1.
+    """
+
+    def operands(owner: str, args: tuple[Term, ...], depth: int, formulas: bool) -> list:
+        vals = []
+        for a in args:
+            vals.append(go(a, depth + 1))
+            if isinstance(a, (PredApp, Connective)) != formulas:
+                got, want = ("an entity", "a truth value") if formulas else ("a truth value", "an entity")
+                raise EvaluationError(f"argument of {owner!r} evaluated to {got}, expected {want}")
+        return vals
+
+    def go(t: Term, depth: int):
+        if enter is not None:
+            enter(t, depth)
+        match t:
+            case Const(name):
+                if name not in model.constants:
+                    raise EvaluationError(f"constant {name!r} is not interpreted by the model")
+                return sem.entity(model.constants[name])
+            case Var(name):
+                if name not in g:
+                    raise EvaluationError(f"unbound variable {name!r}")
+                return sem.entity(g[name])
+            case FunApp(name, args) | PredApp(name, args):
+                kind, symbols, apply = (("function", model.functions, sem.fun) if isinstance(t, FunApp)
+                                        else ("relation", model.relations, sem.pred))
+                interp = symbols.get(name)
+                if interp is None:
+                    raise EvaluationError(f"{kind} {name!r} is not interpreted by the model")
+                if interp.arity != len(args):
+                    raise EvaluationError(f"{kind} {name!r} takes {interp.arity} arguments, got {len(args)}")
+                return apply(name, operands(name, args, depth, formulas=False))
+            case Connective(kind, args):
+                return sem.conn(kind, operands(kind.keyword, args, depth, formulas=True))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(term, 1)
+
+
 def denote(term: Term, model: Model, g: Assignment) -> "EntityVal | TruthVal":
     """Evaluate a term. Entity-typed terms yield EntityVal, formulas TruthVal."""
-    match term:
-        case Const(name):
-            if name not in model.constants:
-                raise EvaluationError(f"constant {name!r} is not interpreted by the model")
-            return EntityVal(model.constants[name])
-        case Var(name):
-            if name not in g:
-                raise EvaluationError(f"unbound variable {name!r}")
-            return EntityVal(g[name])
-        case FunApp(name, args):
-            fn = model.functions.get(name)
-            if fn is None:
-                raise EvaluationError(f"function {name!r} is not interpreted by the model")
-            if fn.arity != len(args):
-                raise EvaluationError(f"function {name!r} takes {fn.arity} arguments, got {len(args)}")
-            vals = tuple(_entity(denote(a, model, g), name) for a in args)
-            return EntityVal(fn.table[vals])
-        case PredApp(name, args):
-            rel = model.relations.get(name)
-            if rel is None:
-                raise EvaluationError(f"relation {name!r} is not interpreted by the model")
-            if rel.arity != len(args):
-                raise EvaluationError(f"relation {name!r} takes {rel.arity} arguments, got {len(args)}")
-            vals = tuple(_entity(denote(a, model, g), name) for a in args)
-            return TruthVal(1 if vals in rel.tuples else 0)
-        case Connective(kind, args):
-            bits = tuple(_bit(denote(a, model, g), kind) for a in args)
-            return TruthVal(_CLASSICAL[kind](*bits))
-    raise TypeError(f"not a term: {term!r}")
+    return evaluate(term, model, g, Extensional(model))
 
 
 def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal | TruthVal, int]":
@@ -232,44 +293,6 @@ def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal |
     The root call counts as depth 1, so the result is bounded by
     complexity_depth(term) + 1.
     """
-    max_depth = 0
-
-    def go(t: Term, depth: int):
-        nonlocal max_depth
-        max_depth = max(max_depth, depth)
-        match t:
-            case Const(name):
-                if name not in model.constants:
-                    raise EvaluationError(f"constant {name!r} is not interpreted by the model")
-                return EntityVal(model.constants[name])
-            case Var(name):
-                if name not in g:
-                    raise EvaluationError(f"unbound variable {name!r}")
-                return EntityVal(g[name])
-            case FunApp(name, args):
-                fn = model.functions[name]
-                vals = tuple(_entity(go(a, depth + 1), name) for a in args)
-                return EntityVal(fn.table[vals])
-            case PredApp(name, args):
-                rel = model.relations[name]
-                vals = tuple(_entity(go(a, depth + 1), name) for a in args)
-                return TruthVal(1 if vals in rel.tuples else 0)
-            case Connective(kind, args):
-                bits = tuple(_bit(go(a, depth + 1), kind) for a in args)
-                return TruthVal(_CLASSICAL[kind](*bits))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(term, 1), max_depth
-
-
-def _entity(v, sym: str) -> str:
-    if not isinstance(v, EntityVal):
-        raise EvaluationError(f"argument of {sym!r} evaluated to a truth value, expected an entity")
-    return v.id
-
-
-def _bit(v, kind: ConnectiveKind) -> int:
-    if not isinstance(v, TruthVal):
-        raise EvaluationError(
-            f"argument of {kind.keyword!r} evaluated to an entity, expected a truth value")
-    return v.bit
+    depths: list[int] = []
+    val = evaluate(term, model, g, Extensional(model), lambda _term, depth: depths.append(depth))
+    return val, max(depths)

@@ -6,6 +6,7 @@ stay exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,9 +32,23 @@ def inner_product(u, v) -> float:
     return float(a @ b)
 
 
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**-e, e), with e chosen to put the largest magnitude of a in
+    [0.5, 1).  Scaling by a power of two is exact, so squares and products
+    of the scaled vector cannot overflow, a nonzero vector keeps a nonzero
+    sum of squares, and on normal-range input the results are bit-identical
+    to those of the unscaled formulas."""
+    peak = float(np.max(np.abs(a)))
+    if peak == 0.0:
+        return a, 0
+    e = math.frexp(peak)[1]
+    return np.ldexp(a, -e), e
+
+
 def norm(v) -> float:
-    a = as_vector(v)
-    return float(np.sqrt(a @ a))
+    a, e = _scaled(as_vector(v))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.ldexp(np.sqrt(a @ a), e))
 
 
 def distance(u, v) -> float:
@@ -44,6 +59,7 @@ def distance(u, v) -> float:
 def cosine_similarity(u, v) -> float:
     """Inner product normalized by both lengths; undefined on a zero vector."""
     a, b = _pair(u, v)
+    (a, _), (b, _) = _scaled(a), _scaled(b)  # the quotient is scale-free
     na, nb = norm(a), norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for the zero vector")

@@ -21,6 +21,10 @@ from typing import Iterator, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# deepest nesting of argument lists that parse_term accepts; every recursion
+# over a parsed term stays far inside Python's default recursion limit
+MAX_NESTING = 256
+
 
 class SignatureError(ValueError):
     """Raised for malformed signatures (bad names, duplicate names, bad arities)."""
@@ -218,6 +222,7 @@ class _Parser:
         self.text = text
         self.sig = sig
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -253,6 +258,9 @@ class _Parser:
                 return Const(name)
             return Var(name)
         self.pos += 1  # consume "("
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", at)
         args = [self.term()]
         self.skip_ws()
         while self.peek() == ",":
@@ -260,6 +268,7 @@ class _Parser:
             args.append(self.term())
             self.skip_ws()
         self.expect(")")
+        self.depth -= 1
         return self.apply(name, tuple(args), at)
 
     def apply(self, name: str, args: tuple[Term, ...], at: int) -> Term:
@@ -287,7 +296,8 @@ class _Parser:
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    """Parse a prefix term over the signature. Raises ParseError on failure."""
+    """Parse a prefix term over the signature. Raises ParseError on failure,
+    and on argument lists nested deeper than MAX_NESTING."""
     p = _Parser(text, sig)
     term = p.term()
     p.skip_ws()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -79,26 +80,25 @@ def project_truth(vec: np.ndarray) -> int:
     return int(v[0])
 
 
-def is_one_hot(v: np.ndarray, axis: int | None = None) -> "np.bool_ | np.ndarray":
+def is_one_hot(v: np.ndarray, axis: int | None = None) -> "bool | np.ndarray":
     """Whether v, or each slice of v along axis, has exactly one entry equal
     to 1 and every other entry equal to 0."""
     v = np.asarray(v)
-    size = v.size if axis is None else v.shape[axis]
-    return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == size - 1)
+    if axis is None:  # on one vector, two counts cost less than two reductions
+        return np.count_nonzero(v) == 1 and np.count_nonzero(v == 1) == 1
+    return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == v.shape[axis] - 1)
 
 
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(u), np.asarray(v))
+    """Kronecker product of two vectors: np.kron for 1-d inputs."""
+    return np.multiply.outer(u, v).ravel()
 
 
 def kron_fold(vecs: Sequence[np.ndarray]) -> np.ndarray:
     """Left fold of the Kronecker product over one or more vectors."""
     if not len(vecs):
         raise ValueError("kron_fold needs at least one vector")
-    out = np.asarray(vecs[0])
-    for v in vecs[1:]:
-        out = np.kron(out, np.asarray(v))
-    return out
+    return reduce(kron, vecs[1:], np.asarray(vecs[0]))
 
 
 def column_index(bits: Sequence[int]) -> int:
@@ -216,46 +216,45 @@ def table_of(op: OpMatrix) -> TruthTable:
 # ---------------------------------------------------------------------------
 # named operators
 
-_COND_MAT = np.array(
-    [[1, 1, 0, 0, 1, 0, 1, 0],
-     [0, 0, 1, 1, 0, 1, 0, 1]], dtype=np.int64)
-
-
-def named_operator(kind: "ConnectiveKind | str") -> OpMatrix:
-    """Matrix for a connective, built from its standard closed form.
+def _closed_forms() -> dict[ConnectiveKind, OpMatrix]:
+    """The seven named operators from their standard closed forms.
 
     Negation, conjunction, disjunction and equivalence are sums of outer
     products of the truth basis vectors; implication is the matrix product
     disjunction . (negation x identity); exclusive or is negation applied
     after equivalence; the ternary conditional has a fixed 2 x 8 matrix.
     """
+    s, n = TRUE_VEC, FALSE_VEC
+    neg = np.outer(n, s) + np.outer(s, n)
+    conj = (np.outer(s, kron(s, s)) + np.outer(n, kron(s, n))
+            + np.outer(n, kron(n, s)) + np.outer(n, kron(n, n)))
+    disj = (np.outer(s, kron(s, s)) + np.outer(s, kron(s, n))
+            + np.outer(s, kron(n, s)) + np.outer(n, kron(n, n)))
+    eqv = (np.outer(s, kron(s, s)) + np.outer(n, kron(s, n))
+           + np.outer(n, kron(n, s)) + np.outer(s, kron(n, n)))
+    mats = {
+        ConnectiveKind.NOT: neg,
+        ConnectiveKind.AND: conj,
+        ConnectiveKind.OR: disj,
+        ConnectiveKind.IMPLIES: disj @ np.kron(neg, np.eye(2, dtype=np.int64)),
+        ConnectiveKind.IFF: eqv,
+        ConnectiveKind.XOR: neg @ eqv,
+        ConnectiveKind.COND: np.array([[1, 1, 0, 0, 1, 0, 1, 0],
+                                       [0, 0, 1, 1, 0, 1, 0, 1]], dtype=np.int64),
+    }
+    return {kind: OpMatrix(kind.arity, mat) for kind, mat in mats.items()}
+
+
+_NAMED = _closed_forms()
+
+
+def named_operator(kind: "ConnectiveKind | str") -> OpMatrix:
+    """Matrix for a connective, built once at import from its closed form."""
     if isinstance(kind, str):
         kind = ConnectiveKind[kind.upper()] if kind.upper() in ConnectiveKind.__members__ else kind
     if not isinstance(kind, ConnectiveKind):
         raise ValueError(f"unknown connective {kind!r}")
-    s, n = TRUE_VEC, FALSE_VEC
-    match kind:
-        case ConnectiveKind.NOT:
-            mat = np.outer(n, s) + np.outer(s, n)
-        case ConnectiveKind.AND:
-            mat = (np.outer(s, kron(s, s)) + np.outer(n, kron(s, n))
-                   + np.outer(n, kron(n, s)) + np.outer(n, kron(n, n)))
-        case ConnectiveKind.OR:
-            mat = (np.outer(s, kron(s, s)) + np.outer(s, kron(s, n))
-                   + np.outer(s, kron(n, s)) + np.outer(n, kron(n, n)))
-        case ConnectiveKind.IFF:
-            mat = (np.outer(s, kron(s, s)) + np.outer(n, kron(s, n))
-                   + np.outer(n, kron(n, s)) + np.outer(s, kron(n, n)))
-        case ConnectiveKind.IMPLIES:
-            disj = named_operator(ConnectiveKind.OR).mat
-            neg = named_operator(ConnectiveKind.NOT).mat
-            mat = disj @ np.kron(neg, np.eye(2, dtype=np.int64))
-        case ConnectiveKind.XOR:
-            neg = named_operator(ConnectiveKind.NOT).mat
-            mat = neg @ named_operator(ConnectiveKind.IFF).mat
-        case ConnectiveKind.COND:
-            mat = _COND_MAT.copy()
-    return OpMatrix(kind.arity, mat)
+    return _NAMED[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from semlink.cli import RunConfig, _parse_args, format_matrix, main
+from semlink.terms import MAX_NESTING
 
 MODEL = {
     "entities": ["e1", "e2", "e3"],
@@ -134,7 +135,12 @@ def test_eval_malformed_model(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", ['["a"]', '{"entities": "abc"}'])
+@pytest.mark.parametrize("text", [
+    '["a"]', '{"entities": "abc"}', '{"entities": [["a"]]}', '{"entities": ["a", 1]}',
+    '{"entities": ["a"], "constants": {"c": ["a"]}}',
+    '{"entities": ["a"], "relations": {"P": {"arity": 1, "tuples": [["a"], 5]}}}',
+    '{"entities": ["a"], "functions": {"f": {"arity": 1, "table": [7]}}}',
+])
 def test_eval_model_of_wrong_shape(capsys, tmp_path, text):
     p = tmp_path / "bad.json"
     p.write_text(text)
@@ -142,6 +148,39 @@ def test_eval_model_of_wrong_shape(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tuples", ['"ab"', '["ab"]'])
+def test_lift_rejects_string_tuples(capsys, tmp_path, tuples):
+    # a string used to load as a sequence of one-letter entity ids
+    p = tmp_path / "bad.json"
+    p.write_text('{"entities": ["a", "b"], "relations": {"P": {"arity": %d, "tuples": %s}}}'
+                 % (2 if tuples.startswith("[") else 1, tuples))
+    code, out, err = run_cli(capsys, "lift", "--model", str(p), "--relation", "P")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _nested(depth):
+    """A formula of nesting depth `depth`: nots around P(a)."""
+    return "not(" * (depth - 1) + "P(a)" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("expr", [_nested(MAX_NESTING),
+                                  "P(" + "f(" * (MAX_NESTING - 1) + "a" + ")" * MAX_NESTING])
+def test_eval_at_the_nesting_limit(capsys, model_file, expr):
+    code, out, _ = run_cli(capsys, "eval", "--model", model_file, "--expr", expr)
+    assert code == 0
+    assert "agree: yes" in out
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_eval_past_the_nesting_limit(capsys, model_file, depth):
+    code, out, err = run_cli(capsys, "eval", "--model", model_file, "--expr", _nested(depth))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: expression nests deeper than 256 levels")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +251,24 @@ def test_check_formula_law_needs_relations(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("law,model,lacking", [
+    ("function", {"entities": ["e1"], "relations": {"P": {"arity": 1, "tuples": []}}},
+     "no functions"),
+    ("relation", {"entities": ["e1"], "functions": {"f": {"arity": 1, "table": [["e1", "e1"]]}}},
+     "no relations"),
+    ("chain", {"entities": ["e1"], "functions": {"g": {"arity": 2, "table": [["e1", "e1", "e1"]]}}},
+     "no unary functions"),
+])
+def test_check_model_must_have_the_law_symbols(capsys, tmp_path, law, model, lacking):
+    # such a model used to be ignored in favour of random structures
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    code, out, err = run_cli(capsys, "check", "--law", law, "--model", str(p), "--trials", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: model declares " + lacking)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_check_rejects_runs_without_checks(capsys, trials):
     code, out, err = run_cli(capsys, "check", "--law", "sets", "--trials", trials)
@@ -251,6 +308,14 @@ def test_sim_nine_decimal_places(capsys):
 def test_sim_zero_vector(capsys):
     code, _, err = run_cli(capsys, "sim", "0,0", "1,0")
     assert code == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u,v", [("1e308,1e308", "1e308,1e308"), ("1e-320,0", "1,0"),
+                                 ("-1e308,1e308", "-1e308,1e308")])
+def test_sim_at_the_ends_of_the_float_range(capsys, u, v):
+    code, out, err = run_cli(capsys, "sim", "--", u, v)
+    assert (code, out, err) == (0, "1.000000000\n", "")
 
 
 def test_sim_malformed_vector(capsys):

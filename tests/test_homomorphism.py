@@ -1,10 +1,14 @@
 """Domain maps, lifts of functions/relations/subsets, chains, dual routes."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semlink import cli
 from semlink import homomorphism as hm
+from semlink import laws
 from semlink import veclogic as vl
 from semlink.model import denote, model_from_dict
 from semlink.sampling import make_rng, random_formula, random_model
@@ -300,7 +304,7 @@ def test_chain_arg_validation():
 # dual-route evaluation
 
 
-MODEL = model_from_dict({
+MODEL_DATA = {
     "entities": ["e1", "e2", "e3"],
     "constants": {"a": "e1", "b": "e2", "c": "e3"},
     "functions": {
@@ -313,7 +317,8 @@ MODEL = model_from_dict({
         "P": {"arity": 1, "tuples": [["e1"], ["e3"]]},
         "R": {"arity": 2, "tuples": [["e1", "e2"], ["e3", "e3"]]},
     },
-})
+}
+MODEL = model_from_dict(MODEL_DATA)
 
 
 def test_lift_family_for_model():
@@ -389,3 +394,57 @@ def test_vector_denote_with_variables():
     got = hm.vector_denote(term, MODEL, g, fam)
     want = hm.map_element(fam.entity, denote(term, MODEL, g).id)
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the vector route reaches the leaves: broken lifts must show
+
+
+def _shifted_function_lift(model, name, fam, real=hm.lifted_model_function):
+    lf = real(model, name, fam)
+    return hm.LiftedFunction(lf.source, lf.target, (lf.lut + 1) % lf.target.dim)
+
+
+def _empty_relation_lift(model, name, fam):
+    return hm.LiftedRelation(fam.entity, model.relations[name].arity, frozenset())
+
+
+BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
+                "lifted_model_relation": _empty_relation_lift}
+
+
+@pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
+def test_broken_lift_fails_formula_law(monkeypatch, target):
+    assert laws.run_law("formula", 0, 200).ok
+    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
+    report = laws.run_law("formula", 0, 200)
+    assert not report.ok
+    assert report.render().endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
+def test_broken_lift_fails_eval(monkeypatch, tmp_path, capsys, target):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL_DATA))
+    argv = ["eval", "--model", str(path), "--expr", "iff(P(f(a)),R(a,b))"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out.endswith("agree: no\n")
+
+
+def test_vector_denote_lifts_each_symbol_once(monkeypatch):
+    calls = []
+
+    def counting(model, name, fam, real=hm.lifted_model_function):
+        calls.append(name)
+        return real(model, name, fam)
+
+    monkeypatch.setattr(hm, "lifted_model_function", counting)
+    sig = MODEL.signature()
+    fam = hm.LiftFamily.for_model(MODEL)
+    term = parse_term("and(P(f(f(a))),R(g(f(a),b),f(c)))", sig)
+    hm.vector_denote(term, MODEL, {}, fam)
+    assert sorted(calls) == ["f", "g"]
+    hm.vector_denote(term, MODEL, {}, fam)  # no state carried across calls
+    assert sorted(calls) == ["f", "f", "g", "g"]

@@ -28,6 +28,7 @@ from semlink.terms import (
     subterms,
     Const,
     FunApp,
+    PredApp,
     Var,
 )
 
@@ -143,6 +144,29 @@ def test_entities_must_be_an_array():
         model_from_dict({"entities": "abc"})
 
 
+@pytest.mark.parametrize("mutate,match", [
+    (lambda d: d.__setitem__("entities", [["e1"]]), r"\[\['e1'\]\]"),
+    (lambda d: d["entities"].append(1), r"\['e1', 'e2', 'e3', 1\]"),
+    (lambda d: d["constants"].__setitem__("a", ["e1"]), "constant 'a'"),
+    (lambda d: d.__setitem__("constants", ["a"]), '"constants" must be an object'),
+    (lambda d: d.__setitem__("functions", []), '"functions" must be an object'),
+    (lambda d: d.__setitem__("relations", "P"), '"relations" must be an object'),
+    (lambda d: d["functions"]["f"]["table"].append(7), "function 'f' row 7"),
+    (lambda d: d["functions"]["f"]["table"].append(["e1", 2]), r"function 'f' row \['e1', 2\]"),
+    (lambda d: d["functions"]["f"].__setitem__("table", "e1e2"), "function 'f'"),
+    (lambda d: d["relations"]["P"]["tuples"].append(5), "relation 'P' tuple 5"),
+    (lambda d: d["relations"]["P"].__setitem__("tuples", "ab"), "relation 'P'"),
+    (lambda d: d["relations"]["R"].__setitem__("tuples", ["ab"]), "relation 'R' tuple 'ab'"),
+], ids=["unhashable-entity", "non-string-entity", "non-string-constant",
+        "constants-not-object", "functions-not-object", "relations-not-object",
+        "function-row-not-array", "function-cell-not-string", "table-not-array",
+        "tuple-not-array", "tuples-string", "tuple-string"])
+def test_model_schema_is_strict(mutate, match):
+    # each of these used to load wrongly or end in an uncaught TypeError
+    with pytest.raises(ModelError, match=match):
+        model_from_dict(_broken(mutate))
+
+
 def test_symbol_arity_must_be_positive():
     data = _broken(lambda d: d["relations"].__setitem__("Z", {"arity": 0, "tuples": [[]]}))
     with pytest.raises(ModelError, match="arity 0"):
@@ -230,6 +254,14 @@ def test_denote_unknown_symbols():
         denote(Const("zz"), m, {})
     with pytest.raises(EvaluationError):
         denote(FunApp("zz", (Const("a"),)), m, {})
+
+
+def test_denote_traced_unknown_symbols():
+    m = good_model()
+    for term in (Const("zz"), FunApp("zz", (Const("a"),)), PredApp("Z", (Const("a"),)),
+                 FunApp("f", (Const("a"), Const("b")))):
+        with pytest.raises(EvaluationError):
+            denote_traced(term, m, {})
 
 
 def test_truthval_validates_bit():

@@ -54,6 +54,28 @@ def test_zero_vector_similarity_is_an_error():
         cosine_similarity([1, 0], [0, 0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_norm_and_similarity_at_the_ends_of_the_float_range():
+    big, tiny = 1e308, 5e-324
+    assert norm([big, big]) == big * math.sqrt(2)
+    assert norm([tiny]) == tiny
+    assert norm([1.5e308, 1.5e308]) == math.inf  # the norm itself is past the range
+    assert cosine_similarity([big, big], [big, big]) == pytest.approx(1.0, abs=TOL)
+    assert cosine_similarity([big, -big], [big, big]) == pytest.approx(0.0, abs=TOL)
+    assert cosine_similarity([1e-320, 0], [1, 0]) == 1.0
+    assert cosine_similarity([tiny, tiny], [big, big]) == pytest.approx(1.0, abs=TOL)
+
+
+@given(vec_pair())
+def test_power_of_two_scaling_is_exact(pair):
+    # the scaled computation rounds like the plain one on normal-range input
+    u, v = (np.array(x) for x in pair)
+    assume(u @ u > 0 and v @ v > 0)
+    plain = float((u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v)))
+    assert cosine_similarity(u, v) == plain
+    assert norm(u) == float(np.sqrt(u @ u))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         inner_product([1, 2], [1, 2, 3])

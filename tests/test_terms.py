@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from semlink.terms import (
     ENTITY,
+    MAX_NESTING,
     TRUTH,
     ArityMismatchError,
     Connective,
@@ -116,6 +117,19 @@ def test_bare_connective_rejected():
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse_term("f(a,b)x", SIG)
+
+
+def test_nesting_limit():
+    def nested(depth):
+        return "g(" * (depth - 1) + "k(a" + ")" * depth
+
+    assert complexity_depth(parse_term(nested(MAX_NESTING), SIG)) == MAX_NESTING
+    with pytest.raises(ParseError, match="nests deeper than") as exc:
+        parse_term(nested(MAX_NESTING + 1), SIG)
+    assert exc.value.position == 2 * MAX_NESTING  # the k( that opens one level too many
+    # a deep input fails fast at the limit instead of exhausting the stack
+    with pytest.raises(ParseError, match="nests deeper than"):
+        parse_term("not(" * 5000 + "P(a)" + ")" * 5000, SIG)
 
 
 # round-trip: pretty then parse reproduces the AST

@@ -92,9 +92,23 @@ def test_kron_of_embeddings_hits_third_basis_vector():
 
 
 def test_kron_matches_numpy():
-    u = np.array([1, 2])
-    v = np.array([3, 4, 5])
-    assert np.array_equal(kron(u, v), np.kron(u, v))
+    big = np.iinfo(np.int64).max // 4
+    pairs = [
+        ([1, 2], [3, 4, 5]),
+        ([7], [1, 0, 0]),
+        ([0, 0, 1], [9]),
+        ([-3, 2, 0, 5], [4, -1]),
+        ([1, 0], [0, 1]),
+        ([2, -2], [big, -big]),  # exact int64 products, no float detour
+        ([0, 0], [0, 0, 0]),
+    ]
+    for u, v in pairs:
+        u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        got = kron(u, v)
+        assert got.dtype == np.int64 and got.shape == (u.size * v.size,)
+        assert np.array_equal(got, np.kron(u, v)), (u, v)
+    vecs = [np.array(x, dtype=np.int64) for x in ([1, 2], [0, 3, 1], [5, -1])]
+    assert np.array_equal(kron_fold(vecs), np.kron(np.kron(vecs[0], vecs[1]), vecs[2]))
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
