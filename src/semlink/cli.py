@@ -9,15 +9,16 @@ Subcommands:
   sim    cosine similarity of two comma-separated vectors
 
 Exit codes: 0 success, 1 law violation or route disagreement,
-2 malformed input (bad expression, bad model file, bad table).
+2 malformed input (bad expression, bad model file, bad table),
+3 internal error (any other exception, a fault of semlink itself).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import dataclass
+import traceback
 from itertools import product as iproduct
 
 import numpy as np
@@ -30,23 +31,6 @@ from .model import EntityVal, denote, load_model
 from .terms import infer_type, parse_term
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model_path: "str | None" = None
-    expression: "str | None" = None
-    table_bits: "str | None" = None
-    arity: "int | None" = None
-    function: "str | None" = None
-    relation: "str | None" = None
-    law: "str | None" = None
-    trials: int = 1000
-    seed: int = 0
-    arity_cap: "int | None" = None
-    u: "str | None" = None
-    v: "str | None" = None
-
-
 def format_matrix(mat: np.ndarray) -> str:
     return "\n".join(" ".join(str(int(x)) for x in row) for row in np.asarray(mat))
 
@@ -55,7 +39,7 @@ def format_vector(vec: np.ndarray) -> str:
     return " ".join(str(int(x)) for x in np.asarray(vec))
 
 
-def _parse_args(argv) -> RunConfig:
+def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="semlink",
         description="evaluate terms in a finite model and in its vector image, "
@@ -65,51 +49,43 @@ def _parse_args(argv) -> RunConfig:
     p_eval = sub.add_parser("eval", help="evaluate an expression both ways")
     p_eval.add_argument("--model", required=True, help="model JSON file")
     p_eval.add_argument("--expr", required=True, help="prefix expression")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_synth = sub.add_parser("synth", help="operator matrix of a truth table")
     p_synth.add_argument("--table", required=True,
                          help="output bitstring in column order, e.g. 1000")
     p_synth.add_argument("--arity", type=int, default=None)
-    p_synth.add_argument("--arity-cap", type=int, default=None)
+    p_synth.set_defaults(run=_cmd_synth)
 
     p_lift = sub.add_parser("lift", help="vector-side table of a model symbol")
     p_lift.add_argument("--model", required=True)
     group = p_lift.add_mutually_exclusive_group(required=True)
     group.add_argument("--function")
     group.add_argument("--relation")
+    p_lift.set_defaults(run=_cmd_lift)
 
     p_check = sub.add_parser("check", help="run a commutation law suite")
     p_check.add_argument("--model", default=None)
     p_check.add_argument("--law", required=True, choices=laws.LAWS)
     p_check.add_argument("--trials", type=int, default=1000)
     p_check.add_argument("--seed", type=int, default=0)
+    p_check.set_defaults(run=_cmd_check)
 
     p_sim = sub.add_parser("sim", help="cosine similarity of two vectors")
     p_sim.add_argument("u", help="comma-separated numbers")
     p_sim.add_argument("v", help="comma-separated numbers")
+    p_sim.set_defaults(run=_cmd_sim)
 
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        model_path=getattr(ns, "model", None),
-        expression=getattr(ns, "expr", None),
-        table_bits=getattr(ns, "table", None),
-        arity=getattr(ns, "arity", None),
-        function=getattr(ns, "function", None),
-        relation=getattr(ns, "relation", None),
-        law=getattr(ns, "law", None),
-        trials=getattr(ns, "trials", 1000),
-        seed=getattr(ns, "seed", 0),
-        arity_cap=getattr(ns, "arity_cap", None),
-        u=getattr(ns, "u", None),
-        v=getattr(ns, "v", None),
-    )
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["sim"] and not {"--", "-h", "--help"} & set(argv):
+        argv.insert(1, "--")  # so that a vector such as -1,0 is not read as an option
+    return parser.parse_args(argv)
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     sig = model.signature()
-    term = parse_term(cfg.expression, sig)
+    term = parse_term(args.expr, sig)
     infer_type(term, sig)
     fam = hm.LiftFamily.for_model(model)
     val = denote(term, model, {})
@@ -125,31 +101,31 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0 if agree else 1
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
-    table = vl.TruthTable.from_bits(cfg.table_bits, cfg.arity)
-    op = vl.synth_operator(table, cap=cfg.arity_cap)
+def _cmd_synth(args: argparse.Namespace) -> int:
+    table = vl.TruthTable.from_bits(args.table, args.arity)
+    op = vl.synth_operator(table)
     print(format_matrix(op.mat))
     return 0
 
 
-def _cmd_lift(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
+def _cmd_lift(args: argparse.Namespace) -> int:
+    model = load_model(args.model)
     fam = hm.LiftFamily.for_model(model)
-    if cfg.function is not None:
-        name = cfg.function
+    if args.function is not None:
+        name = args.function
         if name not in model.functions:
             raise ValueError(f"model does not interpret function {name!r}")
         fn = model.functions[name]
         lifted = hm.lifted_model_function(model, name, fam)
         src = hm.product_map(fam.entity, fn.arity)
         print(f"lifted function {name}: dim {src.dim} -> dim {fam.entity.dim}")
-        for args in sorted(fn.table):
-            key = args[0] if fn.arity == 1 else args
+        for row in sorted(fn.table):
+            key = row[0] if fn.arity == 1 else row
             out = lifted(hm.map_element(src, key))
-            print(f"({','.join(args)}) -> {fn.table[args]} | "
+            print(f"({','.join(row)}) -> {fn.table[row]} | "
                   f"basis {src.index[key]} -> basis {int(np.argmax(out))}")
         return 0
-    name = cfg.relation
+    name = args.relation
     if name not in model.relations:
         raise ValueError(f"model does not interpret relation {name!r}")
     rel = model.relations[name]
@@ -161,11 +137,11 @@ def _cmd_lift(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    if cfg.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {cfg.trials}")
-    model = load_model(cfg.model_path) if cfg.model_path else None
-    report = laws.run_law(cfg.law, cfg.seed, cfg.trials, model)
+def _cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    model = load_model(args.model) if args.model else None
+    report = laws.run_law(args.law, args.seed, args.trials, model)
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
@@ -180,32 +156,24 @@ def _parse_vec(text: str) -> np.ndarray:
     return vec
 
 
-def _cmd_sim(cfg: RunConfig) -> int:
-    value = space.cosine_similarity(_parse_vec(cfg.u), _parse_vec(cfg.v))
+def _cmd_sim(args: argparse.Namespace) -> int:
+    value = space.cosine_similarity(_parse_vec(args.u), _parse_vec(args.v))
     print(f"{value:.9f}")
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "synth": _cmd_synth,
-    "lift": _cmd_lift,
-    "check": _cmd_check,
-    "sim": _cmd_sim,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.command](cfg)
-
-
 def main(argv=None) -> int:
-    cfg = _parse_args(argv)
+    args = _parse_args(argv)
     try:
-        return run(cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of semlink, not a verdict on the input
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {exc!r} at {os.path.basename(where.filename)}:{where.lineno}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

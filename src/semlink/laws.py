@@ -149,11 +149,11 @@ def _disagreements(label: str, tuples, got: list[int], expected: list[int]) -> l
             for tup, g, e in zip(tuples, got, expected) if g != e]
 
 
-def _relation_instance_failures(label: str, members, m: hm.DomainMap,
-                                arity: int) -> tuple[int, list[str]]:
-    """The lift of members asked about every arity-tuple over m, a batch of
-    tuples at a time, and about an off-image tuple."""
-    lifted = hm.lift_relation(members, m, arity)
+def _relation_instance_failures(label: str, lifted: hm.LiftedRelation,
+                                members) -> tuple[int, list[str]]:
+    """The lift of members asked about every tuple over its domain, a batch
+    of tuples at a time, and about an off-image tuple."""
+    m, arity = lifted.map, lifted.arity
     checks, failures = 1, []
     tuples = iproduct(m.elements, repeat=arity)
     while chunk := list(islice(tuples, max(1, _BATCH_ENTRIES // (arity * m.dim)))):
@@ -176,9 +176,9 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         names = sorted(model.relations)
         for t in range(trials):
             name = names[t % len(names)]
-            rel = model.relations[name]
-            c, f = _relation_instance_failures(
-                f"trial {t}: relation {name}", rel.tuples, fam.entity, rel.arity)
+            c, f = _relation_instance_failures(f"trial {t}: relation {name}",
+                                               hm.lifted_model_relation(model, name, fam),
+                                               model.relations[name].tuples)
             checks += c
             failures += f
         return checks, failures
@@ -188,7 +188,8 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         m = hm.build_domain_map(range(d), tag="dom")
         tuples = {args for args in iproduct(m.elements, repeat=arity)
                   if rng.integers(2) == 1}
-        c, f = _relation_instance_failures(f"trial {t}", tuples, m, arity)
+        c, f = _relation_instance_failures(f"trial {t}", hm.lift_relation(tuples, m, arity),
+                                           tuples)
         checks += c
         failures += f
     return checks, failures

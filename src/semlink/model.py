@@ -89,18 +89,21 @@ class Model:
                 if interp.arity < 1:
                     raise ModelError(f"{kind} {name!r} has arity {interp.arity}, expected at least 1")
         for name, fn in self.functions.items():
-            need = set(product(self.entities, repeat=fn.arity))
             for args, out in fn.table.items():
                 if len(args) != fn.arity:
                     raise ModelError(f"function {name!r} row {list(args)!r}: expected {fn.arity} arguments")
-                if args not in need:
-                    bad = next(a for a in args if a not in dom)
-                    raise ModelError(f"function {name!r} row {list(args)!r}: unknown entity {bad!r}")
+                for a in args:
+                    if a not in dom:
+                        raise ModelError(f"function {name!r} row {list(args)!r}: unknown entity {a!r}")
                 if out not in dom:
                     raise ModelError(f"function {name!r} row {list(args)!r}: unknown result entity {out!r}")
-            missing = need - set(fn.table)
-            if missing:
-                row = sorted(missing)[0]
+            # The rows are distinct, of the arity and over the domain, so the table is
+            # total iff it has d^arity of them.  An empty table is never total, and
+            # is caught first: no row bounds its arity, so d^arity could be vast.
+            if not fn.table:
+                raise ModelError(f"function {name!r} is not total: its table is empty")
+            if len(fn.table) != len(dom) ** fn.arity:
+                row = next(r for r in product(sorted(dom), repeat=fn.arity) if r not in fn.table)
                 raise ModelError(f"function {name!r} is not total: no entry for {list(row)!r}")
         for name, rel in self.relations.items():
             for tup in rel.tuples:
@@ -143,6 +146,20 @@ def _object(data: dict, key: str) -> dict:
     return value
 
 
+def _symbol(kind: str, name: str, entry, key: str, row: str) -> tuple[int, list]:
+    """The arity and the rows of one function or relation entry."""
+    if not isinstance(entry, dict) or "arity" not in entry or key not in entry:
+        raise ModelError(f'{kind} {name!r} needs "arity" and "{key}" keys')
+    arity, rows = entry["arity"], entry[key]
+    if not isinstance(arity, int) or isinstance(arity, bool):
+        raise ModelError(f'{kind} {name!r}: "arity" must be an integer, got {arity!r}')
+    if not isinstance(rows, list):
+        raise ModelError(f'{kind} {name!r}: "{key}" must be an array of {row}s')
+    for r in rows:
+        _check_ids(r, f"{kind} {name!r} {row}")
+    return arity, rows
+
+
 def model_from_dict(data: dict) -> Model:
     """Build a model from the JSON object layout.
 
@@ -163,16 +180,9 @@ def model_from_dict(data: dict) -> Model:
             raise ModelError(f"constant {name!r} maps to {ent!r}, expected an entity id string")
     functions: dict[str, FunctionInterp] = {}
     for name, entry in _object(data, "functions").items():
-        try:
-            arity = int(entry["arity"])
-            rows = entry["table"]
-        except (KeyError, TypeError):
-            raise ModelError(f'function {name!r} needs "arity" and "table" keys')
-        if not isinstance(rows, list):
-            raise ModelError(f'function {name!r}: "table" must be an array of rows')
+        arity, rows = _symbol("function", name, entry, "table", "row")
         table: dict[tuple[str, ...], str] = {}
         for row in rows:
-            _check_ids(row, f"function {name!r} row")
             if len(row) != arity + 1:
                 raise ModelError(
                     f"function {name!r} row {row!r}: expected {arity} arguments plus a result")
@@ -183,15 +193,7 @@ def model_from_dict(data: dict) -> Model:
         functions[name] = FunctionInterp(arity, table)
     relations: dict[str, RelationInterp] = {}
     for name, entry in _object(data, "relations").items():
-        try:
-            arity = int(entry["arity"])
-            tuples = entry["tuples"]
-        except (KeyError, TypeError):
-            raise ModelError(f'relation {name!r} needs "arity" and "tuples" keys')
-        if not isinstance(tuples, list):
-            raise ModelError(f'relation {name!r}: "tuples" must be an array of tuples')
-        for tup in tuples:
-            _check_ids(tup, f"relation {name!r} tuple")
+        arity, tuples = _symbol("relation", name, entry, "tuples", "tuple")
         relations[name] = RelationInterp(arity, frozenset(tuple(t) for t in tuples))
     return Model(entities, constants, functions, relations)
 

@@ -16,7 +16,6 @@ Everything here is exact int64 arithmetic; no floats.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -26,32 +25,18 @@ import numpy as np
 
 from .terms import ConnectiveKind
 
-DEFAULT_ARITY_CAP = 20
+ARITY_CAP = 20  # 2 x 2^n matrices stop being reasonable objects past this
 
 
 class ArityCapError(ValueError):
     """Operator synthesis refused: 2^n columns would exceed the cap."""
 
 
-def arity_cap(override: int | None = None) -> int:
-    """Active cap on operator arity; SEMLINK_ARITY_CAP overrides the default."""
-    if override is not None:
-        return override
-    env = os.environ.get("SEMLINK_ARITY_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ArityCapError(f"SEMLINK_ARITY_CAP={env!r} is not an integer")
-    return DEFAULT_ARITY_CAP
-
-
-def _check_arity(n: int, cap: int | None):
+def _check_arity(n: int):
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    limit = arity_cap(cap)
-    if n > limit:
-        raise ArityCapError(f"arity {n} exceeds the cap of {limit}")
+    if n > ARITY_CAP:
+        raise ArityCapError(f"arity {n} exceeds the cap of {ARITY_CAP}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -146,12 +131,12 @@ class TruthTable:
         """Build from a bitstring in column order, e.g. "1000" for conjunction."""
         if not bits or set(bits) - {"0", "1"}:
             raise ValueError(f"table bitstring must be nonempty 0/1, got {bits!r}")
-        if arity is None:
-            n = (len(bits) - 1).bit_length()
-            if (1 << n) != len(bits):
-                raise ValueError(f"bitstring length {len(bits)} is not a power of two")
-            arity = n
-        return cls(arity, np.array([int(c) for c in bits], dtype=np.int8))
+        n = (len(bits) - 1).bit_length()
+        if (1 << n) != len(bits):
+            raise ValueError(f"bitstring length {len(bits)} is not a power of two")
+        if arity is not None and arity != n:  # compared as given, never as 2^arity
+            raise ValueError(f"a bitstring of length {len(bits)} is a table of arity {n}, not {arity}")
+        return cls(n, np.array([int(c) for c in bits], dtype=np.int8))
 
     @classmethod
     def from_function(cls, fn: Callable[..., int], arity: int) -> "TruthTable":
@@ -188,10 +173,10 @@ class OpMatrix:
         object.__setattr__(self, "mat", _frozen(m))
 
 
-def synth_operator(table: TruthTable, cap: int | None = None) -> OpMatrix:
+def synth_operator(table: TruthTable) -> OpMatrix:
     """Matrix of a truth table: column j is the embedded output for column j,
     picked from the two embedded truth values, in O(2^n)."""
-    _check_arity(table.arity, cap)
+    _check_arity(table.arity)
     embedded = np.column_stack([embed_truth(1), embed_truth(0)])  # column 1 - b embeds b
     return OpMatrix(table.arity, embedded[:, 1 - table.outputs])
 
@@ -270,10 +255,10 @@ def majority_table(n: int) -> TruthTable:
     return TruthTable.from_function(lambda *bits: majority_bit(bits), n)
 
 
-def majority_matrix(n: int, cap: int | None = None) -> OpMatrix:
+def majority_matrix(n: int) -> OpMatrix:
     """Operator matrix of the strict n-ary majority function."""
-    _check_arity(n, cap)
-    return synth_operator(majority_table(n), cap=cap)
+    _check_arity(n)
+    return synth_operator(majority_table(n))
 
 
 def majority_polynomial(n: int, inputs: Sequence[int]) -> int:

@@ -1,10 +1,21 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
+from functools import reduce
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from semlink.cli import RunConfig, _parse_args, format_matrix, main
+import semlink
+from semlink import cli
+from semlink.cli import _parse_args, format_matrix, main
 from semlink.terms import MAX_NESTING
 
 MODEL = {
@@ -29,6 +40,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_cli_limited(*argv):
+    """semlink in a child process that may map at most 2 GiB, so that input
+    which makes it reach for 2^arity or d^arity cells fails there instead of
+    taking the memory of the whole machine."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(semlink.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "semlink.cli", *argv], env=env, timeout=120,
+                          capture_output=True, text=True, preexec_fn=_two_gib_address_space)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -58,27 +84,22 @@ def test_synth_bad_length(capsys):
     assert code == 2
 
 
-def test_synth_respects_cap_flag(capsys):
-    code, _, err = run_cli(capsys, "synth", "--table", "1000", "--arity-cap", "1")
-    assert code == 2
-    assert "cap" in err
-
-
-def test_synth_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SEMLINK_ARITY_CAP", "1")
-    code, _, err = run_cli(capsys, "synth", "--table", "1000")
-    assert code == 2
-    monkeypatch.setenv("SEMLINK_ARITY_CAP", "2")
-    code, out, _ = run_cli(capsys, "synth", "--table", "1000")
-    assert code == 0
-
-
 def test_synth_arity_16(capsys):
     # 2^16 columns: one column of output per table entry, no 2^n x 2^n basis
     code, out, _ = run_cli(capsys, "synth", "--table", "0" * 65536, "--arity", "16")
     assert code == 0
     rows = out.splitlines()
     assert [row.split() for row in rows] == [["0"] * 65536, ["1"] * 65536]
+
+
+@pytest.mark.parametrize("arity,line", [
+    ("100000000000", "error: a bitstring of length 2 is a table of arity 1, not 100000000000\n"),
+    ("100000", "error: a bitstring of length 2 is a table of arity 1, not 100000\n"),
+])
+def test_synth_checks_a_huge_arity_without_computing_2_to_the_arity(arity, line):
+    # 1 << arity used to come first: a MemoryError, or an error on converting
+    # a 30,000-digit integer to a string
+    assert run_cli_limited("synth", "--table", "10", "--arity", arity) == (2, "", line)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +181,36 @@ def test_lift_rejects_string_tuples(capsys, tmp_path, tuples):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arity", ["1.7", "true", '"x"'])
+def test_model_arity_must_be_a_json_integer(capsys, tmp_path, arity):
+    # 1.7 and true used to load as arity 1, "x" to fail without naming the symbol
+    p = tmp_path / "bad.json"
+    p.write_text('{"entities": ["a"], "relations": {"P": {"arity": %s, "tuples": [["a"]]}}}' % arity)
+    code, out, err = run_cli(capsys, "lift", "--model", str(p), "--relation", "P")
+    assert (code, out) == (2, "")
+    assert err == f'error: relation \'P\': "arity" must be an integer, got {json.loads(arity)!r}\n'
+
+
+# a function of arity 40 over two entities: its totality check used to build
+# the set of all 2^40 argument tuples
+WIDE_EMPTY = {"entities": ["e1", "e2"], "constants": {"a": "e1"},
+              "functions": {"f": {"arity": 40, "table": []}}}
+WIDE_ONE_ROW = {"entities": ["e1", "e2"], "constants": {"a": "e1"},
+                "functions": {"f": {"arity": 40, "table": [["e1"] * 41]}}}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--expr", "a"], ["lift", "--function", "f"],
+                                  ["check", "--law", "function", "--trials", "1"]])
+@pytest.mark.parametrize("data,line", [
+    (WIDE_EMPTY, "error: function 'f' is not total: its table is empty\n"),
+    (WIDE_ONE_ROW, f"error: function 'f' is not total: no entry for {['e1'] * 39 + ['e2']!r}\n"),
+], ids=["empty", "one-row"])
+def test_wide_function_table_is_checked_without_enumerating_it(tmp_path, argv, data, line):
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(data))
+    assert run_cli_limited(*argv, "--model", str(p)) == (2, "", line)
 
 
 def _nested(depth):
@@ -318,6 +369,21 @@ def test_sim_at_the_ends_of_the_float_range(capsys, u, v):
     assert (code, out, err) == (0, "1.000000000\n", "")
 
 
+@pytest.mark.parametrize("argv,value", [(("-1,0", "1,0"), "-1"), (("1,0", "-1,0"), "-1"),
+                                        (("-1,0", "-1e0,-0"), "1"), (("--", "-1,0", "1,0"), "-1")])
+def test_sim_takes_vectors_with_a_leading_minus(capsys, argv, value):
+    # -1,0 used to be read as an unknown option
+    code, out, err = run_cli(capsys, "sim", *argv)
+    assert (code, out, err) == (0, f"{value}.000000000\n", "")
+
+
+def test_sim_help_still_works(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "-h"])
+    assert exc.value.code == 0
+    assert "usage: semlink sim" in capsys.readouterr().out
+
+
 def test_sim_malformed_vector(capsys):
     code, _, err = run_cli(capsys, "sim", "1,x", "1,0")
     assert code == 2
@@ -337,14 +403,118 @@ def test_sim_dimension_mismatch(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exit codes
+
+
+def test_internal_error_is_exit_3_not_a_disagreement(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_sim", broken)
+    code, out, err = run_cli(capsys, "sim", "1,0", "1,0")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: KeyError('lost') at test_cli.py:") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # config plumbing
 
 
 def test_parse_args_defaults():
-    cfg = _parse_args(["check", "--law", "chain"])
-    assert cfg == RunConfig(command="check", law="chain", trials=1000, seed=0)
+    args = _parse_args(["check", "--law", "chain"])
+    assert (args.command, args.model, args.law, args.trials, args.seed) == (
+        "check", None, "chain", 1000, 0)
 
 
 def test_format_matrix_rows():
     import numpy as np
     assert format_matrix(np.array([[1, 0], [0, 1]])) == "1 0\n0 1"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed input is exit 2, never a traceback or a disagreement
+
+
+def _main_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed command line with 2
+            return exc.code
+
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+ids = st.sampled_from(["e1", "e2", "e3", "a"])
+# one sampled_from, so that junk is a single branch of each union below
+junk = st.sampled_from([None, -1, 0, 2, 1.5, True, "", "x", [1], {}])
+rows = st.lists(ids, max_size=4) | junk
+arities = st.integers(-1, 3) | junk
+
+
+def _symbols(key):
+    entries = st.fixed_dictionaries({"arity": arities, key: st.lists(rows, max_size=9) | junk})
+    return st.dictionaries(st.sampled_from(["f", "g", "P", "R"]), entries | junk,
+                           min_size=1, max_size=2) | junk
+
+
+def _with(path, value):
+    """MODEL with the entry at path replaced by value."""
+    data = json.loads(json.dumps(MODEL))
+    *keys, last = path
+    reduce(dict.__getitem__, keys, data)[last] = value
+    return data
+
+
+# models near MODEL reach the lifts and the laws; free-form ones mostly the loader
+models = st.one_of(
+    st.builds(_with, st.sampled_from([("entities",), ("constants", "a"), ("functions", "f", "arity"),
+                                      ("functions", "f", "table"), ("relations", "P", "arity"),
+                                      ("relations", "R", "tuples")]),
+              arities | rows | st.lists(rows, max_size=4)),
+    st.fixed_dictionaries({
+        "entities": st.lists(ids, min_size=1, max_size=3, unique=True) | junk,
+        "constants": st.dictionaries(st.sampled_from(["a", "b"]), ids | junk, max_size=2) | junk,
+        "functions": _symbols("table"), "relations": _symbols("tuples")}),
+    junk)
+
+
+@FUZZ
+@given(st.text(alphabet="abcxfgPRnotandifcd(), ", max_size=30))
+def test_fuzz_expressions(model_file, text):
+    assert _main_quietly(["eval", "--model", model_file, "--expr", text]) in (0, 2)
+
+
+@FUZZ
+@given(models, st.sampled_from([["eval", "--expr", "P(a)"], ["lift", "--function", "f"],
+                                ["lift", "--relation", "P"],
+                                *(["check", "--law", law, "--trials", "2"] for law in
+                                  ("function", "relation", "chain", "formula"))]))
+def test_fuzz_model_files(tmp_path, data, argv):
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(data))
+    assert _main_quietly([*argv, "--model", str(p)]) in (0, 2)
+
+
+@FUZZ
+@given(st.text(alphabet="01x", max_size=40), st.none() | st.integers(-2, 6))
+def test_fuzz_synth(bits, arity):
+    argv = ["synth", "--table", bits] + ([] if arity is None else ["--arity", str(arity)])
+    assert _main_quietly(argv) in (0, 2)
+
+
+vector_texts = (st.lists(st.floats() | st.integers(-2, 2), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs))) | st.text(alphabet="0123456789.,-+einf", min_size=1, max_size=12))
+
+
+@FUZZ
+@given(vector_texts, vector_texts)
+def test_fuzz_sim(u, v):
+    # two finite nonzero vectors of one length have a similarity; all else is exit 2
+    try:
+        a, b = ([float(x) for x in w.split(",")] for w in (u, v))
+        defined = len(a) == len(b) and all(map(math.isfinite, a + b)) and any(a) and any(b)
+    except ValueError:
+        defined = False
+    assert _main_quietly(["sim", u, v]) == (0 if defined else 2)

@@ -433,6 +433,19 @@ def test_broken_lift_fails_eval(monkeypatch, tmp_path, capsys, target):
     assert capsys.readouterr().out.endswith("agree: no\n")
 
 
+@pytest.mark.parametrize("target,law", [("lifted_model_function", "function"),
+                                        ("lifted_model_relation", "relation")])
+def test_broken_lift_fails_check_with_model(monkeypatch, tmp_path, capsys, target, law):
+    # the relation law used to lift the model's relations by itself
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL_DATA))
+    argv = ["check", "--law", law, "--model", str(path), "--trials", "4"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out.endswith("result: FAIL\n")
+
+
 def test_vector_denote_lifts_each_symbol_once(monkeypatch):
     calls = []
 

@@ -81,8 +81,8 @@ def test_kernel_sweep_agrees_with_api_loop(container):
 def test_faithfulness_sweep_catches_broken_synth(monkeypatch):
     real = vl.synth_operator
 
-    def negated_column_zero(table, cap=None):
-        mat = real(table, cap).mat.copy()
+    def negated_column_zero(table):
+        mat = real(table).mat.copy()
         mat[:, 0] = mat[::-1, 0]
         return vl.OpMatrix(table.arity, mat)
 

@@ -80,6 +80,17 @@ def test_non_total_function_rejected():
         model_from_dict(data)
 
 
+def test_first_missing_row_is_named():
+    # the smallest missing argument tuple, as sorted(all tuples - rows)[0] gave
+    data = _broken(lambda d: d["functions"]["g"].__setitem__(
+        "table", [r for r in d["functions"]["g"]["table"] if r[:2] not in (["e2", "e1"], ["e3", "e2"])]))
+    with pytest.raises(ModelError, match=r"function 'g' is not total: no entry for \['e2', 'e1'\]"):
+        model_from_dict(data)
+    data = _broken(lambda d: d["functions"]["f"].__setitem__("table", []))
+    with pytest.raises(ModelError, match="function 'f' is not total: its table is empty"):
+        model_from_dict(data)
+
+
 def test_unknown_entity_in_row_named():
     data = _broken(lambda d: d["functions"]["f"]["table"].append(["e9", "e1"]))
     with pytest.raises(ModelError, match=r"e9"):
@@ -157,10 +168,15 @@ def test_entities_must_be_an_array():
     (lambda d: d["relations"]["P"]["tuples"].append(5), "relation 'P' tuple 5"),
     (lambda d: d["relations"]["P"].__setitem__("tuples", "ab"), "relation 'P'"),
     (lambda d: d["relations"]["R"].__setitem__("tuples", ["ab"]), "relation 'R' tuple 'ab'"),
+    (lambda d: d["functions"]["f"].__setitem__("arity", 1.7), "function 'f': \"arity\" must be"),
+    (lambda d: d["relations"]["P"].__setitem__("arity", True), "relation 'P': \"arity\" must be"),
+    (lambda d: d["relations"]["P"].__setitem__("arity", "x"), "relation 'P': \"arity\" must be"),
+    (lambda d: d["functions"].__setitem__("f", ["arity", "table"]), "function 'f' needs"),
 ], ids=["unhashable-entity", "non-string-entity", "non-string-constant",
         "constants-not-object", "functions-not-object", "relations-not-object",
         "function-row-not-array", "function-cell-not-string", "table-not-array",
-        "tuple-not-array", "tuples-string", "tuple-string"])
+        "tuple-not-array", "tuples-string", "tuple-string", "float-arity", "bool-arity",
+        "string-arity", "entry-not-object"])
 def test_model_schema_is_strict(mutate, match):
     # each of these used to load wrongly or end in an uncaught TypeError
     with pytest.raises(ModelError, match=match):

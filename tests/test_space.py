@@ -66,14 +66,31 @@ def test_norm_and_similarity_at_the_ends_of_the_float_range():
     assert cosine_similarity([tiny, tiny], [big, big]) == pytest.approx(1.0, abs=TOL)
 
 
+# Nonzero components at least this large have squares and pairwise products
+# that are normal floats (at least 2^-1008), with room for the scaling by as
+# little as 2^-7 per vector that components of magnitude up to 100 get.
+SMALLEST_SAFE_COMPONENT = 2.0 ** -504
+
+
 @given(vec_pair())
 def test_power_of_two_scaling_is_exact(pair):
-    # the scaled computation rounds like the plain one on normal-range input
+    # the scaled computation rounds like the plain one where no square or
+    # product of components is subnormal
+    assume(all(x == 0 or abs(x) >= SMALLEST_SAFE_COMPONENT for x in (*pair[0], *pair[1])))
     u, v = (np.array(x) for x in pair)
     assume(u @ u > 0 and v @ v > 0)
     plain = float((u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v)))
     assert cosine_similarity(u, v) == plain
     assert norm(u) == float(np.sqrt(u @ u))
+
+
+def test_power_of_two_scaling_is_exact_where_the_plain_formula_is_not():
+    # u @ u is subnormal, so the unscaled formulas lose digits; the scaled ones do not
+    u = np.array([5.143486888813871e-156])
+    assert norm(u) == u[0]
+    assert float(np.sqrt(u @ u)) != u[0]
+    assert cosine_similarity([1.0], u) == 1.0
+    assert float((np.ones(1) @ u) / np.sqrt(u @ u)) == 0.9999999999999541
 
 
 def test_dimension_mismatch_rejected():

@@ -13,8 +13,8 @@ from semlink.veclogic import (
     ArityCapError,
     OpMatrix,
     TruthTable,
+    ARITY_CAP,
     apply_operator,
-    arity_cap,
     column_bits,
     column_index,
     embed_truth,
@@ -347,27 +347,13 @@ def test_majority_table_bitstrings():
 
 
 def test_default_cap_allows_twenty():
-    assert arity_cap() == 20
+    assert ARITY_CAP == 20
+    op = synth_operator(TruthTable(20, np.zeros(1 << 20, dtype=np.int8)))
+    assert op.mat.shape == (2, 1 << 20)
 
 
-def test_cap_blocks_synthesis(monkeypatch):
-    monkeypatch.delenv("SEMLINK_ARITY_CAP", raising=False)
-    with pytest.raises(ArityCapError):
+def test_cap_blocks_synthesis():
+    with pytest.raises(ArityCapError, match="arity 21 exceeds the cap of 20"):
         majority_matrix(21)
     with pytest.raises(ArityCapError):
-        majority_matrix(3, cap=2)
-
-
-def test_env_var_overrides_cap(monkeypatch):
-    monkeypatch.setenv("SEMLINK_ARITY_CAP", "2")
-    assert arity_cap() == 2
-    with pytest.raises(ArityCapError):
-        majority_matrix(3)
-    monkeypatch.setenv("SEMLINK_ARITY_CAP", "junk")
-    with pytest.raises(ArityCapError):
-        arity_cap()
-
-
-def test_explicit_cap_beats_env(monkeypatch):
-    monkeypatch.setenv("SEMLINK_ARITY_CAP", "2")
-    assert majority_matrix(3, cap=5).arity == 3
+        synth_operator(TruthTable(21, np.zeros(1 << 21, dtype=np.int8)))
