@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 import traceback
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -131,8 +130,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     rel = model.relations[name]
     lifted = hm.lifted_model_relation(model, name, fam)
     print(f"lifted relation {name}: arity {rel.arity} over dim {fam.entity.dim}")
-    for tup in iproduct(model.entities, repeat=rel.arity):
-        bit = lifted([hm.map_element(fam.entity, a) for a in tup])
+    for tup, bit in lifted.table():
         print(f"({','.join(tup)}) -> {bit}")
     return 0
 

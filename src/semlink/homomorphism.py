@@ -14,8 +14,9 @@ All arithmetic here is exact integer; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
-from typing import Hashable, Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import islice, product as iproduct
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +52,13 @@ class DomainMap:
     @property
     def dim(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Row i is map_element of element i, mapped once per map.  It holds
+        dim**2 entries, so only LiftedRelation.table, which asks about every
+        tuple anyway, builds it."""
+        return vl._frozen(np.array([map_element(self, a) for a in self.elements]))
 
 
 def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> DomainMap:
@@ -147,6 +155,10 @@ def compose_lifted(g_lift: LiftedFunction, f_lift: LiftedFunction) -> LiftedFunc
 # lifted relations
 
 
+# mapped argument entries per batch of LiftedRelation.table: 8 MiB of int64
+_BATCH_ENTRIES = 1 << 20
+
+
 @dataclass(frozen=True)
 class LiftedRelation:
     """Vector-side image of a relation; true exactly on images of members.
@@ -177,10 +189,23 @@ class LiftedRelation:
                 f"relation of arity {self.arity} got a batch of shape {b.shape}")
         if b.ndim != 3 or b.shape[2] != self.map.dim:
             return np.zeros(len(b), dtype=np.int64)  # every vector is off the image
-        on_image = vl.is_one_hot(b, axis=2).all(axis=1)
+        # a vector is on the image iff it is the basis vector its largest entry indexes
+        idx = b.argmax(axis=2)
+        on_image = (b == (np.arange(self.map.dim) == idx[..., None])).all(axis=(1, 2))
         members = self.members
-        return np.array([ok and tuple(idx) in members for ok, idx
-                         in zip(on_image.tolist(), b.argmax(axis=2).tolist())], dtype=np.int64)
+        return np.array([ok and t in members for ok, t
+                         in zip(on_image.tolist(), map(tuple, idx.tolist()))], dtype=np.int64)
+
+    def table(self) -> Iterator[tuple[tuple[Hashable, ...], int]]:
+        """Every tuple over the domain, in lexicographic order, with the lift's
+        verdict on its mapped vectors.  Each element is mapped once, and the
+        mapped tuples are asked about a batch at a time."""
+        m, arity = self.map, self.arity
+        size = max(1, _BATCH_ENTRIES // (arity * m.dim))
+        pairs = zip(iproduct(m.elements, repeat=arity), iproduct(range(m.dim), repeat=arity))
+        while chunk := list(islice(pairs, size)):
+            tuples, indices = zip(*chunk)
+            yield from zip(tuples, self.holds(m.basis[np.array(indices)]).tolist())
 
 
 def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
@@ -201,21 +226,9 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
 # lifted subsets
 
 
-def vector_key(vec: np.ndarray) -> tuple[int, ...]:
-    """Hashable form of an integer vector, for set membership."""
-    return tuple(int(x) for x in np.asarray(vec))
-
-
-def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> frozenset[tuple[int, ...]]:
-    """Image of a subset: the set of basis vectors (as tuples) of its members."""
-    out = set()
-    for a in subset:
-        out.add(vector_key(map_element(m, a)))
-    return frozenset(out)
-
-
-def subset_contains(lifted: frozenset[tuple[int, ...]], vec: np.ndarray) -> bool:
-    return vector_key(vec) in lifted
+def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftedRelation:
+    """Image of a subset: the lift of the unary relation of its members."""
+    return lift_relation([(a,) for a in subset], m, 1)
 
 
 @dataclass(frozen=True)
@@ -233,10 +246,11 @@ def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable],
                   m: DomainMap) -> SetOpsReport:
     """Do union, intersection and difference commute with the subset lift?"""
     s1, s2 = set(e1), set(e2)
+    i1, i2 = lift_subset(s1, m).members, lift_subset(s2, m).members
     return SetOpsReport(
-        union_ok=lift_subset(s1 | s2, m) == lift_subset(s1, m) | lift_subset(s2, m),
-        intersection_ok=lift_subset(s1 & s2, m) == lift_subset(s1, m) & lift_subset(s2, m),
-        difference_ok=lift_subset(s1 - s2, m) == lift_subset(s1, m) - lift_subset(s2, m),
+        union_ok=lift_subset(s1 | s2, m).members == i1 | i2,
+        intersection_ok=lift_subset(s1 & s2, m).members == i1 & i2,
+        difference_ok=lift_subset(s1 - s2, m).members == i1 - i2,
     )
 
 
@@ -245,7 +259,7 @@ def characteristic(subset: Iterable[Hashable], m: DomainMap,
     """Membership bit of the element and of its image, side by side."""
     s = set(subset)
     chi = 1 if a in s else 0
-    chi_lifted = 1 if subset_contains(lift_subset(s, m), map_element(m, a)) else 0
+    chi_lifted = lift_subset(s, m)([map_element(m, a)])
     return chi, chi_lifted
 
 

@@ -8,7 +8,7 @@ plain-text report that is byte-identical for identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product as iproduct
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -134,35 +134,18 @@ def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
 # relation biconditional
 
 
-# entries per argument batch of the relation law: 8 MiB of int64
-_BATCH_ENTRIES = 1 << 20
-
-
-def _argument_batch(m: hm.DomainMap, tuples) -> np.ndarray:
-    """(len(tuples), arity, dim) batch of the mapped vectors of tuples."""
-    return np.array([[hm.map_element(m, a) for a in tup] for tup in tuples],
-                    dtype=np.int64)
-
-
-def _disagreements(label: str, tuples, got: list[int], expected: list[int]) -> list[str]:
-    return [f"{label}: tuple {list(tup)}: lifted {g} extensional {e}"
-            for tup, g, e in zip(tuples, got, expected) if g != e]
-
-
 def _relation_instance_failures(label: str, lifted: hm.LiftedRelation,
                                 members) -> tuple[int, list[str]]:
-    """The lift of members asked about every tuple over its domain, a batch
-    of tuples at a time, and about an off-image tuple."""
-    m, arity = lifted.map, lifted.arity
+    """The lift of members asked about every tuple over its domain, and
+    about an off-image tuple."""
     checks, failures = 1, []
-    tuples = iproduct(m.elements, repeat=arity)
-    while chunk := list(islice(tuples, max(1, _BATCH_ENTRIES // (arity * m.dim)))):
-        expected = [1 if tup in members else 0 for tup in chunk]
-        got = lifted.holds(_argument_batch(m, chunk)).tolist()
-        failures += _disagreements(label, chunk, got, expected)
-        checks += len(chunk)
+    for tup, got in lifted.table():
+        checks += 1
+        expected = 1 if tup in members else 0
+        if got != expected:
+            failures.append(f"{label}: tuple {list(tup)}: lifted {got} extensional {expected}")
     # off-image arguments must come out false, not raise
-    if lifted([np.zeros(m.dim, dtype=np.int64)] * arity) != 0:
+    if lifted.holds(np.zeros((1, lifted.arity, lifted.map.dim), dtype=np.int64))[0] != 0:
         failures.append(f"{label}: off-image argument did not evaluate to 0")
     return checks, failures
 
@@ -208,24 +191,21 @@ def all_relation_masks(d: int, arity: int) -> np.ndarray:
 def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
     """Every relation given by a row of masks, a membership mask over the
     d**arity tuples of range(d) in lexicographic order: lifted through
-    lift_relation, then asked about every tuple and an off-image tuple."""
+    lift_relation, then checked as the relation law checks one lift."""
     mk = np.asarray(masks)
     if mk.ndim != 2 or mk.shape[1] != d ** arity:
         raise ValueError(
             f"expected (m, {d ** arity}) masks for arity {arity} over {d} elements")
     m = hm.build_domain_map(range(d), tag=f"d{d}")
     tuples = list(iproduct(m.elements, repeat=arity))
-    # one batch serves every relation: all tuples, then an off-image tuple
-    batch = np.concatenate([_argument_batch(m, tuples),
-                            np.zeros((1, arity, d), dtype=np.int64)])
-    failures = []
+    checks, failures = 0, []
     for r, mask in enumerate(mk.tolist()):
-        lifted = hm.lift_relation([t for t, bit in zip(tuples, mask) if bit], m, arity)
-        got = lifted.holds(batch).tolist()
-        failures += _disagreements(f"relation {r}", tuples, got[:-1], mask)
-        if got[-1] != 0:
-            failures.append(f"relation {r}: off-image argument did not evaluate to 0")
-    return len(mk) * (len(tuples) + 1), failures
+        members = {t for t, bit in zip(tuples, mask) if bit}
+        c, f = _relation_instance_failures(f"relation {r}",
+                                           hm.lift_relation(members, m, arity), members)
+        checks += c
+        failures += f
+    return checks, failures
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +352,7 @@ def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
         bit = denote(formula, m, {}).bit
         vec = hm.lift_logical_connective(formula, m, {}, fam)
         checks += 1
-        if vl.project_truth(vec) != bit:
+        if not np.array_equal(vec, vl.embed_truth(bit)):
             failures.append(
                 f"trial {t}: {pretty(formula)}: extensional {bit} "
                 f"vector route {vec.tolist()}")

@@ -26,6 +26,7 @@ from .terms import (
     Var,
     signature_of,
 )
+from .veclogic import ARITY_CAP
 
 
 class ModelError(ValueError):
@@ -106,6 +107,9 @@ class Model:
                 row = next(r for r in product(sorted(dom), repeat=fn.arity) if r not in fn.table)
                 raise ModelError(f"function {name!r} is not total: no entry for {list(row)!r}")
         for name, rel in self.relations.items():
+            # the vector route asks a lifted relation about all d^arity tuples
+            if rel.arity > ARITY_CAP:
+                raise ModelError(f"relation {name!r} has arity {rel.arity}, above the cap of {ARITY_CAP}")
             for tup in rel.tuples:
                 if len(tup) != rel.arity:
                     raise ModelError(f"relation {name!r} tuple {list(tup)!r}: expected arity {rel.arity}")

@@ -118,9 +118,10 @@ class TruthTable:
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         out = np.asarray(self.outputs)
-        if out.shape != (1 << self.arity,):
+        # the length is compared with the arity, never with 2^arity
+        if out.ndim != 1 or out.size.bit_length() - 1 != self.arity or out.size & (out.size - 1):
             raise ValueError(
-                f"table for arity {self.arity} needs {1 << self.arity} outputs, got {out.shape}")
+                f"table for arity {self.arity} needs 2^{self.arity} outputs, got {out.shape}")
         # checked before the int8 cast, which would wrap 256 to 0
         if not np.logical_or(out == 0, out == 1).all():
             raise ValueError("table outputs must be 0 or 1")

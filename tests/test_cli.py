@@ -9,12 +9,15 @@ import resource
 import subprocess
 import sys
 from functools import reduce
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semlink
 from semlink import cli
+from semlink import veclogic as vl
 from semlink.cli import _parse_args, format_matrix, main
 from semlink.terms import MAX_NESTING
 
@@ -46,15 +49,19 @@ def _two_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def run_cli_limited(*argv):
-    """semlink in a child process that may map at most 2 GiB, so that input
-    which makes it reach for 2^arity or d^arity cells fails there instead of
-    taking the memory of the whole machine."""
+def run_limited(*args):
+    """python with args in a child process that may map at most 2 GiB, so that
+    input which makes semlink reach for 2^arity or d^arity cells fails there
+    instead of taking the memory of the whole machine."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(semlink.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "semlink.cli", *argv], env=env, timeout=120,
+    proc = subprocess.run([sys.executable, *args], env=env, timeout=120,
                           capture_output=True, text=True, preexec_fn=_two_gib_address_space)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli_limited(*argv):
+    return run_limited("-m", "semlink.cli", *argv)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +107,18 @@ def test_synth_checks_a_huge_arity_without_computing_2_to_the_arity(arity, line)
     # 1 << arity used to come first: a MemoryError, or an error on converting
     # a 30,000-digit integer to a string
     assert run_cli_limited("synth", "--table", "10", "--arity", arity) == (2, "", line)
+
+
+def test_truth_table_checks_a_huge_arity_without_computing_2_to_the_arity():
+    # 1 << arity used to come before the shape check: a MemoryError
+    code = ("import numpy as np\n"
+            "from semlink.veclogic import TruthTable\n"
+            "try:\n"
+            "    TruthTable(10**11, np.zeros(2))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    assert run_limited("-c", code) == (
+        0, "table for arity 100000000000 needs 2^100000000000 outputs, got (2,)\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +232,22 @@ def test_wide_function_table_is_checked_without_enumerating_it(tmp_path, argv, d
     assert run_cli_limited(*argv, "--model", str(p)) == (2, "", line)
 
 
+HUGE_RELATION = {"entities": ["e1"], "constants": {"a": "e1"},
+                 "relations": {"P": {"arity": 100000000000, "tuples": []}}}
+
+
+@pytest.mark.parametrize("argv", [["lift", "--relation", "P"],
+                                  ["check", "--law", "relation", "--trials", "1"],
+                                  ["check", "--law", "formula", "--trials", "1"]])
+def test_relation_arity_is_bounded_at_load(tmp_path, argv):
+    # lift and the relation law used to enumerate the tuples of such a relation
+    # (a MemoryError), and the formula law built an application of 10^11 arguments
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(HUGE_RELATION))
+    assert run_cli_limited(*argv, "--model", str(p)) == (
+        2, "", "error: relation 'P' has arity 100000000000, above the cap of 20\n")
+
+
 def _nested(depth):
     """A formula of nesting depth `depth`: nots around P(a)."""
     return "not(" * (depth - 1) + "P(a)" + ")" * (depth - 1)
@@ -254,6 +289,25 @@ def test_lift_relation_table(capsys, model_file):
     assert "(e1) -> 1" in out
     assert "(e2) -> 0" in out
     assert "(e3) -> 1" in out
+
+
+LIFT_MODEL = {"entities": ["e1", "e2", "e3"], "relations": {
+    "R": {"arity": 2, "tuples": [["e1", "e2"], ["e3", "e3"]]},
+    "T": {"arity": 3, "tuples": [["e1", "e2", "e3"], ["e2", "e2", "e1"], ["e3", "e1", "e1"]]}}}
+
+
+def test_lift_relation_tables_byte_for_byte(capsys, tmp_path):
+    # tests/data/lift_relation_tables.txt was captured while lift --relation
+    # still asked the lift one tuple at a time
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(LIFT_MODEL))
+    outs = []
+    for name in ("R", "T"):
+        code, out, err = run_cli(capsys, "lift", "--model", str(p), "--relation", name)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    golden = Path(__file__).parent / "data" / "lift_relation_tables.txt"
+    assert "".join(outs) == golden.read_text()
 
 
 def test_lift_unknown_symbol(capsys, model_file):
@@ -414,6 +468,16 @@ def test_internal_error_is_exit_3_not_a_disagreement(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sim", "1,0", "1,0")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: KeyError('lost') at test_cli.py:") and err.count("\n") == 1
+
+
+def test_formula_law_disagreement_is_exit_1_not_malformed_input(capsys, monkeypatch):
+    # the law used to project the vector route's result, and a result that is
+    # no truth vector at all ended in exit 2, "error: not a truth vector"
+    monkeypatch.setattr(vl, "apply_operator", lambda op, args: np.zeros(2, dtype=np.int64))
+    code, out, err = run_cli(capsys, "check", "--law", "formula", "--trials", "20")
+    assert (code, err) == (1, "")
+    assert "\ncounterexample: trial " in out and "vector route [0, 0]" in out
+    assert out.endswith("result: FAIL\n")
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_lift_relation_batch_matches_single_calls():
         lifted.holds(np.zeros((2, 3, 3), dtype=np.int64))
 
 
+def test_lift_relation_table_asks_every_tuple_in_order(monkeypatch):
+    m = hm.build_domain_map(["u", "v", "w"], tag="letters")
+    lifted = hm.lift_relation({("u", "w"), ("w", "v")}, m, 2)
+    rows = list(lifted.table())
+    assert [tup for tup, _ in rows] == [(a, b) for a in "uvw" for b in "uvw"]
+    assert [tup for tup, bit in rows if bit] == [("u", "w"), ("w", "v")]
+    # one tuple per batch gives the same rows
+    monkeypatch.setattr(hm, "_BATCH_ENTRIES", 1)
+    assert list(lifted.table()) == rows
+
+
 def test_lift_relation_validation():
     m = dmap(2)
     with pytest.raises(hm.LiftError):
@@ -196,13 +207,20 @@ def test_lift_subset_membership_biconditional():
     lifted = hm.lift_subset(subset, m)
     for a in m.elements:
         vec = hm.map_element(m, a)
-        assert hm.subset_contains(lifted, vec) == (a in subset)
+        assert lifted([vec]) == (a in subset)
 
 
 def test_lift_subset_edge_cases():
     m = dmap(3)
-    assert hm.lift_subset(set(), m) == frozenset()
-    assert len(hm.lift_subset(set(m.elements), m)) == 3
+    assert hm.lift_subset(set(), m).members == frozenset()
+    assert len(hm.lift_subset(set(m.elements), m).members) == 3
+
+
+def test_lift_subset_is_the_unary_relation_of_its_members():
+    m = hm.build_domain_map("uvw", tag="letters")
+    assert hm.lift_subset({"w", "u"}, m) == hm.lift_relation({("u",), ("w",)}, m, 1)
+    with pytest.raises(hm.LiftError):
+        hm.lift_subset({"z"}, m)
 
 
 @settings(deadline=None, max_examples=60)
@@ -444,6 +462,20 @@ def test_broken_lift_fails_check_with_model(monkeypatch, tmp_path, capsys, targe
     monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
     assert cli.main(argv) == 1
     assert capsys.readouterr().out.endswith("result: FAIL\n")
+
+
+def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsys):
+    # subsets are lifted as unary relations, so the sets law checks lift_relation
+    argv = ["check", "--law", "sets", "--trials", "20"]
+    assert cli.main(argv) == 0
+    real = hm.lift_relation
+    monkeypatch.setattr(hm, "lift_relation",
+                        lambda tuples, m, arity: real(sorted(tuples)[1:], m, arity))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "counterexample: trial 0: characteristic of" in out
+    assert out.endswith("result: FAIL\n")
 
 
 def test_vector_denote_lifts_each_symbol_once(monkeypatch):

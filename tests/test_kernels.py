@@ -179,7 +179,7 @@ def test_relation_sweep_catches_broken_membership(monkeypatch, broken):
 def test_relation_law_report_does_not_depend_on_batch_size(monkeypatch):
     # the relation law asks each lift about its tuples a batch at a time
     whole = laws.run_law("relation", 4, 40).render()
-    monkeypatch.setattr(laws, "_BATCH_ENTRIES", 5)
+    monkeypatch.setattr(hm, "_BATCH_ENTRIES", 5)
     assert laws.run_law("relation", 4, 40).render() == whole
 
 
