@@ -122,9 +122,12 @@ class LiftedFunction:
     lut: np.ndarray = field(repr=False)  # lut[i] = target basis index
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
-        a = unmap_element(self.source, vec)
+        return self.at(self.source.index[unmap_element(self.source, vec)])
+
+    def at(self, i: int) -> np.ndarray:
+        """The image of source basis vector i: the target basis vector lut[i]."""
         out = np.zeros(self.target.dim, dtype=np.int64)
-        out[int(self.lut[self.source.index[a]])] = 1
+        out[int(self.lut[i])] = 1
         return out
 
 
@@ -174,11 +177,17 @@ class LiftedRelation:
     def __call__(self, vecs: Sequence[np.ndarray]) -> int:
         if len(vecs) != self.arity:
             raise LiftError(f"relation of arity {self.arity} got {len(vecs)} arguments")
-        try:
-            batch = np.asarray(vecs)[None]
-        except ValueError:  # vectors of unequal lengths: some are off the image
-            return 0
-        return int(self.holds(batch)[0])
+        idx = []
+        for v in vecs:
+            w = np.asarray(v)
+            if w.shape != (self.map.dim,) or not vl.is_one_hot(w):
+                return 0
+            idx.append(int(w.argmax()))
+        return self.at(tuple(idx))
+
+    def at(self, idx: tuple[int, ...]) -> int:
+        """The verdict on the tuple of basis vectors with these indices."""
+        return 1 if idx in self.members else 0
 
     def holds(self, batch: np.ndarray) -> np.ndarray:
         """Verdicts, as 0/1, for a (B, arity, dim) batch of argument vectors:
@@ -192,8 +201,8 @@ class LiftedRelation:
         # a vector is on the image iff it is the basis vector its largest entry indexes
         idx = b.argmax(axis=2)
         on_image = (b == (np.arange(self.map.dim) == idx[..., None])).all(axis=(1, 2))
-        members = self.members
-        return np.array([ok and t in members for ok, t
+        at = self.at
+        return np.array([ok and at(t) for ok, t
                          in zip(on_image.tolist(), map(tuple, idx.tolist()))], dtype=np.int64)
 
     def table(self) -> Iterator[tuple[tuple[Hashable, ...], int]]:
@@ -340,11 +349,19 @@ def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftedRel
 class VectorSemantics:
     """Semantics of the vector route: one-hot entity vectors, lifted functions
     on the Kronecker fold of their arguments, lifted relations, and operator
-    matrices.  It lifts each symbol once, so it serves a single evaluation."""
+    matrices.  It lifts each symbol and maps each entity once, so it serves a
+    single evaluation.
+
+    Each value is checked once, by the node that makes it: an entity vector
+    is a basis vector, a function node checks the vector its lift gave, a
+    predicate embeds a bit, and apply_operator checks each truth value it
+    is given.  So the argument vectors a node receives are on the image.
+    """
 
     def __init__(self, model: Model, fam: LiftFamily):
         self.model, self.fam = model, fam
         self.lifts: dict = {}
+        self.entities: dict[str, np.ndarray] = {}
 
     def _lift(self, lift, name: str):
         if (lift, name) not in self.lifts:
@@ -352,13 +369,20 @@ class VectorSemantics:
         return self.lifts[lift, name]
 
     def entity(self, ent: str) -> np.ndarray:
-        return map_element(self.fam.entity, ent)
+        if ent not in self.entities:
+            self.entities[ent] = map_element(self.fam.entity, ent)
+        return self.entities[ent]
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        return self._lift(lifted_model_function, name)(vl.kron_fold(args))
+        out = self._lift(lifted_model_function, name).at(int(vl.kron_fold(args).argmax()))
+        if out.shape != (self.fam.entity.dim,) or not vl.is_one_hot(out):
+            raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
+                                f"off the image of {self.fam.entity.tag!r}")
+        return out
 
     def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        return vl.embed_truth(self._lift(lifted_model_relation, name)(args))
+        idx = tuple([int(a.argmax()) for a in args])
+        return vl.embed_truth(self._lift(lifted_model_relation, name).at(idx))
 
     def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
         return vl.apply_operator(vl.named_operator(kind), args)

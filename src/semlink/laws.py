@@ -1,8 +1,9 @@
 """Commutation law suites with deterministic, seed-reproducible reports.
 
-Each suite draws its structures from a seeded PCG64 generator (or from a
-user-supplied model), runs the relevant two-path checks, and renders a
-plain-text report that is byte-identical for identical seeds.
+Each suite draws its structures from a seeded PCG64 stream through
+sampling.Draws (or from a user-supplied model), runs the relevant two-path
+checks, and renders a plain-text report that is byte-identical for
+identical seeds.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class LawReport:
 def run_law(law: str, seed: int, trials: int, model: "Model | None" = None) -> LawReport:
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}, expected one of {', '.join(LAWS)}")
-    rng = sp.make_rng(seed)
+    rng = sp.Draws(seed)
     runner = {
         "function": _law_function,
         "relation": _law_relation,

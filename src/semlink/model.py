@@ -107,9 +107,14 @@ class Model:
                 row = next(r for r in product(sorted(dom), repeat=fn.arity) if r not in fn.table)
                 raise ModelError(f"function {name!r} is not total: no entry for {list(row)!r}")
         for name, rel in self.relations.items():
-            # the vector route asks a lifted relation about all d^arity tuples
+            # The relation law and `lift --relation` ask a lifted relation about all
+            # d^arity tuples (the vector route does not).  The arity is compared first,
+            # so d^arity is only computed for an arity within the cap.
             if rel.arity > ARITY_CAP:
                 raise ModelError(f"relation {name!r} has arity {rel.arity}, above the cap of {ARITY_CAP}")
+            if len(dom) ** rel.arity > 1 << ARITY_CAP:
+                raise ModelError(f"relation {name!r} has {len(dom)}^{rel.arity} tuples, "
+                                 f"above the cap of 2^{ARITY_CAP}")
             for tup in rel.tuples:
                 if len(tup) != rel.arity:
                     raise ModelError(f"relation {name!r} tuple {list(tup)!r}: expected arity {rel.arity}")

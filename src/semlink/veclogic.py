@@ -39,6 +39,11 @@ def _check_arity(n: int):
         raise ArityCapError(f"arity {n} exceeds the cap of {ARITY_CAP}")
 
 
+def _is_2_to_the(size: int, n: int) -> bool:
+    """size == 2^n, compared without computing 2^n, which a huge n makes vast."""
+    return size.bit_length() - 1 == n and not size & (size - 1)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -65,11 +70,19 @@ def project_truth(vec: np.ndarray) -> int:
     return int(v[0])
 
 
+# 1-D vectors up to this length are checked as a Python list, which costs
+# less than numpy's per-call overhead there
+_SHORT = 64
+
+
 def is_one_hot(v: np.ndarray, axis: int | None = None) -> "bool | np.ndarray":
     """Whether v, or each slice of v along axis, has exactly one entry equal
     to 1 and every other entry equal to 0."""
     v = np.asarray(v)
-    if axis is None:  # on one vector, two counts cost less than two reductions
+    if axis is None:
+        if v.ndim == 1 and v.size <= _SHORT:
+            entries = v.tolist()
+            return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
         return np.count_nonzero(v) == 1 and np.count_nonzero(v == 1) == 1
     return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == v.shape[axis] - 1)
 
@@ -118,8 +131,7 @@ class TruthTable:
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         out = np.asarray(self.outputs)
-        # the length is compared with the arity, never with 2^arity
-        if out.ndim != 1 or out.size.bit_length() - 1 != self.arity or out.size & (out.size - 1):
+        if out.ndim != 1 or not _is_2_to_the(out.size, self.arity):
             raise ValueError(
                 f"table for arity {self.arity} needs 2^{self.arity} outputs, got {out.shape}")
         # checked before the int8 cast, which would wrap 256 to 0
@@ -166,9 +178,9 @@ class OpMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=np.int64)
-        if self.arity < 1 or m.shape != (2, 1 << self.arity):
+        if self.arity < 1 or m.ndim != 2 or m.shape[0] != 2 or not _is_2_to_the(m.shape[1], self.arity):
             raise ValueError(
-                f"operator of arity {self.arity} must be 2 x {1 << self.arity}, got {m.shape}")
+                f"operator of arity {self.arity} must be 2 x 2^{self.arity}, got {m.shape}")
         if not is_one_hot(m, axis=0).all():
             raise ValueError("every operator column must be a one-hot truth vector")
         object.__setattr__(self, "mat", _frozen(m))

@@ -121,6 +121,18 @@ def test_truth_table_checks_a_huge_arity_without_computing_2_to_the_arity():
         0, "table for arity 100000000000 needs 2^100000000000 outputs, got (2,)\n", "")
 
 
+def test_op_matrix_checks_a_huge_arity_without_computing_2_to_the_arity():
+    # 1 << arity used to come before the shape check: a MemoryError
+    code = ("import numpy as np\n"
+            "from semlink.veclogic import OpMatrix\n"
+            "try:\n"
+            "    OpMatrix(10**11, np.zeros((2, 2)))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    assert run_limited("-c", code) == (
+        0, "operator of arity 100000000000 must be 2 x 2^100000000000, got (2, 2)\n", "")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -246,6 +258,23 @@ def test_relation_arity_is_bounded_at_load(tmp_path, argv):
     p.write_text(json.dumps(HUGE_RELATION))
     assert run_cli_limited(*argv, "--model", str(p)) == (
         2, "", "error: relation 'P' has arity 100000000000, above the cap of 20\n")
+
+
+WIDE_RELATION = {"entities": [f"e{i}" for i in range(1, 8)], "constants": {"a": "e1"},
+                 "relations": {"P": {"arity": 20, "tuples": []}}}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--expr", "P(" + ",".join(["a"] * 20) + ")"],
+                                  ["lift", "--relation", "P"],
+                                  ["check", "--law", "relation", "--trials", "1"],
+                                  ["check", "--law", "formula", "--trials", "1"]])
+def test_relation_tuple_count_is_bounded_at_load(tmp_path, argv):
+    # an arity within the cap over 7 entities is 7^20 tuples, which the
+    # relation law and lift used to enumerate until they were killed
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(WIDE_RELATION))
+    assert run_cli_limited(*argv, "--model", str(p)) == (
+        2, "", "error: relation 'P' has 7^20 tuples, above the cap of 2^20\n")
 
 
 def _nested(depth):
@@ -380,6 +409,11 @@ def test_check_rejects_runs_without_checks(capsys, trials):
     assert code == 2
     assert out == ""
     assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+def test_check_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "check", "--law", "formula", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
 
 
 def test_check_rejects_unknown_law(capsys):

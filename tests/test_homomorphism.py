@@ -493,3 +493,30 @@ def test_vector_denote_lifts_each_symbol_once(monkeypatch):
     assert sorted(calls) == ["f", "g"]
     hm.vector_denote(term, MODEL, {}, fam)  # no state carried across calls
     assert sorted(calls) == ["f", "f", "g", "g"]
+
+
+def test_vector_denote_maps_each_entity_once(monkeypatch):
+    calls = []
+
+    def counting(m, a, real=hm.map_element):
+        calls.append(a)
+        return real(m, a)
+
+    monkeypatch.setattr(hm, "map_element", counting)
+    term = parse_term("and(R(a,g(a,b)),R(f(a),a))", MODEL.signature())
+    hm.vector_denote(term, MODEL, {}, hm.LiftFamily.for_model(MODEL))
+    assert sorted(calls) == ["e1", "e2"]
+
+
+def test_function_node_checks_the_vector_its_lift_gives(monkeypatch):
+    # each value is checked where it is made: a lift whose image is not an
+    # entity vector is refused at its own node, named by its symbol
+    def widened(model, name, fam, real=hm.lifted_model_function):
+        lf = real(model, name, fam)
+        wider = hm.build_domain_map((*fam.entity.elements, "extra"), tag="wider")
+        return hm.LiftedFunction(lf.source, wider, lf.lut)
+
+    monkeypatch.setattr(hm, "lifted_model_function", widened)
+    term = parse_term("P(f(a))", MODEL.signature())
+    with pytest.raises(hm.OffImageError, match="lift of function 'f' gave"):
+        hm.vector_denote(term, MODEL, {}, hm.LiftFamily.for_model(MODEL))

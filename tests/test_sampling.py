@@ -1,0 +1,113 @@
+"""The law suites' random streams, pinned.
+
+Draws is pinned draw for draw to numpy's Generator.integers.  And
+tests/data/formula_stream_20_trials.txt holds every model and formula the
+formula law draws for seeds 0-9 at 20 trials: a passing formula report
+reads "checks: 20" whatever was drawn, so the golden law reports cannot see
+this stream; the file can.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semlink import laws
+from semlink import sampling as sp
+from semlink.terms import pretty
+
+FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
+
+
+def render_model(model) -> list[str]:
+    lines = [f"entities: {' '.join(model.entities)}"]
+    for name, fn in sorted(model.functions.items()):
+        # a total table: its rows sorted are every argument tuple in order
+        outputs = " ".join(out for _, out in sorted(fn.table.items()))
+        lines.append(f"function {name}/{fn.arity}: {outputs}")
+    for name, rel in sorted(model.relations.items()):
+        tuples = " ".join(",".join(t) for t in sorted(rel.tuples))
+        lines.append(f"relation {name}/{rel.arity}: {tuples}")
+    return lines
+
+
+class _Recording:
+    """laws' view of the sampling module, noting each model and formula the
+    law draws; recursive draws inside sampling do not pass through it."""
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+    def random_model(self, *args, **kwargs):
+        model = sp.random_model(*args, **kwargs)
+        self.lines += render_model(model)
+        return model
+
+    def random_formula(self, *args, **kwargs):
+        formula = sp.random_formula(*args, **kwargs)
+        self.lines.append(f"formula: {pretty(formula)}")
+        return formula
+
+
+def formula_stream(monkeypatch, seeds=range(10), trials=20) -> str:
+    """What run_law("formula", seed, trials) draws, model by model."""
+    lines: list[str] = []
+    monkeypatch.setattr(laws, "sp", _Recording(lines))
+    for seed in seeds:
+        lines.append(f"seed {seed}")
+        assert laws.run_law("formula", seed, trials).ok
+    return "\n".join(lines) + "\n"
+
+
+def test_formula_stream_matches_pinned_file(monkeypatch):
+    assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Draws against numpy
+
+# no draw, small spans, heavy rejection (almost half of all words are
+# rejected for 2^31 + 1), the largest Lemire span, and the raw 32-bit word
+SPANS = (1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32)
+
+calls = st.tuples(st.sampled_from(SPANS), st.integers(-2**40, 2**40), st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**128), st.lists(calls, min_size=1, max_size=12), st.integers(1, 1600))
+def test_draws_equal_numpy_generator_integers(seed, pattern, count):
+    # runs of up to 1600 draws cross the 512-word buffer refills several times
+    want = np.random.Generator(np.random.PCG64(seed))
+    got = sp.Draws(seed)
+    for k in range(count):
+        span, low, one_arg = pattern[k % len(pattern)]
+        args = (span,) if one_arg else (low, low + span)
+        assert got.integers(*args) == int(want.integers(*args)), (k, args)
+
+
+@pytest.mark.parametrize("args,kwargs,error", [
+    ((2,), {"size": 3}, TypeError),
+    ((2,), {"size": ()}, TypeError),
+    ((2,), {"dtype": np.int64}, TypeError),
+    ((0, 2**32 + 1), {}, ValueError),
+    ((-1, 2**32), {}, ValueError),
+    ((0,), {}, ValueError),
+    ((3, 3), {}, ValueError),
+    ((2.5,), {}, TypeError),
+    ((2**63, 2**63 + 2), {}, ValueError),
+    ((-2**63 - 1, -2**63 + 1), {}, ValueError),
+])
+def test_draws_refuses_what_it_does_not_reproduce(args, kwargs, error):
+    with pytest.raises(error):
+        sp.Draws(0).integers(*args, **kwargs)
+
+
+def test_draws_reaches_both_ends_of_int64():
+    for args in ((2**63 - 2, 2**63), (-2**63, -2**63 + 3), (-2**63, -2**63 + 2**32)):
+        want = np.random.Generator(np.random.PCG64(5))
+        got = sp.Draws(5)
+        assert [got.integers(*args) for _ in range(20)] == want.integers(*args, size=20).tolist()
