@@ -177,13 +177,10 @@ class LiftedRelation:
     def __call__(self, vecs: Sequence[np.ndarray]) -> int:
         if len(vecs) != self.arity:
             raise LiftError(f"relation of arity {self.arity} got {len(vecs)} arguments")
-        idx = []
-        for v in vecs:
-            w = np.asarray(v)
-            if w.shape != (self.map.dim,) or not vl.is_one_hot(w):
-                return 0
-            idx.append(int(w.argmax()))
-        return self.at(tuple(idx))
+        try:
+            return self.at(tuple([self.map.index[unmap_element(self.map, v)] for v in vecs]))
+        except OffImageError:
+            return 0
 
     def at(self, idx: tuple[int, ...]) -> int:
         """The verdict on the tuple of basis vectors with these indices."""
@@ -353,9 +350,10 @@ class VectorSemantics:
     single evaluation.
 
     Each value is checked once, by the node that makes it: an entity vector
-    is a basis vector, a function node checks the vector its lift gave, a
-    predicate embeds a bit, and apply_operator checks each truth value it
-    is given.  So the argument vectors a node receives are on the image.
+    is a basis vector, a function node checks the length of the basis vector
+    its lift gave, a predicate embeds a bit, and apply_operator checks each
+    truth value it is given.  So the argument vectors a node receives are on
+    the image.
     """
 
     def __init__(self, model: Model, fam: LiftFamily):
@@ -374,8 +372,9 @@ class VectorSemantics:
         return self.entities[ent]
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        # at builds a one-hot vector, so its length is all there is to check
         out = self._lift(lifted_model_function, name).at(int(vl.kron_fold(args).argmax()))
-        if out.shape != (self.fam.entity.dim,) or not vl.is_one_hot(out):
+        if out.shape != (self.fam.entity.dim,):
             raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
                                 f"off the image of {self.fam.entity.tag!r}")
         return out

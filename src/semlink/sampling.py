@@ -5,8 +5,9 @@ reproduces the exact same structures on every run.  The law suites draw
 their scalars one at a time through Draws, which returns exactly what
 numpy's Generator.integers returns for the same seed and calls, so reports
 stay byte-identical to those drawn through a Generator, at a fraction of
-the cost per draw.  Vector draws, such as random_truth_tables, take a
-numpy Generator from make_rng.
+the cost per draw.  make_rng and random_truth_tables, whose draws are
+vectors, serve the tests and the acceptance sweeps through a numpy
+Generator; the law suites make no vector draws.
 """
 
 from __future__ import annotations

@@ -70,20 +70,13 @@ def project_truth(vec: np.ndarray) -> int:
     return int(v[0])
 
 
-# 1-D vectors up to this length are checked as a Python list, which costs
-# less than numpy's per-call overhead there
-_SHORT = 64
-
-
 def is_one_hot(v: np.ndarray, axis: int | None = None) -> "bool | np.ndarray":
     """Whether v, or each slice of v along axis, has exactly one entry equal
     to 1 and every other entry equal to 0."""
     v = np.asarray(v)
     if axis is None:
-        if v.ndim == 1 and v.size <= _SHORT:
-            entries = v.tolist()
-            return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
-        return np.count_nonzero(v) == 1 and np.count_nonzero(v == 1) == 1
+        entries = v.ravel().tolist()
+        return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
     return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == v.shape[axis] - 1)
 
 
