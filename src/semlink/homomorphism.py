@@ -89,11 +89,6 @@ def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
     return m.elements[int(np.argmax(v))]
 
 
-def truth_map() -> DomainMap:
-    """Map over {1, 0} whose basis agrees with embed_truth."""
-    return build_domain_map((1, 0), tag="truth")
-
-
 def entity_map(model: Model) -> DomainMap:
     return build_domain_map(model.entities, tag="entity")
 
@@ -320,14 +315,14 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
 
 @dataclass(frozen=True)
 class LiftFamily:
-    """The maps a model induces: one for its entities, one for truth values."""
+    """The map a model induces on its entities; truth values embed through
+    veclogic.embed_truth."""
 
     entity: DomainMap
-    truth: DomainMap
 
     @classmethod
     def for_model(cls, model: Model) -> "LiftFamily":
-        return cls(entity_map(model), truth_map())
+        return cls(entity_map(model))
 
 
 def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftedFunction:

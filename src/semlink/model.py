@@ -246,49 +246,74 @@ class Extensional:
         return TruthVal(_CLASSICAL[kind](*(a.bit for a in args)))
 
 
+_FORMULA_NODES = (PredApp, Connective)
+
+
+def _misplaced(owner: str, formulas: bool) -> EvaluationError:
+    got, want = ("an entity", "a truth value") if formulas else ("a truth value", "an entity")
+    return EvaluationError(f"argument of {owner!r} evaluated to {got}, expected {want}")
+
+
 def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
     """The one structural recursion over terms, for either route.
 
-    Leaves resolve to entity ids, and each symbol is checked against the
-    model, before any argument is evaluated.  The semantics `sem` makes the
-    values: sem.entity(id) at a leaf, sem.fun(name, args), sem.pred(name,
-    args) or sem.conn(kind, args) at a node.  enter(term, depth), if given,
-    sees every node on entry, the root at depth 1.
+    The checks come in a fixed order at every node.  A leaf resolves to an
+    entity id (an unbound Var or an uninterpreted Const raises).  An
+    application's symbol is checked against the model, name then arity,
+    before any of its arguments is evaluated.  The arguments are evaluated
+    left to right, and each one's type is checked right after it is
+    evaluated, so a misplaced argument is reported before anything to its
+    right is looked at.  Anything that is not a term raises TypeError.
+
+    The semantics `sem` makes the values: sem.entity(id) at a leaf,
+    sem.fun(name, args), sem.pred(name, args) or sem.conn(kind, args) at a
+    node.  enter(term, depth), if given, sees every node on entry, the root
+    at depth 1.
     """
+    constants, functions, relations = model.constants, model.functions, model.relations
+    entity, fun, pred, conn = sem.entity, sem.fun, sem.pred, sem.conn
 
-    def operands(owner: str, args: tuple[Term, ...], depth: int, formulas: bool) -> list:
-        vals = []
-        for a in args:
-            vals.append(go(a, depth + 1))
-            if isinstance(a, (PredApp, Connective)) != formulas:
-                got, want = ("an entity", "a truth value") if formulas else ("a truth value", "an entity")
-                raise EvaluationError(f"argument of {owner!r} evaluated to {got}, expected {want}")
-        return vals
-
+    # one frame per level of nesting: the loops stay in go, since a helper
+    # or a list comprehension would add a frame per level on Python < 3.12
     def go(t: Term, depth: int):
         if enter is not None:
             enter(t, depth)
-        match t:
-            case Const(name):
-                if name not in model.constants:
-                    raise EvaluationError(f"constant {name!r} is not interpreted by the model")
-                return sem.entity(model.constants[name])
-            case Var(name):
-                if name not in g:
-                    raise EvaluationError(f"unbound variable {name!r}")
-                return sem.entity(g[name])
-            case FunApp(name, args) | PredApp(name, args):
-                kind, symbols, apply = (("function", model.functions, sem.fun) if isinstance(t, FunApp)
-                                        else ("relation", model.relations, sem.pred))
-                interp = symbols.get(name)
-                if interp is None:
-                    raise EvaluationError(f"{kind} {name!r} is not interpreted by the model")
-                if interp.arity != len(args):
-                    raise EvaluationError(f"{kind} {name!r} takes {interp.arity} arguments, got {len(args)}")
-                return apply(name, operands(name, args, depth, formulas=False))
-            case Connective(kind, args):
-                return sem.conn(kind, operands(kind.keyword, args, depth, formulas=True))
-        raise TypeError(f"not a term: {t!r}")
+        cls = type(t)
+        if cls is Const:
+            name = t.name
+            if name not in constants:
+                raise EvaluationError(f"constant {name!r} is not interpreted by the model")
+            return entity(constants[name])
+        if cls is Connective:
+            kind = t.kind
+            vals = []
+            for a in t.args:
+                vals.append(go(a, depth + 1))
+                if type(a) not in _FORMULA_NODES:
+                    raise _misplaced(kind.keyword, formulas=True)
+            return conn(kind, vals)
+        if cls is FunApp:
+            kind, symbols, apply = "function", functions, fun
+        elif cls is PredApp:
+            kind, symbols, apply = "relation", relations, pred
+        elif cls is Var:
+            if t.name not in g:
+                raise EvaluationError(f"unbound variable {t.name!r}")
+            return entity(g[t.name])
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        name, args = t.name, t.args
+        interp = symbols.get(name)
+        if interp is None:
+            raise EvaluationError(f"{kind} {name!r} is not interpreted by the model")
+        if interp.arity != len(args):
+            raise EvaluationError(f"{kind} {name!r} takes {interp.arity} arguments, got {len(args)}")
+        vals = []
+        for a in args:
+            vals.append(go(a, depth + 1))
+            if type(a) in _FORMULA_NODES:
+                raise _misplaced(name, formulas=False)
+        return apply(name, vals)
 
     return go(term, 1)
 

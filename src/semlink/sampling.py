@@ -122,33 +122,49 @@ def random_model(rng: Draws | np.random.Generator, n_entities: int = 4) -> Model
     return Model(entities, constants, functions, relations)
 
 
+def _terms_over(sig: Signature) -> tuple[tuple, tuple]:
+    """The signature's functions as sorted (name, arity) pairs and its
+    constants sorted.  Every closed term ends in constants, so a signature
+    without them is refused."""
+    if not sig.constants:
+        raise ValueError("signature has no constants to build terms from")
+    return tuple(sorted(sig.functions.items())), tuple(sorted(sig.constants))
+
+
+def _entity_term(rng, functions: tuple, constants: tuple, budget: int) -> Term:
+    if budget > 0 and functions and rng.integers(2) == 1:
+        name, arity = _choice(rng, functions)
+        return FunApp(name, tuple([_entity_term(rng, functions, constants, budget - 1)
+                                   for _ in range(arity)]))
+    return Const(_choice(rng, constants))
+
+
+def _formula(rng, predicates: tuple, functions: tuple, constants: tuple, budget: int) -> Term:
+    if budget == 1 or rng.integers(3) == 0:
+        name, arity = _choice(rng, predicates)
+        return PredApp(name, tuple([_entity_term(rng, functions, constants, budget - 1)
+                                    for _ in range(arity)]))
+    roll = int(rng.integers(4))
+    if roll == 0:
+        return Connective(ConnectiveKind.NOT,
+                          (_formula(rng, predicates, functions, constants, budget - 1),))
+    kind = ConnectiveKind.COND if roll == 1 else _choice(rng, BINARY_KINDS)
+    return Connective(kind, tuple([_formula(rng, predicates, functions, constants, budget - 1)
+                                   for _ in range(kind.arity)]))
+
+
 def random_entity_term(rng: Draws | np.random.Generator, sig: Signature, budget: int) -> Term:
     """Closed entity-typed term of nesting depth at most budget."""
-    functions = sorted(sig.functions)
-    if budget > 0 and functions and rng.integers(2) == 1:
-        name = _choice(rng, functions)
-        return FunApp(name, tuple(random_entity_term(rng, sig, budget - 1)
-                                  for _ in range(sig.functions[name])))
-    return Const(_choice(rng, sorted(sig.constants)))
+    return _entity_term(rng, *_terms_over(sig), budget)
 
 
 def random_formula(rng: Draws | np.random.Generator, sig: Signature, budget: int) -> Term:
     """Closed truth-typed term of nesting depth at most budget (at least 1)."""
     if budget < 1:
         raise ValueError("a formula needs depth budget of at least 1")
-    predicates = sorted(sig.predicates)
-    if not predicates:
+    if not sig.predicates:
         raise ValueError("signature has no predicates to build formulas from")
-    if budget == 1 or rng.integers(3) == 0:
-        name = _choice(rng, predicates)
-        return PredApp(name, tuple(random_entity_term(rng, sig, budget - 1)
-                                   for _ in range(sig.predicates[name])))
-    roll = int(rng.integers(4))
-    if roll == 0:
-        return Connective(ConnectiveKind.NOT, (random_formula(rng, sig, budget - 1),))
-    kind = ConnectiveKind.COND if roll == 1 else _choice(rng, BINARY_KINDS)
-    return Connective(kind, tuple(random_formula(rng, sig, budget - 1)
-                                  for _ in range(kind.arity)))
+    return _formula(rng, tuple(sorted(sig.predicates.items())), *_terms_over(sig), budget)
 
 
 def random_truth_tables(rng: np.random.Generator, arity: int, count: int) -> np.ndarray:

@@ -57,13 +57,16 @@ def distance(u, v) -> float:
 
 
 def cosine_similarity(u, v) -> float:
-    """Inner product normalized by both lengths; undefined on a zero vector."""
+    """Inner product normalized by both lengths, within [-1, 1]; undefined
+    on a zero vector."""
     a, b = _pair(u, v)
     (a, _), (b, _) = _scaled(a), _scaled(b)  # the quotient is scale-free
     na, nb = norm(a), norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for the zero vector")
-    return float((a @ b) / (na * nb))
+    # rounding can carry the quotient of parallel vectors just past +-1,
+    # which acos refuses; the clamp keeps a nan a nan
+    return float(min(max((a @ b) / (na * nb), -1.0), 1.0))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ Everything here is exact int64 arithmetic; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -89,7 +88,11 @@ def kron_fold(vecs: Sequence[np.ndarray]) -> np.ndarray:
     """Left fold of the Kronecker product over one or more vectors."""
     if not len(vecs):
         raise ValueError("kron_fold needs at least one vector")
-    return reduce(kron, vecs[1:], np.asarray(vecs[0]))
+    it = iter(vecs)
+    acc = np.asarray(next(it))
+    for v in it:
+        acc = kron(acc, v)
+    return acc
 
 
 def column_index(bits: Sequence[int]) -> int:

@@ -385,6 +385,15 @@ def test_check_formula_law_needs_relations(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_formula_law_needs_constants(capsys, tmp_path):
+    # every closed formula ends in constants; the law used to draw from the
+    # empty list and print "error: empty range [0, 0)"
+    p = tmp_path / "noconst.json"
+    p.write_text(json.dumps({"entities": ["e1"], "relations": {"P": {"arity": 1, "tuples": []}}}))
+    code, out, err = run_cli(capsys, "check", "--law", "formula", "--model", str(p), "--trials", "2")
+    assert (code, out, err) == (2, "", "error: signature has no constants to build terms from\n")
+
+
 @pytest.mark.parametrize("law,model,lacking", [
     ("function", {"entities": ["e1"], "relations": {"P": {"arity": 1, "tuples": []}}},
      "no functions"),

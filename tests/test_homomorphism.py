@@ -64,12 +64,6 @@ def test_build_rejects_duplicates_and_empty():
         hm.build_domain_map([])
 
 
-def test_truth_map_agrees_with_embedding():
-    tm = hm.truth_map()
-    assert np.array_equal(hm.map_element(tm, 1), vl.embed_truth(1))
-    assert np.array_equal(hm.map_element(tm, 0), vl.embed_truth(0))
-
-
 def test_product_map_basis_is_kron_of_components():
     m = dmap(3)
     pm = hm.product_map(m, 2)
@@ -342,7 +336,6 @@ MODEL = model_from_dict(MODEL_DATA)
 def test_lift_family_for_model():
     fam = hm.LiftFamily.for_model(MODEL)
     assert fam.entity.dim == 3
-    assert fam.truth.dim == 2
 
 
 def test_lifted_model_function_unary_and_binary():

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semlink import homomorphism as hm
 from semlink.model import (
     EntityVal,
     EvaluationError,
@@ -26,6 +27,8 @@ from semlink.terms import (
     pretty,
     replace_at,
     subterms,
+    Connective,
+    ConnectiveKind,
     Const,
     FunApp,
     PredApp,
@@ -278,6 +281,46 @@ def test_denote_traced_unknown_symbols():
                  FunApp("f", (Const("a"), Const("b")))):
         with pytest.raises(EvaluationError):
             denote_traced(term, m, {})
+
+
+def _vector_denote(term, m, g):
+    return hm.vector_denote(term, m, g, hm.LiftFamily.for_model(m))
+
+
+P_OF_A = PredApp("P", (Const("a"),))
+
+
+@pytest.mark.parametrize("route", [denote, _vector_denote], ids=["extensional", "vector"])
+@pytest.mark.parametrize("term,message", [
+    # each argument's type is checked right after it is evaluated, before
+    # anything to its right is looked at
+    (Connective(ConnectiveKind.AND, (Const("a"), PredApp("Z", (Const("a"),)))),
+     "argument of 'and' evaluated to an entity, expected a truth value"),
+    (PredApp("R", (P_OF_A, Const("nope"))),
+     "argument of 'R' evaluated to a truth value, expected an entity"),
+    (PredApp("P", (P_OF_A,)), "argument of 'P' evaluated to a truth value, expected an entity"),
+    (FunApp("f", (Connective(ConnectiveKind.NOT, (P_OF_A,)),)),
+     "argument of 'f' evaluated to a truth value, expected an entity"),
+    # a symbol, name then arity, is checked before its arguments
+    (FunApp("zz", (Const("nope"),)), "function 'zz' is not interpreted by the model"),
+    (PredApp("Z", (Var("x"),)), "relation 'Z' is not interpreted by the model"),
+    (FunApp("f", (Const("nope"), Const("nope"))), "function 'f' takes 1 arguments, got 2"),
+    (PredApp("R", (Const("nope"),)), "relation 'R' takes 2 arguments, got 1"),
+    (Connective(ConnectiveKind.NOT, (Var("x"),)), "unbound variable 'x'"),
+    (Connective(ConnectiveKind.OR, (P_OF_A, PredApp("P", (Const("nope"),)))),
+     "constant 'nope' is not interpreted by the model"),
+])
+def test_evaluation_errors_come_in_a_fixed_order(route, term, message):
+    with pytest.raises(EvaluationError) as exc:
+        route(term, good_model(), {})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("route", [denote, _vector_denote], ids=["extensional", "vector"])
+def test_evaluating_a_non_term_is_a_type_error(route):
+    for junk in ("a", Connective(ConnectiveKind.NOT, (("P", "a"),))):
+        with pytest.raises(TypeError, match="not a term"):
+            route(junk, good_model(), {})
 
 
 def test_truthval_validates_bit():

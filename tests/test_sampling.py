@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from semlink import laws
 from semlink import sampling as sp
-from semlink.terms import pretty
+from semlink.terms import pretty, signature_of
 
 FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
 
@@ -111,3 +111,21 @@ def test_draws_reaches_both_ends_of_int64():
         want = np.random.Generator(np.random.PCG64(5))
         got = sp.Draws(5)
         assert [got.integers(*args) for _ in range(20)] == want.integers(*args, size=20).tolist()
+
+
+class _NoDraws:
+    def integers(self, *args, **kwargs):
+        raise AssertionError("drew before refusing the signature")
+
+
+@pytest.mark.parametrize("sig,message", [
+    (signature_of([], {"f": 1}, {"P": 1}), "signature has no constants to build terms from"),
+    (signature_of(["a"], {"f": 1}, {}), "signature has no predicates to build formulas from"),
+])
+def test_samplers_refuse_a_signature_before_drawing(sig, message):
+    with pytest.raises(ValueError) as exc:
+        sp.random_formula(_NoDraws(), sig, budget=3)
+    assert str(exc.value) == message
+    if not sig.constants:
+        with pytest.raises(ValueError, match=message):
+            sp.random_entity_term(_NoDraws(), sig, budget=3)

@@ -47,6 +47,25 @@ def test_cosine_similarity_extremes():
     assert cosine_similarity([1, 0], [-2, 0]) == pytest.approx(-1.0, abs=TOL)
 
 
+def test_similarity_of_parallel_vectors_stays_within_one():
+    # rounding carried these quotients past +-1, where acos is undefined
+    assert cosine_similarity([1, 1, 1], [2, 2, 2]) == 1.0
+    assert cosine_similarity([1, 1, 1], [-2, -2, -2]) == -1.0
+    rng = np.random.default_rng(0)
+    past_one = 0
+    for _ in range(2000):
+        u = rng.uniform(-100, 100, int(rng.integers(1, 9)))
+        v = rng.uniform(0.01, 100) * rng.choice([-1.0, 1.0]) * u
+        sim = cosine_similarity(u, v)
+        assert -1.0 <= sim <= 1.0
+        assert 0.0 <= math.acos(sim) <= math.pi
+        plain = (u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v))
+        if abs(plain) > 1.0:
+            past_one += 1
+            assert sim == math.copysign(1.0, plain)
+    assert past_one > 0  # the sample reaches the case the clamp is for
+
+
 def test_zero_vector_similarity_is_an_error():
     with pytest.raises(ValueError):
         cosine_similarity([0, 0], [1, 0])
@@ -75,11 +94,11 @@ SMALLEST_SAFE_COMPONENT = 2.0 ** -504
 @given(vec_pair())
 def test_power_of_two_scaling_is_exact(pair):
     # the scaled computation rounds like the plain one where no square or
-    # product of components is subnormal
+    # product of components is subnormal; both quotients are clamped to [-1, 1]
     assume(all(x == 0 or abs(x) >= SMALLEST_SAFE_COMPONENT for x in (*pair[0], *pair[1])))
     u, v = (np.array(x) for x in pair)
     assume(u @ u > 0 and v @ v > 0)
-    plain = float((u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v)))
+    plain = float(np.clip((u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v)), -1.0, 1.0))
     assert cosine_similarity(u, v) == plain
     assert norm(u) == float(np.sqrt(u @ u))
 
