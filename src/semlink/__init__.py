@@ -10,13 +10,10 @@ from .terms import (
     ConnectiveKind,
     Const,
     Entity,
-    Fun,
     FunApp,
     ParseError,
     PredApp,
-    Prod,
     SemType,
-    SetOf,
     Signature,
     Term,
     Truth,
@@ -24,7 +21,6 @@ from .terms import (
     Var,
     complexity_depth,
     complexity_size,
-    free_variables,
     infer_type,
     parse_term,
     pretty,
@@ -43,7 +39,6 @@ from .model import (
     denote_traced,
     load_model,
     model_from_dict,
-    variant_assignment,
 )
 from .veclogic import (
     ArityCapError,

@@ -115,7 +115,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         if name not in model.functions:
             raise ValueError(f"model does not interpret function {name!r}")
         fn = model.functions[name]
-        lifted = hm.lifted_model_function(model, name, fam)
+        lifted = fam.function(name)
         src = hm.product_map(fam.entity, fn.arity)
         print(f"lifted function {name}: dim {src.dim} -> dim {fam.entity.dim}")
         for row in sorted(fn.table):
@@ -128,7 +128,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     if name not in model.relations:
         raise ValueError(f"model does not interpret relation {name!r}")
     rel = model.relations[name]
-    lifted = hm.lifted_model_relation(model, name, fam)
+    lifted = fam.relation(name)
     print(f"lifted relation {name}: arity {rel.arity} over dim {fam.entity.dim}")
     for tup, bit in lifted.table():
         print(f"({','.join(tup)}) -> {bit}")
@@ -146,12 +146,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _parse_vec(text: str) -> np.ndarray:
     try:
-        vec = np.array([float(x) for x in text.split(",")], dtype=np.float64)
+        return np.array([float(x) for x in text.split(",")], dtype=np.float64)
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"vector components must be finite, got {text!r}")
-    return vec
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:

@@ -313,16 +313,49 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
 # dual-route evaluation of terms
 
 
-@dataclass(frozen=True)
 class LiftFamily:
-    """The map a model induces on its entities; truth values embed through
-    veclogic.embed_truth."""
+    """The lifts of one model: its entity map, and each function, relation
+    and entity vector built the first time it is asked for, then kept.
 
-    entity: DomainMap
+    A symbol's image depends on the model alone, not on the term, so every
+    evaluation over the model shares one family.  The model cannot change
+    after it is validated, so a kept lift never goes stale; each kept array
+    is read-only, so no caller can corrupt a later evaluation by writing
+    into one.  Truth values embed through veclogic.embed_truth.
+    """
+
+    __slots__ = ("model", "entity", "_functions", "_relations", "_vectors")
+
+    def __init__(self, model: Model, entity: DomainMap):
+        self.model, self.entity = model, entity
+        self._functions: dict[str, LiftedFunction] = {}
+        self._relations: dict[str, LiftedRelation] = {}
+        self._vectors: dict[str, np.ndarray] = {}
 
     @classmethod
     def for_model(cls, model: Model) -> "LiftFamily":
-        return cls(entity_map(model))
+        return cls(model, entity_map(model))
+
+    # lifts come from the module-level functions, looked up at call time, so
+    # a traced or patched one sees every lift
+    def function(self, name: str) -> LiftedFunction:
+        lift = self._functions.get(name)
+        if lift is None:
+            lift = self._functions[name] = lifted_model_function(self.model, name, self)
+        return lift
+
+    def relation(self, name: str) -> LiftedRelation:
+        lift = self._relations.get(name)
+        if lift is None:
+            lift = self._relations[name] = lifted_model_relation(self.model, name, self)
+        return lift
+
+    def vector(self, ent: str) -> np.ndarray:
+        """The entity's basis vector, read-only."""
+        vec = self._vectors.get(ent)
+        if vec is None:
+            vec = self._vectors[ent] = vl._frozen(map_element(self.entity, ent))
+        return vec
 
 
 def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftedFunction:
@@ -341,8 +374,8 @@ def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftedRel
 class VectorSemantics:
     """Semantics of the vector route: one-hot entity vectors, lifted functions
     on the Kronecker fold of their arguments, lifted relations, and operator
-    matrices.  It lifts each symbol and maps each entity once, so it serves a
-    single evaluation.
+    matrices.  It keeps nothing of its own: lifts and entity vectors come
+    from the family, which builds each once per model.
 
     Each value is checked once, by the node that makes it: an entity vector
     is a basis vector, a function node checks the length of the basis vector
@@ -351,24 +384,13 @@ class VectorSemantics:
     the image.
     """
 
-    def __init__(self, model: Model, fam: LiftFamily):
-        self.model, self.fam = model, fam
-        self.lifts: dict = {}
-        self.entities: dict[str, np.ndarray] = {}
-
-    def _lift(self, lift, name: str):
-        if (lift, name) not in self.lifts:
-            self.lifts[lift, name] = lift(self.model, name, self.fam)
-        return self.lifts[lift, name]
-
-    def entity(self, ent: str) -> np.ndarray:
-        if ent not in self.entities:
-            self.entities[ent] = map_element(self.fam.entity, ent)
-        return self.entities[ent]
+    def __init__(self, fam: LiftFamily):
+        self.fam = fam
+        self.entity = fam.vector
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
         # at builds a one-hot vector, so its length is all there is to check
-        out = self._lift(lifted_model_function, name).at(int(vl.kron_fold(args).argmax()))
+        out = self.fam.function(name).at(int(vl.kron_fold(args).argmax()))
         if out.shape != (self.fam.entity.dim,):
             raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
                                 f"off the image of {self.fam.entity.tag!r}")
@@ -376,7 +398,7 @@ class VectorSemantics:
 
     def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
         idx = tuple([int(a.argmax()) for a in args])
-        return vl.embed_truth(self._lift(lifted_model_relation, name).at(idx))
+        return vl.embed_truth(self.fam.relation(name).at(idx))
 
     def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
         return vl.apply_operator(vl.named_operator(kind), args)
@@ -384,8 +406,11 @@ class VectorSemantics:
 
 def vector_denote(term: Term, model: Model, g: Assignment, fam: LiftFamily) -> np.ndarray:
     """Evaluate a term on the vector side only, down to the leaves.  The
-    projection of the result always agrees with the extensional denotation."""
-    return evaluate(term, model, g, VectorSemantics(model, fam))
+    projection of the result always agrees with the extensional denotation.
+    The family must be the one built for this model object."""
+    if fam.model is not model:
+        raise LiftError("the lift family was built for another model")
+    return evaluate(term, model, g, VectorSemantics(fam))
 
 
 def lift_logical_connective(term: Term, model: Model, g: Assignment,

@@ -89,7 +89,7 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         for t in range(trials):
             name = names[t % len(names)]
             fn = model.functions[name]
-            lifted = hm.lifted_model_function(model, name, fam)
+            lifted = fam.function(name)
             src = hm.product_map(fam.entity, fn.arity)
             for args in sorted(fn.table):
                 checks += 1
@@ -161,7 +161,7 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         for t in range(trials):
             name = names[t % len(names)]
             c, f = _relation_instance_failures(f"trial {t}: relation {name}",
-                                               hm.lifted_model_relation(model, name, fam),
+                                               fam.relation(name),
                                                model.relations[name].tuples)
             checks += c
             failures += f
@@ -311,11 +311,11 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
                    if fn.arity == 1)
     if model is not None and not unary:
         raise ValueError("model declares no unary functions, cannot build chains")
+    entity = hm.entity_map(model) if model is not None else None
     for t in range(trials):
         length = int(rng.integers(1, 6))
         if model is not None:
-            fam = hm.LiftFamily.for_model(model)
-            maps = [fam.entity] * (length + 1)
+            maps = [entity] * (length + 1)
             names = [unary[int(rng.integers(len(unary)))] for _ in range(length)]
             tables = [{a: model.functions[n].table[(a,)] for a in model.entities}
                       for n in names]
@@ -342,13 +342,14 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
 
 def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
-    fixed = model
-    if fixed is not None and not fixed.relations:
+    if model is not None and not model.relations:
         raise ValueError("model declares no relations, cannot build formulas")
+    fixed = hm.LiftFamily.for_model(model) if model is not None else None
     for t in range(trials):
-        m = fixed if fixed is not None else sp.random_model(
-            rng, n_entities=int(rng.integers(2, 5)))
-        fam = hm.LiftFamily.for_model(m)
+        # a fresh model each trial needs a fresh family; a fixed one shares its lifts
+        fam = fixed if fixed is not None else hm.LiftFamily.for_model(
+            sp.random_model(rng, n_entities=int(rng.integers(2, 5))))
+        m = fam.model
         formula = sp.random_formula(rng, m.signature(), budget=6)
         bit = denote(formula, m, {}).bit
         vec = hm.lift_logical_connective(formula, m, {}, fam)

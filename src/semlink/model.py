@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 from .terms import (
@@ -62,15 +63,28 @@ class FunctionInterp:
     arity: int
     table: Mapping[tuple[str, ...], str]
 
+    def __post_init__(self):
+        # a read-only copy: the caller's dict cannot change the table later
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
+        return FunctionInterp, (self.arity, dict(self.table))
+
 
 @dataclass(frozen=True)
 class RelationInterp:
     arity: int
     tuples: frozenset[tuple[str, ...]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "tuples", frozenset(self.tuples))
+
 
 @dataclass(frozen=True)
 class Model:
+    """A validated model.  It cannot change afterwards: its mappings are
+    read-only copies of the ones it was given."""
+
     entities: tuple[str, ...]
     constants: Mapping[str, str]
     functions: Mapping[str, FunctionInterp]
@@ -121,6 +135,12 @@ class Model:
                 for a in tup:
                     if a not in dom:
                         raise ModelError(f"relation {name!r} tuple {list(tup)!r}: unknown entity {a!r}")
+        for key in ("constants", "functions", "relations"):
+            object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
+        return Model, (self.entities, dict(self.constants), dict(self.functions),
+                       dict(self.relations))
 
     def signature(self) -> Signature:
         return signature_of(
@@ -128,15 +148,6 @@ class Model:
             functions={name: fn.arity for name, fn in self.functions.items()},
             predicates={name: rel.arity for name, rel in self.relations.items()},
         )
-
-
-def variant_assignment(g: Assignment, x: str, k: str, model: Model) -> dict[str, str]:
-    """Return g with x rebound to k; g itself is not touched."""
-    if k not in set(model.entities):
-        raise EvaluationError(f"entity {k!r} is not in the domain")
-    out = dict(g)
-    out[x] = k
-    return out
 
 
 # ---------------------------------------------------------------------------

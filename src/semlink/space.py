@@ -17,6 +17,8 @@ def as_vector(v: "Sequence[float] | np.ndarray") -> np.ndarray:
     out = np.asarray(v, dtype=np.float64)
     if out.ndim != 1 or out.size == 0:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"vector components must be finite, got {out.tolist()!r}")
     return out
 
 
@@ -29,7 +31,14 @@ def _pair(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 def inner_product(u, v) -> float:
     a, b = _pair(u, v)
-    return float(a @ b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = float(a @ b)
+        if math.isfinite(plain):
+            return plain
+        # a product or a partial sum passed the float range; those of the
+        # scaled vectors cannot, and an inner product past the range is +-inf
+        (a, ea), (b, eb) = _scaled(a), _scaled(b)
+        return float(np.ldexp(a @ b, ea + eb))
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
@@ -53,7 +62,10 @@ def norm(v) -> float:
 
 def distance(u, v) -> float:
     a, b = _pair(u, v)
-    return norm(a - b)
+    with np.errstate(over="ignore"):
+        diff = a - b
+    # a difference past the float range puts the distance past it too
+    return norm(diff) if np.isfinite(diff).all() else math.inf
 
 
 def cosine_similarity(u, v) -> float:
@@ -65,7 +77,7 @@ def cosine_similarity(u, v) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity is undefined for the zero vector")
     # rounding can carry the quotient of parallel vectors just past +-1,
-    # which acos refuses; the clamp keeps a nan a nan
+    # which acos refuses
     return float(min(max((a @ b) / (na * nb), -1.0), 1.0))
 
 

@@ -72,35 +72,6 @@ class Truth(SemType):
         return "t"
 
 
-@dataclass(frozen=True)
-class Fun(SemType):
-    domain: SemType
-    range: SemType
-
-    def __str__(self) -> str:
-        return f"<{self.domain},{self.range}>"
-
-
-@dataclass(frozen=True)
-class Prod(SemType):
-    components: tuple[SemType, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 2:
-            raise ValueError("product type needs at least 2 components")
-
-    def __str__(self) -> str:
-        return "(" + "*".join(str(c) for c in self.components) + ")"
-
-
-@dataclass(frozen=True)
-class SetOf(SemType):
-    element: SemType
-
-    def __str__(self) -> str:
-        return "{" + str(self.element) + "}"
-
-
 ENTITY = Entity()
 TRUTH = Truth()
 
@@ -388,19 +359,6 @@ def complexity_size(term: Term) -> int:
     if not kids:
         return 1
     return 1 + sum(complexity_size(k) for k in kids)
-
-
-def free_variables(term: Term) -> frozenset[str]:
-    match term:
-        case Var(name):
-            return frozenset({name})
-        case Const(_):
-            return frozenset()
-        case _:
-            out: frozenset[str] = frozenset()
-            for k in children(term):
-                out |= free_variables(k)
-            return out
 
 
 def subterms(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:

@@ -484,8 +484,49 @@ def test_vector_denote_lifts_each_symbol_once(monkeypatch):
     term = parse_term("and(P(f(f(a))),R(g(f(a),b),f(c)))", sig)
     hm.vector_denote(term, MODEL, {}, fam)
     assert sorted(calls) == ["f", "g"]
-    hm.vector_denote(term, MODEL, {}, fam)  # no state carried across calls
+    hm.vector_denote(term, MODEL, {}, fam)  # the family keeps its lifts
+    assert sorted(calls) == ["f", "g"]
+    hm.vector_denote(term, MODEL, {}, hm.LiftFamily.for_model(MODEL))  # a fresh one lifts again
     assert sorted(calls) == ["f", "f", "g", "g"]
+
+
+def test_a_family_serves_only_its_own_model():
+    other = model_from_dict(MODEL_DATA)  # equal, but another object
+    fam = hm.LiftFamily.for_model(MODEL)
+    term = parse_term("P(f(a))", MODEL.signature())
+    with pytest.raises(hm.LiftError, match="another model"):
+        hm.vector_denote(term, other, {}, fam)
+    with pytest.raises(hm.LiftError, match="another model"):
+        hm.lift_logical_connective(term, other, {}, fam)
+
+
+def test_kept_vectors_are_read_only():
+    fam = hm.LiftFamily.for_model(MODEL)
+    term = parse_term("a", MODEL.signature())
+    vec = hm.vector_denote(term, MODEL, {}, fam)
+    assert vec is fam.vector("e1")
+    with pytest.raises(ValueError, match="read-only"):
+        vec[:] = [0, 1, 0]
+    assert hm.vector_denote(term, MODEL, {}, fam).tolist() == [1, 0, 0]
+    f_of_a = parse_term("f(a)", MODEL.signature())
+    assert hm.vector_denote(f_of_a, MODEL, {}, fam).tolist() == [0, 1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        fam.function("g").lut[0] = 0
+
+
+def test_check_with_model_lifts_each_function_once_per_run(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting(model, name, fam, real=hm.lifted_model_function):
+        calls.append(name)
+        return real(model, name, fam)
+
+    monkeypatch.setattr(hm, "lifted_model_function", counting)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL_DATA))
+    assert cli.main(["check", "--law", "function", "--model", str(path), "--trials", "10"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+    assert sorted(calls) == ["f", "g"]
 
 
 def test_vector_denote_maps_each_entity_once(monkeypatch):

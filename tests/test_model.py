@@ -1,6 +1,8 @@
 """Model loading, validation, and the denotation recursion."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from semlink.model import (
     denote_traced,
     load_model,
     model_from_dict,
-    variant_assignment,
 )
 from semlink.sampling import make_rng, random_formula, random_model
 from semlink.terms import (
@@ -196,22 +197,47 @@ def test_symbol_arity_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
-# assignments
+# immutability
 
 
-def test_variant_assignment_rebinds_without_mutation():
+def test_a_model_cannot_be_edited_after_validation():
     m = good_model()
-    g = {"x": "e1"}
-    g2 = variant_assignment(g, "x", "e2", m)
-    assert g == {"x": "e1"}
-    assert g2 == {"x": "e2"}
-    g3 = variant_assignment(g, "y", "e3", m)
-    assert g3 == {"x": "e1", "y": "e3"}
+    fn = m.functions["f"]
+    with pytest.raises(TypeError):
+        m.functions["f"] = FunctionInterp(1, {})
+    with pytest.raises(TypeError):
+        fn.table[("e1",)] = "e9"
+    with pytest.raises(TypeError):
+        m.constants["a"] = "e9"
+    with pytest.raises(TypeError):
+        m.relations["P"] = RelationInterp(1, frozenset())
+    assert fn.table[("e1",)] == "e2" and m.constants["a"] == "e1"
 
 
-def test_variant_assignment_checks_domain():
-    with pytest.raises(EvaluationError):
-        variant_assignment({}, "x", "e9", good_model())
+def test_a_model_keeps_copies_of_what_it_was_given():
+    table = {("e1",): "e2", ("e2",): "e1"}
+    constants = {"a": "e1"}
+    functions = {"f": FunctionInterp(1, table)}
+    tuples = {("e1",)}
+    relations = {"P": RelationInterp(1, tuples)}
+    m = Model(("e1", "e2"), constants, functions, relations)
+    table[("e1",)] = "e9"
+    constants["a"] = "e9"
+    functions["h"] = FunctionInterp(1, {})
+    relations.clear()
+    tuples.add(("e9",))
+    assert m.functions["f"].table[("e1",)] == "e2"
+    assert dict(m.constants) == {"a": "e1"}
+    assert set(m.functions) == {"f"}
+    assert m.relations["P"].tuples == {("e1",)}
+
+
+def test_a_model_survives_pickling_and_deep_copies():
+    m = good_model()
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert twin == m and twin is not m
+        with pytest.raises(TypeError):
+            twin.functions["f"].table[("e1",)] = "e9"
 
 
 # ---------------------------------------------------------------------------

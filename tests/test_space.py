@@ -126,6 +126,31 @@ def test_as_vector_validates():
         as_vector([])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [[math.inf, 1], [1, -math.inf], [math.nan, 1]])
+def test_non_finite_components_are_refused(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        as_vector(bad)
+    for f in (inner_product, distance, cosine_similarity):
+        with pytest.raises(ValueError, match="must be finite"):
+            f(bad, [1, 1])
+        with pytest.raises(ValueError, match="must be finite"):
+            f([1, 1], bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        norm(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_vectors_past_the_float_range_give_inf():
+    assert distance([1e308], [-1e308]) == math.inf
+    assert distance([0, 1e308], [0, -1e308]) == math.inf
+    assert distance([1e308, 1], [1e308, 0]) == 1.0
+    assert inner_product([1e308], [1e308]) == math.inf
+    assert inner_product([1e308], [-1e308]) == -math.inf
+    # a partial sum past the range does not decide the result
+    assert inner_product([1e308, 1e308, -1e308], [1, 1, 1]) == 1e308
+
+
 @given(vec_pair())
 def test_symmetry(pair):
     u, v = pair

@@ -12,12 +12,9 @@ from semlink.terms import (
     ConnectiveKind,
     Const,
     Entity,
-    Fun,
     FunApp,
     ParseError,
     PredApp,
-    Prod,
-    SetOf,
     Truth,
     TypeCheckError,
     UnknownIdentifierError,
@@ -27,7 +24,6 @@ from semlink.terms import (
     children,
     complexity_depth,
     complexity_size,
-    free_variables,
     infer_type,
     parse_term,
     pretty,
@@ -233,17 +229,9 @@ def test_signature_accepts_disjoint_names():
 # semantic types
 
 
-def test_product_type_needs_two_components():
-    with pytest.raises(ValueError):
-        Prod((ENTITY,))
-    assert str(Prod((ENTITY, ENTITY))) == "(e*e)"
-
-
 def test_type_rendering():
     assert str(ENTITY) == "e"
     assert str(TRUTH) == "t"
-    assert str(Fun(ENTITY, TRUTH)) == "<e,t>"
-    assert str(SetOf(ENTITY)) == "{e}"
     assert Entity() == ENTITY and Truth() == TRUTH
 
 
@@ -284,12 +272,6 @@ def test_size_bounds_depth(t):
 
 # ---------------------------------------------------------------------------
 # structure helpers
-
-
-def test_free_variables():
-    t = parse_term("and(P(x),R(a,y))", SIG)
-    assert free_variables(t) == {"x", "y"}
-    assert free_variables(parse_term("f(a,b)", SIG)) == frozenset()
 
 
 def test_subterms_and_replace():
