@@ -60,12 +60,10 @@ from .veclogic import (
 from .space import cosine_similarity, distance, inner_product, norm, word_vector
 from .homomorphism import (
     DomainMap,
-    LiftedFunction,
-    LiftedRelation,
     LiftFamily,
+    LiftMatrix,
     OffImageError,
     build_domain_map,
-    characteristic,
     check_composition_chain,
     check_set_ops,
     compose_lifted,

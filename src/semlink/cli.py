@@ -116,21 +116,18 @@ def _cmd_lift(args: argparse.Namespace) -> int:
             raise ValueError(f"model does not interpret function {name!r}")
         fn = model.functions[name]
         lifted = fam.function(name)
-        src = hm.product_map(fam.entity, fn.arity)
-        print(f"lifted function {name}: dim {src.dim} -> dim {fam.entity.dim}")
+        print(f"lifted function {name}: dim {lifted.mat.shape[1]} -> dim {fam.entity.dim}")
+        columns = {row: (j, out) for j, (row, out) in enumerate(lifted.table())}
         for row in sorted(fn.table):
-            key = row[0] if fn.arity == 1 else row
-            out = lifted(hm.map_element(src, key))
+            j, out = columns[row]
             print(f"({','.join(row)}) -> {fn.table[row]} | "
-                  f"basis {src.index[key]} -> basis {int(np.argmax(out))}")
+                  f"basis {j} -> basis {fam.entity.index[out]}")
         return 0
     name = args.relation
     if name not in model.relations:
         raise ValueError(f"model does not interpret relation {name!r}")
-    rel = model.relations[name]
-    lifted = fam.relation(name)
-    print(f"lifted relation {name}: arity {rel.arity} over dim {fam.entity.dim}")
-    for tup, bit in lifted.table():
+    print(f"lifted relation {name}: arity {model.relations[name].arity} over dim {fam.entity.dim}")
+    for tup, bit in fam.relation(name).table():
         print(f"({','.join(tup)}) -> {bit}")
     return 0
 

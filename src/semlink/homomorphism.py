@@ -1,20 +1,19 @@
 """Structure-preserving maps from finite domains into one-hot vector spaces.
 
 Each finite domain D gets an injective map onto the standard basis of an
-integer vector space of dimension |D|.  Functions, relations and subsets on
-the domain then lift to the vector side, and the lifts are checked to
-commute with the maps: mapping then applying the lift agrees with applying
-the original and then mapping.  Formulas evaluate along both routes as
-well, with connectives acting as operator matrices on embedded truth
-values.
-
-All arithmetic here is exact integer; no floats.
+integer vector space of dimension |D|.  Every function on the domain lifts
+to a LiftMatrix, an integer matrix whose columns are basis vectors, applied
+to the Kronecker fold of its mapped arguments; a relation lifts as its
+characteristic function into the embedded truth values, and a subset is a
+unary relation.  The lifts are checked to commute with the maps, and
+formulas evaluate along both routes, connectives acting as operator
+matrices.  All arithmetic here is exact integer; no floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import reduce
 from itertools import islice, product as iproduct
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -44,6 +43,8 @@ class DomainMap:
     tag: str
     elements: tuple[Hashable, ...]
     index: Mapping[Hashable, int] = field(repr=False)
+    # argument_columns of this map, by arity
+    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -52,13 +53,6 @@ class DomainMap:
     @property
     def dim(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """Row i is map_element of element i, mapped once per map.  It holds
-        dim**2 entries, so only LiftedRelation.table, which asks about every
-        tuple anyway, builds it."""
-        return vl._frozen(np.array([map_element(self, a) for a in self.elements]))
 
 
 def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> DomainMap:
@@ -93,183 +87,168 @@ def entity_map(model: Model) -> DomainMap:
     return build_domain_map(model.entities, tag="entity")
 
 
-def product_map(m: DomainMap, arity: int) -> DomainMap:
-    """Map over n-tuples, ordered so that the basis vector of a tuple is the
-    Kronecker product of the basis vectors of its components."""
-    if arity < 1:
-        raise ValueError(f"arity must be >= 1, got {arity}")
-    if arity == 1:
-        return m
-    elems = tuple(iproduct(m.elements, repeat=arity))
-    return DomainMap(f"{m.tag}^{arity}", elems, {e: i for i, e in enumerate(elems)})
+# the two truth values, mapped onto their embeddings: 1 to TRUE_VEC, 0 to FALSE_VEC
+TRUTH = build_domain_map((1, 0), tag="truth")
+# column b is the embedded bit b
+_EMBEDDED = vl._frozen(np.column_stack([vl.embed_truth(0), vl.embed_truth(1)]))
+
+
+def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
+    """For every arity-tuple over m, in lexicographic order, the column that
+    mat @ kron_fold picks out of a lift's matrix on the tuple's mapped
+    vectors.  Each element is mapped and checked to be on the image (or
+    OffImageError) once per map, which keeps the read-only result."""
+    if arity not in m.columns:
+        idx = cols = np.array([m.index[unmap_element(m, map_element(m, a))] for a in m.elements])
+        for _ in range(arity - 1):
+            cols = (cols[:, None] * m.dim + idx).ravel()
+        m.columns[arity] = vl._frozen(cols)
+    return m.columns[arity]
 
 
 # ---------------------------------------------------------------------------
-# lifted functions
+# lifts
 
 
-@dataclass(frozen=True)
-class LiftedFunction:
-    """Vector-side image of a function, materialized as a basis index table."""
+# columns read per batch of LiftMatrix.table
+_BATCH_COLUMNS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class LiftMatrix:
+    """Vector-side image of a map from arity-tuples over source to target:
+    a target.dim x source.dim**arity int64 matrix whose column j is the
+    basis vector of the value at the j-th tuple in lexicographic order.  The
+    Kronecker fold of that tuple's basis vectors is basis vector j, so
+    mat @ kron_fold(args) is column j.  A lift into TRUTH lifts a relation,
+    and an off-image argument makes it false; any other lift refuses one.
+    """
 
     source: DomainMap
+    arity: int
     target: DomainMap
-    lut: np.ndarray = field(repr=False)  # lut[i] = target basis index
+    mat: np.ndarray = field(repr=False)
 
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        return self.at(self.source.index[unmap_element(self.source, vec)])
+    def __post_init__(self):
+        m = np.asarray(self.mat, dtype=np.int64)
+        d, n, t = self.source.dim, self.arity, self.target.dim
+        # the arity is bounded first, so d**n is computed only when it is small
+        if not 1 <= n <= vl.ARITY_CAP or m.shape != (t, d ** n):
+            raise LiftError(f"lift of arity {n} from dim {d} to dim {t} "
+                            f"must be {t} x {d}^{n}, got {m.shape}")
+        if not vl.columns_one_hot(m):
+            raise LiftError(f"every column of a lift must be a basis vector of {self.target.tag!r}")
+        object.__setattr__(self, "mat", vl._frozen(m))
 
-    def at(self, i: int) -> np.ndarray:
-        """The image of source basis vector i: the target basis vector lut[i]."""
-        out = np.zeros(self.target.dim, dtype=np.int64)
-        out[int(self.lut[i])] = 1
-        return out
+    def __call__(self, vecs: Sequence[np.ndarray]) -> np.ndarray:
+        """mat @ kron_fold(vecs), once each argument is checked to be on the
+        image of the source."""
+        if len(vecs) != self.arity:
+            raise LiftError(f"lift of arity {self.arity} got {len(vecs)} arguments")
+        try:
+            for v in vecs:
+                unmap_element(self.source, v)
+        except OffImageError:
+            if self.target.elements != TRUTH.elements:
+                raise
+            return vl.FALSE_VEC
+        return self.mat @ vl.kron_fold(vecs)
+
+    def table(self) -> Iterator[tuple[tuple[Hashable, ...], Hashable]]:
+        """Every arity-tuple over the source, in lexicographic order, with the
+        target element whose basis vector the lift gives on its mapped
+        vectors: its column, read a batch of columns at a time."""
+        cols = argument_columns(self.source, self.arity)
+        tuples = iproduct(self.source.elements, repeat=self.arity)
+        out = self.target.elements
+        for start in range(0, len(cols), _BATCH_COLUMNS):
+            vals = self.mat[:, cols[start:start + _BATCH_COLUMNS]].argmax(axis=0)
+            yield from zip(islice(tuples, len(vals)), [out[v] for v in vals.tolist()])
 
 
 def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
-                  m_tgt: DomainMap) -> LiftedFunction:
-    """Lift a total function so that lift(map(a)) = map(f(a)) for all a."""
-    lut = np.empty(m_src.dim, dtype=np.int64)
-    for a in m_src.elements:
-        if a not in table:
-            raise LiftError(f"function is not total: no value for {a!r}")
-        b = table[a]
-        if b not in m_tgt.index:
-            raise LiftError(f"function value {b!r} is outside target domain {m_tgt.tag!r}")
-        lut[m_src.index[a]] = m_tgt.index[b]
-    return LiftedFunction(m_src, m_tgt, vl._frozen(lut))
-
-
-def compose_lifted(g_lift: LiftedFunction, f_lift: LiftedFunction) -> LiftedFunction:
-    """Composite lift (g after f); requires the middle domains to agree."""
-    if f_lift.target is not g_lift.source and f_lift.target.elements != g_lift.source.elements:
-        raise LiftError(
-            f"cannot compose: target {f_lift.target.tag!r} differs from source {g_lift.source.tag!r}")
-    return LiftedFunction(f_lift.source, g_lift.target,
-                          vl._frozen(g_lift.lut[f_lift.lut]))
-
-
-# ---------------------------------------------------------------------------
-# lifted relations
-
-
-# mapped argument entries per batch of LiftedRelation.table: 8 MiB of int64
-_BATCH_ENTRIES = 1 << 20
-
-
-@dataclass(frozen=True)
-class LiftedRelation:
-    """Vector-side image of a relation; true exactly on images of members.
-
-    Off-image argument vectors do not raise, they make the relation false,
-    so the lift is total on the vector side.
-    """
-
-    map: DomainMap
-    arity: int
-    members: frozenset[tuple[int, ...]] = field(repr=False)  # basis index tuples
-
-    def __call__(self, vecs: Sequence[np.ndarray]) -> int:
-        if len(vecs) != self.arity:
-            raise LiftError(f"relation of arity {self.arity} got {len(vecs)} arguments")
+                  m_tgt: DomainMap, arity: int = 1) -> LiftMatrix:
+    """Lift a total function so that lift(map(a1), ..., map(an)) =
+    map(f(a1, ..., an)).  The table is keyed by elements of m_src when the
+    arity is 1 and by arity-tuples of them otherwise."""
+    index, rows = m_tgt.index, []
+    for a in m_src.elements if arity == 1 else iproduct(m_src.elements, repeat=arity):
         try:
-            return self.at(tuple([self.map.index[unmap_element(self.map, v)] for v in vecs]))
-        except OffImageError:
-            return 0
+            rows.append(index[table[a]])
+        except KeyError:
+            if a not in table:
+                raise LiftError(f"function is not total: no value for {a!r}") from None
+            raise LiftError(f"function value {table[a]!r} is outside target domain "
+                            f"{m_tgt.tag!r}") from None
+    # column j is basis vector rows[j] of the target
+    return LiftMatrix(m_src, arity, m_tgt, np.eye(m_tgt.dim, dtype=np.int64).take(rows, axis=1))
 
-    def at(self, idx: tuple[int, ...]) -> int:
-        """The verdict on the tuple of basis vectors with these indices."""
-        return 1 if idx in self.members else 0
 
-    def holds(self, batch: np.ndarray) -> np.ndarray:
-        """Verdicts, as 0/1, for a (B, arity, dim) batch of argument vectors:
-        row b is the argument tuple batch[b, 0], ..., batch[b, arity - 1]."""
-        b = np.asarray(batch)
-        if b.ndim < 2 or b.shape[1] != self.arity:
+def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
+    """g after f is compose_lifted(g, f), the product of their matrices; every
+    lift but the last must be unary, and the domains that meet must agree."""
+    for g, f in zip(lifts, lifts[1:]):
+        if g.arity != 1:
+            raise LiftError(f"cannot compose after a lift of arity {g.arity}")
+        if f.target is not g.source and f.target.elements != g.source.elements:
             raise LiftError(
-                f"relation of arity {self.arity} got a batch of shape {b.shape}")
-        if b.ndim != 3 or b.shape[2] != self.map.dim:
-            return np.zeros(len(b), dtype=np.int64)  # every vector is off the image
-        # a vector is on the image iff it is the basis vector its largest entry indexes
-        idx = b.argmax(axis=2)
-        on_image = (b == (np.arange(self.map.dim) == idx[..., None])).all(axis=(1, 2))
-        at = self.at
-        return np.array([ok and at(t) for ok, t
-                         in zip(on_image.tolist(), map(tuple, idx.tolist()))], dtype=np.int64)
-
-    def table(self) -> Iterator[tuple[tuple[Hashable, ...], int]]:
-        """Every tuple over the domain, in lexicographic order, with the lift's
-        verdict on its mapped vectors.  Each element is mapped once, and the
-        mapped tuples are asked about a batch at a time."""
-        m, arity = self.map, self.arity
-        size = max(1, _BATCH_ENTRIES // (arity * m.dim))
-        pairs = zip(iproduct(m.elements, repeat=arity), iproduct(range(m.dim), repeat=arity))
-        while chunk := list(islice(pairs, size)):
-            tuples, indices = zip(*chunk)
-            yield from zip(tuples, self.holds(m.basis[np.array(indices)]).tolist())
+                f"cannot compose: target {f.target.tag!r} differs from source {g.source.tag!r}")
+    if len(lifts) == 1:
+        return lifts[0]
+    return LiftMatrix(lifts[-1].source, lifts[-1].arity, lifts[0].target,
+                      reduce(np.matmul, [lf.mat for lf in lifts]))
 
 
 def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
-                  arity: int) -> LiftedRelation:
-    members = set()
+                  arity: int) -> LiftMatrix:
+    """Lift of the relation's characteristic function into TRUTH: column j
+    is TRUE_VEC exactly when the j-th tuple is a member."""
+    if not 1 <= arity <= vl.ARITY_CAP or m.dim ** arity > 1 << vl.ARITY_CAP:
+        raise LiftError(f"a relation of arity {arity} over {m.dim} elements is past the caps "
+                        f"of arity {vl.ARITY_CAP} and 2^{vl.ARITY_CAP} tuples")
+    d, index = m.dim, m.index
+    bits = bytearray(d ** arity)
     for tup in tuples:
         if len(tup) != arity:
             raise LiftError(f"tuple {tup!r} does not have arity {arity}")
-        try:
-            members.add(tuple([m.index[a] for a in tup]))
-        except KeyError as exc:
-            raise LiftError(
-                f"tuple {tup!r} mentions {exc.args[0]!r}, outside domain {m.tag!r}") from None
-    return LiftedRelation(m, arity, frozenset(members))
+        j = 0
+        for a in tup:
+            if (i := index.get(a)) is None:
+                raise LiftError(f"tuple {tup!r} mentions {a!r}, outside domain {m.tag!r}")
+            j = j * d + i
+        bits[j] = 1
+    return LiftMatrix(m, arity, TRUTH, _EMBEDDED.take(np.frombuffer(bits, dtype=np.uint8), axis=1))
 
 
 # ---------------------------------------------------------------------------
 # lifted subsets
 
 
-def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftedRelation:
+def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftMatrix:
     """Image of a subset: the lift of the unary relation of its members."""
     return lift_relation([(a,) for a in subset], m, 1)
 
 
-@dataclass(frozen=True)
-class SetOpsReport:
-    union_ok: bool
-    intersection_ok: bool
-    difference_ok: bool
+def indicator_vector(subset: Iterable[Hashable], m: DomainMap) -> np.ndarray:
+    """The top row of the subset's lift: component i marks element i."""
+    return lift_subset(set(subset), m).mat[0]
 
-    @property
-    def ok(self) -> bool:
-        return self.union_ok and self.intersection_ok and self.difference_ok
+
+# each set operation beside its arithmetic on indicator vectors (Mizraji's vector logic)
+SET_OPS = {
+    "union": (set.union, lambda x, y: x + y - x * y),
+    "intersection": (set.intersection, lambda x, y: x * y),
+    "difference": (set.difference, lambda x, y: x - x * y),
+}
 
 
 def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable],
-                  m: DomainMap) -> SetOpsReport:
-    """Do union, intersection and difference commute with the subset lift?"""
+                  m: DomainMap) -> dict[str, bool]:
+    """Whether each of SET_OPS commutes with the subset lift, by name."""
     s1, s2 = set(e1), set(e2)
-    i1, i2 = lift_subset(s1, m).members, lift_subset(s2, m).members
-    return SetOpsReport(
-        union_ok=lift_subset(s1 | s2, m).members == i1 | i2,
-        intersection_ok=lift_subset(s1 & s2, m).members == i1 & i2,
-        difference_ok=lift_subset(s1 - s2, m).members == i1 - i2,
-    )
-
-
-def characteristic(subset: Iterable[Hashable], m: DomainMap,
-                   a: Hashable) -> tuple[int, int]:
-    """Membership bit of the element and of its image, side by side."""
-    s = set(subset)
-    chi = 1 if a in s else 0
-    chi_lifted = lift_subset(s, m)([map_element(m, a)])
-    return chi, chi_lifted
-
-
-def indicator_vector(subset: Iterable[Hashable], m: DomainMap) -> np.ndarray:
-    """Sum of the basis vectors of the members; component i marks element i."""
-    out = np.zeros(m.dim, dtype=np.int64)
-    for a in set(subset):
-        out += map_element(m, a)
-    return out
+    x, y = indicator_vector(s1, m), indicator_vector(s2, m)
+    return {name: indicator_vector(on_sets(s1, s2), m).tolist() == on_vectors(x, y).tolist()
+            for name, (on_sets, on_vectors) in SET_OPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +261,33 @@ class ChainReport:
     checks: int
     ok: bool
     counterexample: "tuple[Hashable, list[int], list[int]] | None" = None
-    # (starting element, vector along the lifted chain, vector of the mapped composite)
+    # (starting element, vector along the lifted chain, vector it should be)
 
 
 def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
                             maps: Sequence[DomainMap]) -> ChainReport:
-    """Check that lifting each link and composing equals lifting after
-    composing, pointwise over the whole first domain."""
-    if len(maps) != len(tables) + 1:
-        raise LiftError(
-            f"chain of {len(tables)} functions needs {len(tables) + 1} maps, got {len(maps)}")
+    """Check, at every point of the first domain, that the lifted links
+    applied in turn give the mapped composite, and that the product of the
+    link matrices agrees there with the lift of the composite table."""
+    if not tables or len(maps) != len(tables) + 1:
+        raise LiftError(f"a chain of n >= 1 functions needs n + 1 maps: got {len(tables)} "
+                        f"functions and {len(maps)} maps")
     lifts = [lift_function(t, maps[i], maps[i + 1]) for i, t in enumerate(tables)]
-    checks = 0
-    for a in maps[0].elements:
-        vec = map_element(maps[0], a)
-        for lf in lifts:
-            vec = lf(vec)
-        val = a
-        for t in tables:
-            val = t[val]
-        expected = map_element(maps[-1], val)
-        checks += 1
-        if not np.array_equal(vec, expected):
-            return ChainReport(len(tables), checks, False,
-                               (a, vec.tolist(), expected.tolist()))
-    return ChainReport(len(tables), checks, True)
+    product = compose_lifted(*reversed(lifts))
+    composite = {a: reduce(lambda val, t: t[val], tables, a) for a in maps[0].elements}
+    direct = lift_function(composite, maps[0], maps[-1])
+    # the links applied in turn to every mapped point at once, column k to element k
+    along = np.array([map_element(maps[0], a) for a in maps[0].elements]).T
+    for lf in lifts:
+        along = lf.mat @ along
+    mapped = np.array([map_element(maps[-1], composite[a]) for a in maps[0].elements]).T
+    routes = [(along.T.tolist(), mapped.T.tolist()),
+              (product.mat.T.tolist(), direct.mat.T.tolist())]
+    for k, a in enumerate(maps[0].elements):
+        for got, want in routes:
+            if got[k] != want[k]:
+                return ChainReport(len(tables), k + 1, False, (a, got[k], want[k]))
+    return ChainReport(len(tables), maps[0].dim, True)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +309,8 @@ class LiftFamily:
 
     def __init__(self, model: Model, entity: DomainMap):
         self.model, self.entity = model, entity
-        self._functions: dict[str, LiftedFunction] = {}
-        self._relations: dict[str, LiftedRelation] = {}
+        self._functions: dict[str, LiftMatrix] = {}
+        self._relations: dict[str, LiftMatrix] = {}
         self._vectors: dict[str, np.ndarray] = {}
 
     @classmethod
@@ -338,13 +319,13 @@ class LiftFamily:
 
     # lifts come from the module-level functions, looked up at call time, so
     # a traced or patched one sees every lift
-    def function(self, name: str) -> LiftedFunction:
+    def function(self, name: str) -> LiftMatrix:
         lift = self._functions.get(name)
         if lift is None:
             lift = self._functions[name] = lifted_model_function(self.model, name, self)
         return lift
 
-    def relation(self, name: str) -> LiftedRelation:
+    def relation(self, name: str) -> LiftMatrix:
         lift = self._relations.get(name)
         if lift is None:
             lift = self._relations[name] = lifted_model_relation(self.model, name, self)
@@ -358,30 +339,28 @@ class LiftFamily:
         return vec
 
 
-def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftedFunction:
-    """Lift an interpreted function; n-ary tables lift over the n-fold product
-    domain, whose basis vectors are Kronecker products of entity vectors."""
+def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftMatrix:
+    """Lift an interpreted function: an n-ary table lifts to a d x d^n
+    matrix, applied to the Kronecker fold of n entity vectors."""
     fn = model.functions[name]
-    table = {args[0] if fn.arity == 1 else args: out for args, out in fn.table.items()}
-    return lift_function(table, product_map(fam.entity, fn.arity), fam.entity)
+    table = fn.table if fn.arity > 1 else {args[0]: out for args, out in fn.table.items()}
+    return lift_function(table, fam.entity, fam.entity, fn.arity)
 
 
-def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftedRelation:
+def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftMatrix:
     rel = model.relations[name]
     return lift_relation(rel.tuples, fam.entity, rel.arity)
 
 
 class VectorSemantics:
-    """Semantics of the vector route: one-hot entity vectors, lifted functions
-    on the Kronecker fold of their arguments, lifted relations, and operator
-    matrices.  It keeps nothing of its own: lifts and entity vectors come
-    from the family, which builds each once per model.
+    """Semantics of the vector route: one-hot entity vectors, and each
+    function, relation and connective a matrix applied to the Kronecker
+    fold of its arguments.  Lifts and entity vectors come from the family.
 
-    Each value is checked once, by the node that makes it: an entity vector
-    is a basis vector, a function node checks the length of the basis vector
-    its lift gave, a predicate embeds a bit, and apply_operator checks each
-    truth value it is given.  So the argument vectors a node receives are on
-    the image.
+    Each value is checked once, where it is made: an entity vector is a
+    basis vector, a function or predicate node gives a column of a lift
+    checked when it was built (a function node checks the column's length,
+    all a wrong target could change), and apply_operator checks its inputs.
     """
 
     def __init__(self, fam: LiftFamily):
@@ -389,16 +368,14 @@ class VectorSemantics:
         self.entity = fam.vector
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        # at builds a one-hot vector, so its length is all there is to check
-        out = self.fam.function(name).at(int(vl.kron_fold(args).argmax()))
+        out = self.fam.function(name).mat @ vl.kron_fold(args)
         if out.shape != (self.fam.entity.dim,):
             raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
                                 f"off the image of {self.fam.entity.tag!r}")
         return out
 
     def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        idx = tuple([int(a.argmax()) for a in args])
-        return vl.embed_truth(self.fam.relation(name).at(idx))
+        return self.fam.relation(name).mat @ vl.kron_fold(args)
 
     def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
         return vl.apply_operator(vl.named_operator(kind), args)

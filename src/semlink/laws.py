@@ -9,7 +9,7 @@ identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
 
 import numpy as np
 
@@ -69,13 +69,11 @@ def run_law(law: str, seed: int, trials: int, model: "Model | None" = None) -> L
 # function lift commutation
 
 
-def _lift_mismatch(lifted: hm.LiftedFunction, src: hm.DomainMap, a,
-                   tgt: hm.DomainMap, b) -> "str | None":
-    """What the lift gave for the image of a, if that is not the image of b."""
-    got = lifted(hm.map_element(src, a))
-    want = hm.map_element(tgt, b)
-    if not np.array_equal(got, want):
-        return f"lifted {got.tolist()} expected {want.tolist()}"
+def _lift_mismatch(tgt: hm.DomainMap, got, want) -> "str | None":
+    """The vectors of got and want, if the lift gave got in place of want."""
+    if got != want:
+        return (f"lifted {hm.map_element(tgt, got).tolist()} "
+                f"expected {hm.map_element(tgt, want).tolist()}")
     return None
 
 
@@ -89,12 +87,10 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         for t in range(trials):
             name = names[t % len(names)]
             fn = model.functions[name]
-            lifted = fam.function(name)
-            src = hm.product_map(fam.entity, fn.arity)
+            lifted = dict(fam.function(name).table())
             for args in sorted(fn.table):
                 checks += 1
-                key = args[0] if fn.arity == 1 else args
-                if bad := _lift_mismatch(lifted, src, key, fam.entity, fn.table[args]):
+                if bad := _lift_mismatch(fam.entity, lifted[args], fn.table[args]):
                     failures.append(f"trial {t}: function {name} at {list(args)}: {bad}")
         return checks, failures
     for t in range(trials):
@@ -102,32 +98,36 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         dt = int(rng.integers(1, 6))
         src = hm.build_domain_map(range(ds), tag="src")
         tgt = hm.build_domain_map(range(dt), tag="tgt")
-        if t % 3 == 2:
-            src = hm.product_map(src, 2)
-        table = sp.random_function_table(rng, src.elements, tgt.elements)
-        lifted = hm.lift_function(table, src, tgt)
-        for a in src.elements:
+        arity = 2 if t % 3 == 2 else 1
+        keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
+        table = sp.random_function_table(rng, keys, tgt.elements)
+        for tup, got in hm.lift_function(table, src, tgt, arity).table():
+            a = tup[0] if arity == 1 else tup
             checks += 1
-            if bad := _lift_mismatch(lifted, src, a, tgt, table[a]):
+            if bad := _lift_mismatch(tgt, got, table[a]):
                 failures.append(f"trial {t}: element {a!r}: {bad}")
     return checks, failures
 
 
 def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
     """Every total unary function between every pair of domain sizes up to
-    max_dim, checked at every point of its source domain."""
+    max_dim, lifted through lift_function and checked at every point of its
+    source domain.  The lifts of each pair of sizes are stacked, and the
+    mapped points, checked once, select their columns from all of them."""
     checks, failures = 0, []
     for ds in range(1, max_dim + 1):
         src = hm.build_domain_map(range(ds), tag=f"src{ds}")
+        cols = hm.argument_columns(src, 1)
         for dt in range(1, max_dim + 1):
             tgt = hm.build_domain_map(range(dt), tag=f"tgt{dt}")
-            for combo in iproduct(range(dt), repeat=ds):
-                table = dict(enumerate(combo))
-                lifted = hm.lift_function(table, src, tgt)
-                for a in range(ds):
-                    checks += 1
-                    if bad := _lift_mismatch(lifted, src, a, tgt, combo[a]):
-                        failures.append(f"table {combo} from {ds} to {dt} at {a}: {bad}")
+            combos = list(iproduct(range(dt), repeat=ds))
+            mats = np.stack([hm.lift_function(dict(enumerate(combo)), src, tgt).mat
+                             for combo in combos])
+            got = mats[:, :, cols].argmax(axis=1)  # (tables, points): target indices
+            checks += got.size
+            for k, a in np.argwhere(got != np.array(combos)).tolist():
+                bad = _lift_mismatch(tgt, tgt.elements[got[k, a]], combos[k][a])
+                failures.append(f"table {combos[k]} from {ds} to {dt} at {a}: {bad}")
     return checks, failures
 
 
@@ -135,7 +135,7 @@ def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
 # relation biconditional
 
 
-def _relation_instance_failures(label: str, lifted: hm.LiftedRelation,
+def _relation_instance_failures(label: str, lifted: hm.LiftMatrix,
                                 members) -> tuple[int, list[str]]:
     """The lift of members asked about every tuple over its domain, and
     about an off-image tuple."""
@@ -145,8 +145,9 @@ def _relation_instance_failures(label: str, lifted: hm.LiftedRelation,
         expected = 1 if tup in members else 0
         if got != expected:
             failures.append(f"{label}: tuple {list(tup)}: lifted {got} extensional {expected}")
-    # off-image arguments must come out false, not raise
-    if lifted.holds(np.zeros((1, lifted.arity, lifted.map.dim), dtype=np.int64))[0] != 0:
+    # off-image arguments must make the relation false, not raise
+    off = [np.zeros(lifted.source.dim, dtype=np.int64)] * lifted.arity
+    if lifted(off).tolist() != vl.FALSE_VEC.tolist():
         failures.append(f"{label}: off-image argument did not evaluate to 0")
     return checks, failures
 
@@ -192,21 +193,31 @@ def all_relation_masks(d: int, arity: int) -> np.ndarray:
 def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
     """Every relation given by a row of masks, a membership mask over the
     d**arity tuples of range(d) in lexicographic order: lifted through
-    lift_relation, then checked as the relation law checks one lift."""
+    lift_relation, then checked as the relation law checks one lift.  The
+    lifts are stacked, and the mapped tuples, checked once, select their
+    columns from all of them."""
     mk = np.asarray(masks)
     if mk.ndim != 2 or mk.shape[1] != d ** arity:
         raise ValueError(
             f"expected (m, {d ** arity}) masks for arity {arity} over {d} elements")
     m = hm.build_domain_map(range(d), tag=f"d{d}")
     tuples = list(iproduct(m.elements, repeat=arity))
-    checks, failures = 0, []
+    cols = hm.argument_columns(m, arity)
+    off = [np.zeros(d, dtype=np.int64)] * arity  # must give false, as in the relation law
+    mats, off_image = [], []
     for r, mask in enumerate(mk.tolist()):
-        members = {t for t, bit in zip(tuples, mask) if bit}
-        c, f = _relation_instance_failures(f"relation {r}",
-                                           hm.lift_relation(members, m, arity), members)
-        checks += c
-        failures += f
-    return checks, failures
+        lifted = hm.lift_relation(compress(tuples, mask), m, arity)
+        mats.append(lifted.mat)
+        if lifted(off).tolist() != vl.FALSE_VEC.tolist():
+            off_image.append(r)
+    failures = []
+    if mats:
+        got = np.stack(mats)[:, 0, cols]  # row 0 of a truth vector is its bit
+        failures += [(r, f"relation {r}: tuple {list(tuples[j])}: lifted {int(got[r, j])} "
+                         f"extensional {int(mk[r, j])}") for r, j in np.argwhere(got != mk).tolist()]
+    failures += [(r, f"relation {r}: off-image argument did not evaluate to 0") for r in off_image]
+    # a stable sort keeps each relation's tuples before its off-image argument
+    return len(mk) * (len(tuples) + 1), [f for _, f in sorted(failures, key=lambda f: f[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -277,27 +288,25 @@ def _law_sets(rng, trials, model) -> tuple[int, list[str]]:
         e1 = sp.random_subset(rng, elements)
         e2 = sp.random_subset(rng, elements)
         report = hm.check_set_ops(e1, e2, m)
-        checks += 3
-        for label, ok in (("union", report.union_ok),
-                          ("intersection", report.intersection_ok),
-                          ("difference", report.difference_ok)):
+        checks += len(report)
+        for label, ok in report.items():
             if not ok:
                 failures.append(
                     f"trial {t}: {label} of {sorted(e1)} and {sorted(e2)} does not commute")
-        for a in elements:
+        # e1's lift at each element's image is its characteristic function
+        lifted = hm.lift_subset(e1, m)
+        for (a,), chi_lifted in lifted.table():
             checks += 1
-            chi, chi_lifted = hm.characteristic(e1, m, a)
+            chi = 1 if a in e1 else 0
             if chi != chi_lifted:
                 failures.append(
                     f"trial {t}: characteristic of {a!r} in {sorted(e1)}: "
                     f"{chi} vs {chi_lifted}")
-        ind = hm.indicator_vector(e1, m)
-        want = np.array([1 if a in e1 else 0 for a in elements], dtype=np.int64)
+        ind = lifted.mat[0].tolist()
+        want = [1 if a in e1 else 0 for a in elements]
         checks += 1
-        if not np.array_equal(ind, want):
-            failures.append(
-                f"trial {t}: indicator of {sorted(e1)} is {ind.tolist()}, "
-                f"expected {want.tolist()}")
+        if ind != want:
+            failures.append(f"trial {t}: indicator of {sorted(e1)} is {ind}, expected {want}")
     return checks, failures
 
 

@@ -120,6 +120,12 @@ class Model:
             if len(fn.table) != len(dom) ** fn.arity:
                 row = next(r for r in product(sorted(dom), repeat=fn.arity) if r not in fn.table)
                 raise ModelError(f"function {name!r} is not total: no entry for {list(row)!r}")
+            # its lift is a d x d^arity matrix; the arity is compared first, as below
+            if fn.arity > ARITY_CAP:
+                raise ModelError(f"function {name!r} has arity {fn.arity}, above the cap of {ARITY_CAP}")
+            if len(dom) ** (fn.arity + 1) > 2 << ARITY_CAP:
+                raise ModelError(f"function {name!r} lifts to a {len(dom)} x {len(dom)}^{fn.arity} "
+                                 f"matrix, above the cap of 2 x 2^{ARITY_CAP} entries")
         for name, rel in self.relations.items():
             # The relation law and `lift --relation` ask a lifted relation about all
             # d^arity tuples (the vector route does not).  The arity is compared first,

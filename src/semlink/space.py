@@ -33,12 +33,16 @@ def inner_product(u, v) -> float:
     a, b = _pair(u, v)
     with np.errstate(over="ignore", invalid="ignore"):
         plain = float(a @ b)
-        if math.isfinite(plain):
-            return plain
-        # a product or a partial sum passed the float range; those of the
-        # scaled vectors cannot, and an inner product past the range is +-inf
-        (a, ea), (b, eb) = _scaled(a), _scaled(b)
-        return float(np.ldexp(a @ b, ea + eb))
+    if math.isfinite(plain):
+        return plain
+    # a product or a partial sum passed the float range: sum the products
+    # exactly and round once, to +-inf only if the exact sum is past the range
+    from fractions import Fraction  # here, as it imports decimal, which no other path needs
+    exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist()))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:

@@ -79,6 +79,12 @@ def is_one_hot(v: np.ndarray, axis: int | None = None) -> "bool | np.ndarray":
     return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == v.shape[axis] - 1)
 
 
+def columns_one_hot(m: np.ndarray) -> bool:
+    """Whether every column of the 2-d array m is one-hot: m has one nonzero
+    entry per column on average, and every column sums to 1, so exactly."""
+    return np.count_nonzero(m) == m.shape[1] == np.count_nonzero(np.add.reduce(m, axis=0) == 1)
+
+
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Kronecker product of two vectors: np.kron for 1-d inputs."""
     return np.multiply.outer(u, v).ravel()
@@ -177,7 +183,7 @@ class OpMatrix:
         if self.arity < 1 or m.ndim != 2 or m.shape[0] != 2 or not _is_2_to_the(m.shape[1], self.arity):
             raise ValueError(
                 f"operator of arity {self.arity} must be 2 x 2^{self.arity}, got {m.shape}")
-        if not is_one_hot(m, axis=0).all():
+        if not columns_one_hot(m):
             raise ValueError("every operator column must be a one-hot truth vector")
         object.__setattr__(self, "mat", _frozen(m))
 

@@ -117,7 +117,7 @@ def test_criterion_4_majority_routes_agree():
 
 
 def test_criterion_5_homomorphism_laws():
-    with criterion(5, "function, relation, set and chain lifts all commute", 60.0):
+    with criterion(5, "function, relation, set and chain lifts all commute", 10.0):
         # (a) every unary function on domain sizes up to 5, every point
         checks, failures = laws.sweep_unary_function_lifts(5)
         assert not failures, failures[:3]
@@ -128,12 +128,12 @@ def test_criterion_5_homomorphism_laws():
         for _ in range(200):
             d = int(rng.integers(1, 7))
             base = hm.build_domain_map(range(d), tag="entity")
-            src = hm.product_map(base, 2)
-            table = {pair: int(rng.integers(d)) for pair in src.elements}
-            lifted = hm.lift_function(table, src, base)
-            for pair in src.elements:
-                assert np.array_equal(lifted(hm.map_element(src, pair)),
-                                      hm.map_element(base, table[pair]))
+            pairs = [(a, b) for a in base.elements for b in base.elements]
+            table = {pair: int(rng.integers(d)) for pair in pairs}
+            lifted = hm.lift_function(table, base, base, 2)
+            for a, b in pairs:
+                assert np.array_equal(lifted([hm.map_element(base, a), hm.map_element(base, b)]),
+                                      hm.map_element(base, table[a, b]))
 
         # (b) relation biconditional: every relation of arity 1 and 2 on
         # domains up to 4 elements, every tuple, through lift_relation
@@ -159,7 +159,7 @@ def test_criterion_5_homomorphism_laws():
         for _ in range(1000):
             e1 = random_subset(rng, m6.elements)
             e2 = random_subset(rng, m6.elements)
-            assert hm.check_set_ops(e1, e2, m6).ok
+            assert all(hm.check_set_ops(e1, e2, m6).values())
 
         # (d) composition chains of length 1..5, 100 seeded chains each
         rng = make_rng(58)

@@ -277,6 +277,21 @@ def test_relation_tuple_count_is_bounded_at_load(tmp_path, argv):
         2, "", "error: relation 'P' has 7^20 tuples, above the cap of 2^20\n")
 
 
+# a unary function over 1,449 entities lifts to a 1449 x 1449 matrix, just
+# over the 2 x 2^20 entries of the largest operator or relation matrix
+WIDE_FUNCTION = {"entities": [f"e{i}" for i in range(1449)], "constants": {"a": "e0"},
+                 "functions": {"f": {"arity": 1, "table": [[f"e{i}", "e0"] for i in range(1449)]}}}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--expr", "f(a)"], ["lift", "--function", "f"]])
+def test_function_matrix_is_bounded_at_load(tmp_path, argv):
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(WIDE_FUNCTION))
+    assert run_cli_limited(*argv, "--model", str(p)) == (
+        2, "", "error: function 'f' lifts to a 1449 x 1449^1 matrix, "
+               "above the cap of 2 x 2^20 entries\n")
+
+
 def _nested(depth):
     """A formula of nesting depth `depth`: nots around P(a)."""
     return "not(" * (depth - 1) + "P(a)" + ")" * (depth - 1)

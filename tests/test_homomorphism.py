@@ -1,6 +1,7 @@
 """Domain maps, lifts of functions/relations/subsets, chains, dual routes."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -64,22 +65,15 @@ def test_build_rejects_duplicates_and_empty():
         hm.build_domain_map([])
 
 
-def test_product_map_basis_is_kron_of_components():
+def test_argument_columns_are_the_kron_of_components():
+    # the j-th tuple in lexicographic order folds to basis vector j
     m = dmap(3)
-    pm = hm.product_map(m, 2)
-    assert pm.dim == 9
-    for a in m.elements:
-        for b in m.elements:
-            combined = hm.map_element(pm, (a, b))
-            folded = vl.kron(hm.map_element(m, a), hm.map_element(m, b))
-            assert np.array_equal(combined, folded)
-
-
-def test_product_map_arity_one_is_identity():
-    m = dmap(4)
-    assert hm.product_map(m, 1) is m
-    with pytest.raises(ValueError):
-        hm.product_map(m, 0)
+    cols = hm.argument_columns(m, 2)
+    assert cols.tolist() == list(range(9))
+    for j, (a, b) in enumerate((a, b) for a in m.elements for b in m.elements):
+        folded = vl.kron(hm.map_element(m, a), hm.map_element(m, b))
+        assert int(folded.argmax()) == cols[j] and folded.sum() == 1
+    assert hm.argument_columns(dmap(4), 1).tolist() == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ def test_lift_function_commutes(ds, dt, seed):
     table = {a: int(rng.integers(dt)) for a in src.elements}
     lifted = hm.lift_function(table, src, tgt)
     for a in src.elements:
-        assert np.array_equal(lifted(hm.map_element(src, a)),
+        assert np.array_equal(lifted([hm.map_element(src, a)]),
                               hm.map_element(tgt, table[a]))
 
 
@@ -114,7 +108,7 @@ def test_lifted_function_rejects_off_image_argument():
     src, tgt = dmap(2), dmap(2)
     lifted = hm.lift_function({0: 1, 1: 0}, src, tgt)
     with pytest.raises(hm.OffImageError):
-        lifted(np.array([1, 1]))
+        lifted([np.array([1, 1])])
 
 
 def test_lifted_function_never_leaves_image():
@@ -123,7 +117,7 @@ def test_lifted_function_never_leaves_image():
     table = {a: int(rng.integers(3)) for a in src.elements}
     lifted = hm.lift_function(table, src, tgt)
     for a in src.elements:
-        out = lifted(hm.map_element(src, a))
+        out = lifted([hm.map_element(src, a)])
         hm.unmap_element(tgt, out)  # must not raise
 
 
@@ -143,30 +137,31 @@ def test_lift_relation_biconditional(d, arity, seed):
     for args in product(m.elements, repeat=arity):
         want = 1 if args in tuples else 0
         got = lifted([hm.map_element(m, a) for a in args])
-        assert got == want
+        assert vl.project_truth(got) == want
 
 
 def test_lift_relation_off_image_is_false_not_error():
     m = dmap(3)
     lifted = hm.lift_relation({(0,), (2,)}, m, 1)
-    assert lifted([np.zeros(3, dtype=np.int64)]) == 0
-    assert lifted([np.array([1, 1, 0])]) == 0
-    assert lifted([np.array([1, 0, 0])]) == 1
+    assert lifted([np.zeros(3, dtype=np.int64)]) is vl.FALSE_VEC
+    assert lifted([np.array([1, 1, 0])]) is vl.FALSE_VEC
+    assert lifted([np.array([1, 0, 0])]).tolist() == vl.TRUE_VEC.tolist()
 
 
-def test_lift_relation_batch_matches_single_calls():
+def test_lift_relation_table_matches_single_calls():
     m = dmap(3)
     lifted = hm.lift_relation({(0, 1), (2, 2)}, m, 2)
     e = [hm.map_element(m, i) for i in range(3)]
     rows = [[e[0], e[1]], [e[1], e[0]], [e[2], e[2]],
             [e[0], np.array([0, 1, 1])], [np.zeros(3, dtype=np.int64), e[1]]]
-    assert lifted.holds(np.array(rows)).tolist() == [1, 0, 1, 0, 0]
-    assert [lifted(row) for row in rows] == [1, 0, 1, 0, 0]
-    # vectors of the wrong length are off the image, alone or in a batch
-    assert lifted.holds(np.ones((2, 2, 4), dtype=np.int64)).tolist() == [0, 0]
-    assert lifted([e[0], np.array([0, 1, 0, 0])]) == 0
+    assert [vl.project_truth(lifted(row)) for row in rows] == [1, 0, 1, 0, 0]
+    # the columns table() reads are the products of single calls
+    for tup, bit in lifted.table():
+        assert vl.project_truth(lifted([e[a] for a in tup])) == bit
+    # a vector of the wrong length is off the image
+    assert lifted([e[0], np.array([0, 1, 0, 0])]) is vl.FALSE_VEC
     with pytest.raises(hm.LiftError):
-        lifted.holds(np.zeros((2, 3, 3), dtype=np.int64))
+        lifted([e[0], e[1], e[2]])
 
 
 def test_lift_relation_table_asks_every_tuple_in_order(monkeypatch):
@@ -176,7 +171,7 @@ def test_lift_relation_table_asks_every_tuple_in_order(monkeypatch):
     assert [tup for tup, _ in rows] == [(a, b) for a in "uvw" for b in "uvw"]
     assert [tup for tup, bit in rows if bit] == [("u", "w"), ("w", "v")]
     # one tuple per batch gives the same rows
-    monkeypatch.setattr(hm, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(hm, "_BATCH_COLUMNS", 1)
     assert list(lifted.table()) == rows
 
 
@@ -201,18 +196,21 @@ def test_lift_subset_membership_biconditional():
     lifted = hm.lift_subset(subset, m)
     for a in m.elements:
         vec = hm.map_element(m, a)
-        assert lifted([vec]) == (a in subset)
+        assert vl.project_truth(lifted([vec])) == (a in subset)
 
 
 def test_lift_subset_edge_cases():
     m = dmap(3)
-    assert hm.lift_subset(set(), m).members == frozenset()
-    assert len(hm.lift_subset(set(m.elements), m).members) == 3
+    assert hm.lift_subset(set(), m).mat[0].tolist() == [0, 0, 0]
+    assert hm.lift_subset(set(m.elements), m).mat[0].tolist() == [1, 1, 1]
 
 
 def test_lift_subset_is_the_unary_relation_of_its_members():
     m = hm.build_domain_map("uvw", tag="letters")
-    assert hm.lift_subset({"w", "u"}, m) == hm.lift_relation({("u",), ("w",)}, m, 1)
+    subset, relation = hm.lift_subset({"w", "u"}, m), hm.lift_relation({("u",), ("w",)}, m, 1)
+    assert (subset.source, subset.arity, subset.target) == (m, 1, hm.TRUTH)
+    assert (relation.source, relation.arity, relation.target) == (m, 1, hm.TRUTH)
+    assert subset.mat.tolist() == relation.mat.tolist() == [[1, 0, 1], [0, 1, 0]]
     with pytest.raises(hm.LiftError):
         hm.lift_subset({"z"}, m)
 
@@ -224,13 +222,13 @@ def test_set_operations_commute(seed):
     m = dmap(6)
     e1 = {a for a in m.elements if rng.integers(2)}
     e2 = {a for a in m.elements if rng.integers(2)}
-    assert hm.check_set_ops(e1, e2, m).ok
+    assert hm.check_set_ops(e1, e2, m) == {"union": True, "intersection": True,
+                                           "difference": True}
 
 
-def test_characteristic_agreement():
+def test_subset_lift_table_is_the_characteristic_function():
     m = dmap(3)
-    assert hm.characteristic({0, 1}, m, 0) == (1, 1)
-    assert hm.characteristic({0, 1}, m, 2) == (0, 0)
+    assert list(hm.lift_subset({0, 1}, m).table()) == [((0,), 1), ((1,), 1), ((2,), 0)]
 
 
 def test_indicator_vector_is_sum_of_member_images():
@@ -253,9 +251,9 @@ def test_compose_lifted_equals_lift_of_composite():
     composed = hm.compose_lifted(hm.lift_function(g, b, c),
                                  hm.lift_function(f, a, b))
     direct = hm.lift_function({x: g[f[x]] for x in f}, a, c)
-    assert np.array_equal(composed.lut, direct.lut)
+    assert np.array_equal(composed.mat, direct.mat)
     for x in a.elements:
-        assert np.array_equal(composed(hm.map_element(a, x)),
+        assert np.array_equal(composed([hm.map_element(a, x)]),
                               hm.map_element(c, g[f[x]]))
 
 
@@ -296,7 +294,7 @@ def test_corrupted_chain_is_caught_with_counterexample():
     for a in maps[0].elements:
         vec = hm.map_element(maps[0], a)
         for lf in lifts:
-            vec = lf(vec)
+            vec = lf([vec])
         val = a
         for t in tables:
             val = t[val]
@@ -341,14 +339,14 @@ def test_lift_family_for_model():
 def test_lifted_model_function_unary_and_binary():
     fam = hm.LiftFamily.for_model(MODEL)
     lf = hm.lifted_model_function(MODEL, "f", fam)
-    assert np.array_equal(lf(hm.map_element(fam.entity, "e1")),
+    assert np.array_equal(lf([hm.map_element(fam.entity, "e1")]),
                           hm.map_element(fam.entity, "e2"))
     lg = hm.lifted_model_function(MODEL, "g", fam)
-    pm = hm.product_map(fam.entity, 2)
+    assert lg.mat.shape == (3, 9)
     folded = vl.kron(hm.map_element(fam.entity, "e2"),
                      hm.map_element(fam.entity, "e2"))
-    assert np.array_equal(lg(folded), hm.map_element(fam.entity, "e1"))
-    assert np.array_equal(lg(hm.map_element(pm, ("e1", "e2"))),
+    assert np.array_equal(lg.mat @ folded, hm.map_element(fam.entity, "e1"))
+    assert np.array_equal(lg([hm.map_element(fam.entity, "e1"), hm.map_element(fam.entity, "e2")]),
                           hm.map_element(fam.entity, "e3"))
 
 
@@ -412,12 +410,13 @@ def test_vector_denote_with_variables():
 
 
 def _shifted_function_lift(model, name, fam, real=hm.lifted_model_function):
+    # every column's basis vector moved one row down: one-hot, but wrong
     lf = real(model, name, fam)
-    return hm.LiftedFunction(lf.source, lf.target, (lf.lut + 1) % lf.target.dim)
+    return hm.LiftMatrix(lf.source, lf.arity, lf.target, np.roll(lf.mat, 1, axis=0))
 
 
 def _empty_relation_lift(model, name, fam):
-    return hm.LiftedRelation(fam.entity, model.relations[name].arity, frozenset())
+    return hm.lift_relation((), fam.entity, model.relations[name].arity)
 
 
 BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
@@ -511,7 +510,7 @@ def test_kept_vectors_are_read_only():
     f_of_a = parse_term("f(a)", MODEL.signature())
     assert hm.vector_denote(f_of_a, MODEL, {}, fam).tolist() == [0, 1, 0]
     with pytest.raises(ValueError, match="read-only"):
-        fam.function("g").lut[0] = 0
+        fam.function("g").mat[0, 0] = 0
 
 
 def test_check_with_model_lifts_each_function_once_per_run(monkeypatch, tmp_path, capsys):
@@ -548,9 +547,73 @@ def test_function_node_checks_the_vector_its_lift_gives(monkeypatch):
     def widened(model, name, fam, real=hm.lifted_model_function):
         lf = real(model, name, fam)
         wider = hm.build_domain_map((*fam.entity.elements, "extra"), tag="wider")
-        return hm.LiftedFunction(lf.source, wider, lf.lut)
+        extra_row = np.zeros((1, lf.mat.shape[1]), dtype=np.int64)
+        return hm.LiftMatrix(lf.source, lf.arity, wider, np.vstack([lf.mat, extra_row]))
 
     monkeypatch.setattr(hm, "lifted_model_function", widened)
     term = parse_term("P(f(a))", MODEL.signature())
     with pytest.raises(hm.OffImageError, match="lift of function 'f' gave"):
         hm.vector_denote(term, MODEL, {}, hm.LiftFamily.for_model(MODEL))
+
+
+# ---------------------------------------------------------------------------
+# every lift is a matrix applied by arithmetic: a fault in one must fail a law
+
+
+def test_a_lift_whose_column_is_not_one_hot_is_refused():
+    lf = hm.lift_function({0: 1, 1: 0}, dmap(2), dmap(2))
+    mat = lf.mat.copy()
+    mat[0, 0] = 1  # column 0 is now [1, 1]
+    with pytest.raises(hm.LiftError, match="basis vector"):
+        hm.LiftMatrix(lf.source, lf.arity, lf.target, mat)
+    with pytest.raises(hm.LiftError, match="must be 2 x 2\\^2"):
+        hm.LiftMatrix(lf.source, 2, lf.target, lf.mat)
+
+
+def _first_column_moved(real=hm.lift_function):
+    """lift_function with the 1 of column 0 moved one row down: every column
+    is still a basis vector, so only the laws can see the fault."""
+    def lift(table, m_src, m_tgt, arity=1):
+        lf = real(table, m_src, m_tgt, arity)
+        mat = lf.mat.copy()
+        mat[:, 0] = np.roll(mat[:, 0], 1)
+        return hm.LiftMatrix(lf.source, lf.arity, lf.target, mat)
+    return lift
+
+
+@pytest.mark.parametrize("law", ["function", "formula"])
+def test_a_wrong_entry_in_a_function_matrix_fails_the_law(monkeypatch, law):
+    assert laws.run_law(law, 0, 100).ok
+    monkeypatch.setattr(hm, "lift_function", _first_column_moved())
+    assert not laws.run_law(law, 0, 100).ok
+
+
+# two unary functions that do not commute: f is a cycle, h is not onto
+CHAIN_MODEL = model_from_dict({
+    "entities": ["e1", "e2", "e3"],
+    "constants": {"a": "e1"},
+    "functions": {"f": {"arity": 1, "table": [["e1", "e2"], ["e2", "e3"], ["e3", "e1"]]},
+                  "h": {"arity": 1, "table": [["e1", "e1"], ["e2", "e1"], ["e3", "e2"]]}},
+    "relations": {},
+})
+
+
+def test_a_reversed_product_in_compose_lifted_fails_the_chain_law(monkeypatch):
+    assert laws.run_law("chain", 0, 50, CHAIN_MODEL).ok
+
+    def reversed_product(*lifts):
+        return hm.LiftMatrix(lifts[-1].source, lifts[-1].arity, lifts[0].target,
+                             reduce(np.matmul, [lf.mat for lf in reversed(lifts)]))
+
+    monkeypatch.setattr(hm, "compose_lifted", reversed_product)
+    report = laws.run_law("chain", 0, 50, CHAIN_MODEL)
+    assert not report.ok
+    assert report.render().endswith("result: FAIL\n")
+
+
+def test_a_wrong_vector_union_fails_the_sets_law(monkeypatch):
+    assert laws.run_law("sets", 0, 50).ok
+    monkeypatch.setitem(hm.SET_OPS, "union", (set.union, lambda x, y: x + y))
+    report = laws.run_law("sets", 0, 50)
+    assert not report.ok
+    assert all(" union of " in f for f in report.failures)

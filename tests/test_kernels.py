@@ -1,7 +1,7 @@
 """The mass sweeps in laws run the shipped synth, lift and polynomial code.
 
 Each sweep returns (checks, failures).  They pass on the real code, and a
-deliberately broken synth_operator, lift_relation, LiftedRelation or
+deliberately broken synth_operator, lift_relation, LiftMatrix or
 majority_polynomial makes the matching sweep report failures.  Inputs are
 given as numpy arrays and as nested lists, which the sweeps accept alike.
 """
@@ -159,27 +159,37 @@ def test_relation_sweep_catches_broken_lift(monkeypatch):
     assert failures[0] == "relation 1: tuple [0, 0]: lifted 0 extensional 1"
 
 
-@pytest.mark.parametrize("broken", ["transposed", "off-image true"])
-def test_relation_sweep_catches_broken_membership(monkeypatch, broken):
-    real = hm.LiftedRelation.holds
+def test_relation_sweep_catches_transposed_arguments(monkeypatch):
+    real = hm.argument_columns
 
-    def holds(self, batch):
-        b = np.asarray(batch)
-        if broken == "transposed":
-            return real(self, b[:, ::-1])
-        return np.maximum(real(self, b), ~vl.is_one_hot(b, axis=2).all(axis=1))
+    def transposed(m, arity):
+        # each tuple reads the column of its components in reverse order
+        return real(m, arity).reshape((m.dim,) * arity).transpose().ravel()
 
-    monkeypatch.setattr(hm.LiftedRelation, "holds", holds)
+    monkeypatch.setattr(hm, "argument_columns", transposed)
     _, failures = laws.sweep_relations(all_relation_masks(2, 2), 2, 2)
-    assert failures
-    if broken == "off-image true":
-        assert "relation 0: off-image argument did not evaluate to 0" in failures
+    # 8 of the 16 relations tell (0, 1) from (1, 0), and each fails at both
+    assert len(failures) == 2 * 8
+    assert failures[0] == "relation 2: tuple [0, 1]: lifted 0 extensional 1"
+
+
+def test_relation_sweep_catches_off_image_true(monkeypatch):
+    real = hm.LiftMatrix.__call__
+
+    def call(self, vecs):
+        out = real(self, vecs)
+        return vl.TRUE_VEC if not all(vl.is_one_hot(v) for v in vecs) else out
+
+    monkeypatch.setattr(hm.LiftMatrix, "__call__", call)
+    _, failures = laws.sweep_relations(all_relation_masks(2, 2), 2, 2)
+    assert len(failures) == 16
+    assert "relation 0: off-image argument did not evaluate to 0" in failures
 
 
 def test_relation_law_report_does_not_depend_on_batch_size(monkeypatch):
     # the relation law asks each lift about its tuples a batch at a time
     whole = laws.run_law("relation", 4, 40).render()
-    monkeypatch.setattr(hm, "_BATCH_ENTRIES", 5)
+    monkeypatch.setattr(hm, "_BATCH_COLUMNS", 5)
     assert laws.run_law("relation", 4, 40).render() == whole
 
 

@@ -3,6 +3,8 @@
 import copy
 import json
 import pickle
+import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,28 @@ def test_first_missing_row_is_named():
     data = _broken(lambda d: d["functions"]["f"].__setitem__("table", []))
     with pytest.raises(ModelError, match="function 'f' is not total: its table is empty"):
         model_from_dict(data)
+
+
+def _identity(n, arity):
+    ents = [f"e{i}" for i in range(n)]
+    return {"entities": ents, "functions": {"f": {
+        "arity": arity, "table": [[*args, args[0]] for args in product(ents, repeat=arity)]}}}
+
+
+@pytest.mark.parametrize("n,arity", [(1448, 1), (128, 2)])
+def test_function_matrix_at_the_cap_loads(n, arity):
+    # n * n^arity is at most 2 x 2^20 entries
+    assert model_from_dict(_identity(n, arity)).functions["f"].arity == arity
+
+
+@pytest.mark.parametrize("n,arity,message", [
+    (1449, 1, "function 'f' lifts to a 1449 x 1449^1 matrix, above the cap of 2 x 2^20 entries"),
+    (129, 2, "function 'f' lifts to a 129 x 129^2 matrix, above the cap of 2 x 2^20 entries"),
+    (1, 21, "function 'f' has arity 21, above the cap of 20"),
+])
+def test_function_matrix_above_the_cap_is_refused(n, arity, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        model_from_dict(_identity(n, arity))
 
 
 def test_unknown_entity_in_row_named():

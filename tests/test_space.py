@@ -151,6 +151,16 @@ def test_finite_vectors_past_the_float_range_give_inf():
     assert inner_product([1e308, 1e308, -1e308], [1, 1, 1]) == 1e308
 
 
+@pytest.mark.filterwarnings("error")
+def test_inner_product_cancels_exactly_past_the_float_range():
+    # each product is past the range, and they cancel to exactly 0
+    assert inner_product([1e308, -1e308], [1e308, 1e308]) == 0.0
+    assert inner_product([1e308, 1e308, -1e308], [1, 1, 1]) == 1e308
+    assert inner_product([1e308], [1e308]) == math.inf
+    # what is left after the cancelling pair is kept in full
+    assert inner_product([1e308, -1e308, 3.0], [1e308, 1e308, 1.0]) == 3.0
+
+
 @given(vec_pair())
 def test_symmetry(pair):
     u, v = pair
