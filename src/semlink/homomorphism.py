@@ -97,7 +97,7 @@ def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
     """For every arity-tuple over m, in lexicographic order, the column that
     mat @ kron_fold picks out of a lift's matrix on the tuple's mapped
     vectors.  Each element is mapped and checked to be on the image (or
-    OffImageError) once per map, which keeps the read-only result."""
+    OffImageError) once per map, and the map keeps the read-only result."""
     if arity not in m.columns:
         idx = cols = np.array([m.index[unmap_element(m, map_element(m, a))] for a in m.elements])
         for _ in range(arity - 1):
