@@ -45,6 +45,7 @@ from .veclogic import (
     OpMatrix,
     TruthTable,
     apply_operator,
+    contract,
     embed_truth,
     kron,
     kron_fold,

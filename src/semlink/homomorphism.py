@@ -13,7 +13,7 @@ matrices.  All arithmetic here is exact integer; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import islice, product as iproduct
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -140,9 +140,13 @@ class LiftMatrix:
             raise LiftError(f"every column of a lift must be a basis vector of {self.target.tag!r}")
         object.__setattr__(self, "mat", vl._frozen(m))
 
+    @cached_property
+    def ten(self) -> np.ndarray:  # mat's read-only tensor view for contract, made on first use
+        return self.mat.reshape((self.target.dim,) + (self.source.dim,) * self.arity)
+
     def __call__(self, vecs: Sequence[np.ndarray]) -> np.ndarray:
-        """mat @ kron_fold(vecs), once each argument is checked to be on the
-        image of the source."""
+        """The lift applied to vecs by veclogic.contract, once each argument
+        is checked to be on the image of the source."""
         if len(vecs) != self.arity:
             raise LiftError(f"lift of arity {self.arity} got {len(vecs)} arguments")
         try:
@@ -152,7 +156,7 @@ class LiftMatrix:
             if self.target.elements != TRUTH.elements:
                 raise
             return vl.FALSE_VEC
-        return self.mat @ vl.kron_fold(vecs)
+        return vl.contract(self.ten, vecs)
 
     def table(self) -> Iterator[tuple[tuple[Hashable, ...], Hashable]]:
         """Every arity-tuple over the source, in lexicographic order, with the
@@ -242,11 +246,11 @@ SET_OPS = {
 }
 
 
-def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable],
-                  m: DomainMap) -> dict[str, bool]:
-    """Whether each of SET_OPS commutes with the subset lift, by name."""
+def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable], m: DomainMap,
+                  lifted1: "LiftMatrix | None" = None) -> dict[str, bool]:
+    """Whether each of SET_OPS commutes with the subset lift, by name; lifted1 is e1's, if built."""
     s1, s2 = set(e1), set(e2)
-    x, y = indicator_vector(s1, m), indicator_vector(s2, m)
+    x, y = (lifted1 or lift_subset(s1, m)).mat[0], indicator_vector(s2, m)
     return {name: indicator_vector(on_sets(s1, s2), m).tolist() == on_vectors(x, y).tolist()
             for name, (on_sets, on_vectors) in SET_OPS.items()}
 
@@ -354,8 +358,8 @@ def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftMatri
 
 class VectorSemantics:
     """Semantics of the vector route: one-hot entity vectors, and each
-    function, relation and connective a matrix applied to the Kronecker
-    fold of its arguments.  Lifts and entity vectors come from the family.
+    function, relation and connective a matrix contracted with its arguments
+    by veclogic.contract.  Lifts and entity vectors come from the family.
 
     Each value is checked once, where it is made: an entity vector is a
     basis vector, a function or predicate node gives a column of a lift
@@ -368,14 +372,14 @@ class VectorSemantics:
         self.entity = fam.vector
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        out = self.fam.function(name).mat @ vl.kron_fold(args)
+        out = vl.contract(self.fam.function(name).ten, args)
         if out.shape != (self.fam.entity.dim,):
             raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
                                 f"off the image of {self.fam.entity.tag!r}")
         return out
 
     def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        return self.fam.relation(name).mat @ vl.kron_fold(args)
+        return vl.contract(self.fam.relation(name).ten, args)
 
     def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
         return vl.apply_operator(vl.named_operator(kind), args)

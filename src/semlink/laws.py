@@ -287,14 +287,14 @@ def _law_sets(rng, trials, model) -> tuple[int, list[str]]:
     for t in range(trials):
         e1 = sp.random_subset(rng, elements)
         e2 = sp.random_subset(rng, elements)
-        report = hm.check_set_ops(e1, e2, m)
+        lifted = hm.lift_subset(e1, m)
+        report = hm.check_set_ops(e1, e2, m, lifted)
         checks += len(report)
         for label, ok in report.items():
             if not ok:
                 failures.append(
                     f"trial {t}: {label} of {sorted(e1)} and {sorted(e2)} does not commute")
         # e1's lift at each element's image is its characteristic function
-        lifted = hm.lift_subset(e1, m)
         for (a,), chi_lifted in lifted.table():
             checks += 1
             chi = 1 if a in e1 else 0

@@ -52,8 +52,6 @@ class TruthVal:
             raise ValueError(f"truth value must be 0 or 1, got {self.bit!r}")
 
 
-Value = "EntityVal | TruthVal"
-
 # an assignment maps variable names to entity ids
 Assignment = Mapping[str, str]
 
@@ -246,21 +244,21 @@ _CLASSICAL = {
 
 @dataclass(frozen=True)
 class Extensional:
-    """The extensional route: entity ids, function tables, tuple sets, bits."""
+    """The extensional route on bare entity ids and bits; denote wraps the root's value."""
 
     model: Model
 
-    def entity(self, ent: str) -> EntityVal:
-        return EntityVal(ent)
+    def entity(self, ent: str) -> str:
+        return ent
 
-    def fun(self, name: str, args: list[EntityVal]) -> EntityVal:
-        return EntityVal(self.model.functions[name].table[tuple(a.id for a in args)])
+    def fun(self, name: str, args: list[str]) -> str:
+        return self.model.functions[name].table[tuple(args)]
 
-    def pred(self, name: str, args: list[EntityVal]) -> TruthVal:
-        return TruthVal(int(tuple(a.id for a in args) in self.model.relations[name].tuples))
+    def pred(self, name: str, args: list[str]) -> int:
+        return int(tuple(args) in self.model.relations[name].tuples)
 
-    def conn(self, kind: ConnectiveKind, args: list[TruthVal]) -> TruthVal:
-        return TruthVal(_CLASSICAL[kind](*(a.bit for a in args)))
+    def conn(self, kind: ConnectiveKind, args: list[int]) -> int:
+        return _CLASSICAL[kind](*args)
 
 
 _FORMULA_NODES = (PredApp, Connective)
@@ -337,7 +335,8 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
 
 def denote(term: Term, model: Model, g: Assignment) -> "EntityVal | TruthVal":
     """Evaluate a term. Entity-typed terms yield EntityVal, formulas TruthVal."""
-    return evaluate(term, model, g, Extensional(model))
+    val = evaluate(term, model, g, Extensional(model))
+    return TruthVal(val) if type(term) in _FORMULA_NODES else EntityVal(val)
 
 
 def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal | TruthVal, int]":
@@ -348,4 +347,4 @@ def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal |
     """
     depths: list[int] = []
     val = evaluate(term, model, g, Extensional(model), lambda _term, depth: depths.append(depth))
-    return val, max(depths)
+    return TruthVal(val) if type(term) in _FORMULA_NODES else EntityVal(val), max(depths)

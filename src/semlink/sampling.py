@@ -67,20 +67,23 @@ class Draws:
     def integers(self, low: int, high: "int | None" = None, size=None, dtype=None) -> int:
         """An int drawn uniformly from range(low, high), or range(low) when
         high is omitted, as Generator.integers(low, high) draws it."""
-        if size is not None or dtype is not None:
-            raise TypeError("Draws.integers draws one int64 at a time: no size= or dtype=")
-        if high is None:
-            low, high = 0, low
-        low = index(low)
-        span = index(high) - low
-        if span < 1:
-            raise ValueError(f"empty range [{low}, {high})")
-        if low < -_INT64 or low + span > _INT64:
-            raise ValueError(f"range [{low}, {high}) is not within int64")
-        if span == 1:
-            return low
-        if span > 1 << 32:
-            raise ValueError(f"a span of {span} is above the 2^32 Draws reproduces")
+        if high is None and type(low) is int and 1 < low < 1 << 32 and size is None and dtype is None:
+            low, span = 0, low  # integers(n) for a plain int n: nothing to refuse
+        else:
+            if size is not None or dtype is not None:
+                raise TypeError("Draws.integers draws one int64 at a time: no size= or dtype=")
+            if high is None:
+                low, high = 0, low
+            low = index(low)
+            span = index(high) - low
+            if span < 1:
+                raise ValueError(f"empty range [{low}, {high})")
+            if low < -_INT64 or low + span > _INT64:
+                raise ValueError(f"range [{low}, {high}) is not within int64")
+            if span == 1:
+                return low
+            if span > 1 << 32:
+                raise ValueError(f"a span of {span} is above the 2^32 Draws reproduces")
         halves = self._halves
         word = halves.pop() if halves else self._next32()
         if span == 1 << 32:

@@ -2,8 +2,8 @@
 
 Truth values embed as orthonormal one-hot 2-vectors, true = [1,0] and
 false = [0,1].  An n-ary operator is a 2 x 2^n integer matrix applied to the
-Kronecker product of the embedded inputs; the result is again a one-hot
-2-vector, so matrices compose with the classical truth functions.
+Kronecker product of the embedded inputs, by contraction with one at a time;
+the result is a one-hot 2-vector, so matrices compose with the truth functions.
 
 Column convention: column 0 corresponds to the all-true input tuple and the
 tuples descend lexicographically with 1 ordered before 0.  Equivalently the
@@ -17,6 +17,7 @@ Everything here is exact int64 arithmetic; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -99,6 +100,14 @@ def kron_fold(vecs: Sequence[np.ndarray]) -> np.ndarray:
     for v in it:
         acc = kron(acc, v)
     return acc
+
+
+def contract(ten: np.ndarray, vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """ten, the (rows, d1, ..., dn) tensor view of a matrix mat, applied to n vectors
+    from the last one back: in exact int64, mat @ kron_fold(vecs) without the fold."""
+    for v in reversed(vecs):
+        ten = ten.dot(v)
+    return ten
 
 
 def column_index(bits: Sequence[int]) -> int:
@@ -187,6 +196,10 @@ class OpMatrix:
             raise ValueError("every operator column must be a one-hot truth vector")
         object.__setattr__(self, "mat", _frozen(m))
 
+    @cached_property
+    def ten(self) -> np.ndarray:  # mat's read-only tensor view for contract, made on first use
+        return self.mat.reshape((2,) * (self.arity + 1))
+
 
 def synth_operator(table: TruthTable) -> OpMatrix:
     """Matrix of a truth table: column j is the embedded output for column j,
@@ -197,14 +210,14 @@ def synth_operator(table: TruthTable) -> OpMatrix:
 
 
 def apply_operator(op: OpMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Multiply the operator into the Kronecker product of the input vectors."""
+    """Contract the operator with its inputs, each first checked to be a truth vector."""
     if len(inputs) != op.arity:
         raise ValueError(f"operator of arity {op.arity} got {len(inputs)} inputs")
     for v in inputs:
         w = np.asarray(v)
         if w.shape != (2,) or not is_one_hot(w):
             raise ValueError(f"operator input is not a truth vector: {v!r}")
-    return op.mat @ kron_fold(inputs)
+    return contract(op.ten, inputs)
 
 
 def table_of(op: OpMatrix) -> TruthTable:

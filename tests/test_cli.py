@@ -277,6 +277,20 @@ def test_relation_tuple_count_is_bounded_at_load(tmp_path, argv):
         2, "", "error: relation 'P' has 7^20 tuples, above the cap of 2^20\n")
 
 
+def test_eval_of_a_20_ary_predicate_agrees_on_both_routes(capsys, tmp_path):
+    # at the arity cap the relation's tensor view has 21 axes, one per argument
+    member = ["a", "b"] * 10
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"entities": ["e1", "e2"], "constants": {"a": "e1", "b": "e2"},
+                             "relations": {"P": {"arity": 20, "tuples": [
+                                 ["e1", "e2"] * 10, ["e2"] * 20]}}}))
+    for args, bit, vec in [(member, 1, "1 0"), (["b"] * 20, 1, "1 0"),
+                           (member[::-1], 0, "0 1"), (["a"] * 20, 0, "0 1")]:
+        expr = f"and(P({','.join(args)}),not(not(P({','.join(args)}))))"
+        assert run_cli(capsys, "eval", "--model", str(p), "--expr", expr) == (
+            0, f"extensional: {bit}\nvector: {vec}\nagree: yes\n", "")
+
+
 # a unary function over 1,449 entities lifts to a 1449 x 1449 matrix, just
 # over the 2 x 2^20 entries of the largest operator or relation matrix
 WIDE_FUNCTION = {"entities": [f"e{i}" for i in range(1449)], "constants": {"a": "e0"},
@@ -352,6 +366,20 @@ def test_lift_relation_tables_byte_for_byte(capsys, tmp_path):
         outs.append(out)
     golden = Path(__file__).parent / "data" / "lift_relation_tables.txt"
     assert "".join(outs) == golden.read_text()
+
+
+def test_eval_outputs_byte_for_byte(capsys, tmp_path):
+    # tests/data/eval_outputs.txt holds a model, then for each expression the
+    # exit code and stdout of `semlink eval`, captured while both routes still
+    # wrapped every node's value and applied matrices to Kronecker folds
+    model, *cases = (Path(__file__).parent / "data" / "eval_outputs.txt").read_text().split("\n\n")
+    p = tmp_path / "model.json"
+    p.write_text(model.removeprefix("model "))
+    assert len(cases) > 190
+    for case in cases:
+        expr, code, *out = case.rstrip("\n").split("\n")
+        got, stdout, _ = run_cli(capsys, "eval", "--model", str(p), "--expr", expr.removeprefix("$ "))
+        assert (f"exit {got}", stdout) == (code, "".join(line + "\n" for line in out)), expr
 
 
 def test_lift_unknown_symbol(capsys, model_file):

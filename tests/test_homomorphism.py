@@ -611,6 +611,44 @@ def test_a_reversed_product_in_compose_lifted_fails_the_chain_law(monkeypatch):
     assert report.render().endswith("result: FAIL\n")
 
 
+# g is the first projection, so g(a,b) is a and g(b,a) is b
+PROJECTION_MODEL_DATA = {
+    "entities": ["e1", "e2", "e3"],
+    "constants": {"a": "e1", "b": "e2"},
+    "functions": {"g": {"arity": 2, "table": [
+        [x, y, x] for x in ["e1", "e2", "e3"] for y in ["e1", "e2", "e3"]]}},
+    "relations": {"P": {"arity": 1, "tuples": [["e1"]]}},
+}
+
+
+def test_contracting_in_the_wrong_order_fails_the_formula_law_and_eval(monkeypatch, tmp_path,
+                                                                      capsys):
+    model = model_from_dict(PROJECTION_MODEL_DATA)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(PROJECTION_MODEL_DATA))
+    eval_g = ["eval", "--model", str(path), "--expr", "g(a,b)"]
+    assert laws.run_law("formula", 0, 50, model).ok
+    assert cli.main(eval_g) == 0
+
+    def first_argument_first(ten, vecs):
+        for v in vecs:
+            ten = ten.dot(v)
+        return ten
+
+    monkeypatch.setattr(vl, "contract", first_argument_first)
+    assert laws.run_law("formula", 0, 50, model).render().endswith("result: FAIL\n")
+    capsys.readouterr()
+    assert cli.main(eval_g) == 1
+    assert capsys.readouterr().out == "extensional: e1\nvector: 0 1 0\nagree: no\n"
+
+
+def test_a_lifts_tensor_view_is_read_only():
+    lf = hm.LiftFamily.for_model(MODEL).function("g")
+    assert lf.ten.shape == (3, 3, 3) and np.shares_memory(lf.ten, lf.mat)
+    with pytest.raises(ValueError, match="read-only"):
+        lf.ten[0, 0, 0] = 0
+
+
 def test_a_wrong_vector_union_fails_the_sets_law(monkeypatch):
     assert laws.run_law("sets", 0, 50).ok
     monkeypatch.setitem(hm.SET_OPS, "union", (set.union, lambda x, y: x + y))

@@ -311,6 +311,22 @@ def test_denote_connectives(expr, expected):
     assert denote(parse_term(expr, m.signature()), m, {}) == TruthVal(expected)
 
 
+@pytest.mark.parametrize("expr,want", [
+    ("a", EntityVal("e1")),
+    ("x", EntityVal("e3")),
+    ("g(a,f(a))", EntityVal("e2")),
+    ("P(a)", TruthVal(1)),
+    ("not(P(a))", TruthVal(0)),
+])
+def test_denote_wraps_the_root_by_its_term_class(expr, want):
+    # the extensional route works on bare ids and bits; only the root is wrapped,
+    # an EntityVal for Const, Var and FunApp and a TruthVal for PredApp and Connective
+    m = good_model()
+    term = parse_term(expr, m.signature())
+    for val in (denote(term, m, {"x": "e3"}), denote_traced(term, m, {"x": "e3"})[0]):
+        assert type(val) is type(want) and val == want
+
+
 def test_denote_unbound_variable():
     m = good_model()
     with pytest.raises(EvaluationError, match="unbound"):

@@ -7,6 +7,7 @@ faithfulness law is cross-checked against classical evaluation.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semlink.terms import ConnectiveKind
 from semlink.veclogic import (
@@ -17,6 +18,7 @@ from semlink.veclogic import (
     apply_operator,
     column_bits,
     column_index,
+    contract,
     embed_truth,
     is_one_hot,
     kron,
@@ -136,6 +138,34 @@ def test_column_order_descends_lexicographically():
 def test_kron_fold_rejects_empty():
     with pytest.raises(ValueError):
         kron_fold([])
+
+
+@st.composite
+def tensors_and_vectors(draw):
+    """Any int64 matrix of arity 1-4 over dims 1-5, not only a one-hot one,
+    with argument vectors small enough that no product overflows."""
+    n, d, rows = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ints = st.integers(-1000, 1000)
+    mat = draw(arrays(np.int64, (rows, d ** n), elements=ints))
+    vecs = [draw(arrays(np.int64, (d,), elements=ints)) for _ in range(n)]
+    return mat, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensors_and_vectors())
+def test_contract_equals_matrix_times_kron_fold(case):
+    mat, vecs = case
+    got = contract(mat.reshape((mat.shape[0],) + vecs[0].shape * len(vecs)), vecs)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, mat @ kron_fold(vecs))
+
+
+def test_tensor_view_is_read_only_and_shares_the_matrix():
+    op = named_operator("cond")
+    assert op.ten.shape == (2, 2, 2, 2) and np.shares_memory(op.ten, op.mat)
+    with pytest.raises(ValueError, match="read-only"):
+        op.ten[0, 0, 0, 0] = 0
+    assert op.mat.tolist() == COND_MAT
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +381,14 @@ def test_default_cap_allows_twenty():
     assert ARITY_CAP == 20
     op = synth_operator(TruthTable(20, np.zeros(1 << 20, dtype=np.int8)))
     assert op.mat.shape == (2, 1 << 20)
+
+
+def test_operator_at_the_cap_applies_by_contraction():
+    table = TruthTable(20, np.random.default_rng(20).integers(0, 2, 1 << 20))
+    op = synth_operator(table)
+    assert op.ten.ndim == 21
+    for bits in [(1,) * 20, (0,) * 20, tuple(int(j % 3 == 0) for j in range(20))]:
+        assert project_truth(apply_operator(op, [embed_truth(b) for b in bits])) == table(bits)
 
 
 def test_cap_blocks_synthesis():
