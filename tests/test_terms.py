@@ -1,5 +1,8 @@
 """Parser, printer, typing and complexity metrics."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,6 +129,26 @@ def test_nesting_limit():
     # a deep input fails fast at the limit instead of exhausting the stack
     with pytest.raises(ParseError, match="nests deeper than"):
         parse_term("not(" * 5000 + "P(a)" + ")" * 5000, SIG)
+
+
+def _outcome(text):
+    try:
+        term = parse_term(text, SIG)
+        sort = infer_type(term, SIG)
+    except (ParseError, TypeCheckError) as exc:
+        return f"{type(exc).__name__} {getattr(exc, 'position', '-')}: {exc}"
+    return f"ok {sort} {pretty(term)}"
+
+
+def test_parse_outcomes_are_pinned():
+    # each line holds a JSON-quoted input, a tab, then "ok <type> <pretty form>"
+    # or "<error class> <offset>: <message>"
+    path = Path(__file__).parent / "data" / "parse_outcomes.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > 80
+    wrong = [(text, got, want) for text, want in (line.split("\t") for line in lines)
+             if (got := _outcome(json.loads(text))) != want]
+    assert wrong == []
 
 
 # round-trip: pretty then parse reproduces the AST
