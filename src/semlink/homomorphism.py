@@ -21,7 +21,7 @@ import numpy as np
 
 from . import veclogic as vl
 from .model import Assignment, Model, denote, evaluate  # noqa: F401 (denote is re-exported)
-from .terms import Connective, ConnectiveKind, PredApp, Term
+from .terms import FORMULA_NODES, ConnectiveKind, Term
 
 
 class OffImageError(ValueError):
@@ -139,6 +139,9 @@ class LiftMatrix:
         if not vl.columns_one_hot(m):
             raise LiftError(f"every column of a lift must be a basis vector of {self.target.tag!r}")
         object.__setattr__(self, "mat", vl._frozen(m))
+
+    def __reduce__(self):  # a copy is rebuilt, so its mat is read-only and its ten views it
+        return LiftMatrix, (self.source, self.arity, self.target, self.mat)
 
     @cached_property
     def ten(self) -> np.ndarray:  # mat's read-only tensor view for contract, made on first use
@@ -397,6 +400,6 @@ def vector_denote(term: Term, model: Model, g: Assignment, fam: LiftFamily) -> n
 def lift_logical_connective(term: Term, model: Model, g: Assignment,
                             fam: LiftFamily) -> np.ndarray:
     """vector_denote for formulas; an entity-typed term is refused."""
-    if not isinstance(term, (PredApp, Connective)):
+    if not isinstance(term, FORMULA_NODES):
         raise LiftError(f"term {term!r} is not a formula")
     return vector_denote(term, model, g, fam)

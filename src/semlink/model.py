@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .terms import (
     ENTITY,
+    FORMULA_NODES,
     Connective,
     ConnectiveKind,
     Const,
@@ -261,9 +262,6 @@ class Extensional:
         return _CLASSICAL[kind](*args)
 
 
-_FORMULA_NODES = (PredApp, Connective)
-
-
 def _misplaced(owner: str, formulas: bool) -> EvaluationError:
     got, want = ("an entity", "a truth value") if formulas else ("a truth value", "an entity")
     return EvaluationError(f"argument of {owner!r} evaluated to {got}, expected {want}")
@@ -273,12 +271,13 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
     """The one structural recursion over terms, for either route.
 
     The checks come in a fixed order at every node.  A leaf resolves to an
-    entity id (an unbound Var or an uninterpreted Const raises).  An
-    application's symbol is checked against the model, name then arity,
-    before any of its arguments is evaluated.  The arguments are evaluated
-    left to right, and each one's type is checked right after it is
-    evaluated, so a misplaced argument is reported before anything to its
-    right is looked at.  Anything that is not a term raises TypeError.
+    entity id (an unbound Var, a Var assigned a value outside the domain, or
+    an uninterpreted Const raises).  An application's symbol is checked
+    against the model, name then arity, before any of its arguments is
+    evaluated.  The arguments are evaluated left to right, and each one's
+    type is checked right after it is evaluated, so a misplaced argument is
+    reported before anything to its right is looked at.  Anything that is
+    not a term raises TypeError.
 
     The semantics `sem` makes the values: sem.entity(id) at a leaf,
     sem.fun(name, args), sem.pred(name, args) or sem.conn(kind, args) at a
@@ -304,7 +303,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
             vals = []
             for a in t.args:
                 vals.append(go(a, depth + 1))
-                if type(a) not in _FORMULA_NODES:
+                if type(a) not in FORMULA_NODES:
                     raise _misplaced(kind.keyword, formulas=True)
             return conn(kind, vals)
         if cls is FunApp:
@@ -314,7 +313,11 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
         elif cls is Var:
             if t.name not in g:
                 raise EvaluationError(f"unbound variable {t.name!r}")
-            return entity(g[t.name])
+            ent = g[t.name]
+            if ent not in model.entities:
+                raise EvaluationError(
+                    f"variable {t.name!r} is assigned {ent!r}, not an entity of the model")
+            return entity(ent)
         else:
             raise TypeError(f"not a term: {t!r}")
         name, args = t.name, t.args
@@ -326,7 +329,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
         vals = []
         for a in args:
             vals.append(go(a, depth + 1))
-            if type(a) in _FORMULA_NODES:
+            if type(a) in FORMULA_NODES:
                 raise _misplaced(name, formulas=False)
         return apply(name, vals)
 
@@ -336,7 +339,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
 def denote(term: Term, model: Model, g: Assignment) -> "EntityVal | TruthVal":
     """Evaluate a term. Entity-typed terms yield EntityVal, formulas TruthVal."""
     val = evaluate(term, model, g, Extensional(model))
-    return TruthVal(val) if type(term) in _FORMULA_NODES else EntityVal(val)
+    return TruthVal(val) if type(term) in FORMULA_NODES else EntityVal(val)
 
 
 def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal | TruthVal, int]":
@@ -347,4 +350,4 @@ def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal |
     """
     depths: list[int] = []
     val = evaluate(term, model, g, Extensional(model), lambda _term, depth: depths.append(depth))
-    return TruthVal(val) if type(term) in _FORMULA_NODES else EntityVal(val), max(depths)
+    return TruthVal(val) if type(term) in FORMULA_NODES else EntityVal(val), max(depths)

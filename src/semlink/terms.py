@@ -10,16 +10,23 @@ cannot be declared in a signature.  A bare identifier parses as a constant
 when the signature declares it, otherwise as a variable.  An applied
 identifier must be a declared function symbol, a declared predicate symbol,
 or a connective keyword.
+
+The parser resolves, arity-checks and sort-checks each application in one
+pass, so a parsed term is well typed: a connective takes formulas, a function
+or predicate takes entity terms.  An argument of the wrong sort is a
+TypeCheckError, a ParseError at the offset of the application's symbol.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# one token: an identifier, or any other single non-space character
+_TOKEN_RE = re.compile(rf"\s*(?:({IDENT_RE.pattern})|(\S))")
 
 # deepest nesting of argument lists that parse_term accepts; every recursion
 # over a parsed term stays far inside Python's default recursion limit
@@ -46,8 +53,8 @@ class ArityMismatchError(ParseError):
     pass
 
 
-class TypeCheckError(ValueError):
-    """Raised when a term is not well typed over its signature."""
+class TypeCheckError(ParseError):
+    """An argument of the wrong sort: an entity term for a formula, or the reverse."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +143,10 @@ class Connective(Term):
     args: tuple[Term, ...]
 
 
+# the classes of formulas, whose sort is t; every other term's sort is e
+FORMULA_NODES = (PredApp, Connective)
+
+
 # ---------------------------------------------------------------------------
 # signatures
 
@@ -144,9 +155,9 @@ class Connective(Term):
 class Signature:
     """Declares the non-logical vocabulary.
 
-    constants map to their semantic type (Entity in every model file),
-    functions and predicates map to arities; argument and result types of
-    functions are all Entity, predicate arguments all Entity.  Names must be
+    constants map to their semantic type, which must be Entity; functions
+    and predicates map to arities; argument and result types of functions
+    are all Entity, predicate arguments all Entity.  Names must be
     valid identifiers, unique across the three namespaces, and must not
     collide with connective keywords.  Arities are at least 1.
     """
@@ -170,6 +181,9 @@ class Signature:
                 if name in seen:
                     raise SignatureError(f"name {name!r} declared in more than one namespace")
                 seen.add(name)
+        for name, sort in self.constants.items():
+            if sort != ENTITY:
+                raise SignatureError(f"constant {name!r} has type {sort}, expected e")
         for name, arity in list(self.functions.items()) + list(self.predicates.items()):
             if not isinstance(arity, int) or arity < 1:
                 raise SignatureError(f"symbol {name!r} has arity {arity!r}, expected an int >= 1")
@@ -189,91 +203,75 @@ def signature_of(constants: "list[str] | Mapping[str, SemType]" = (),
 
 
 class _Parser:
+    """Recursive descent over the tokens of one expression.  Each token is
+    (text, offset, is an identifier); the end is the token "" at len(text)."""
+
     def __init__(self, text: str, sig: Signature):
-        self.text = text
+        self.tokens = [(m[1] or m[2], m.start(m.lastindex), m[1] is not None)
+                       for m in _TOKEN_RE.finditer(text)]
+        self.tokens.append(("", len(text), False))
+        self.i = 0
         self.sig = sig
-        self.pos = 0
-        self.depth = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def ident(self) -> tuple[str, int]:
-        self.skip_ws()
-        m = IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError("expected identifier", self.pos)
-        self.pos = m.end()
-        return m.group(), m.start()
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def term(self) -> Term:
-        name, at = self.ident()
-        self.skip_ws()
-        if self.peek() != "(":
+    def term(self, depth: int = 0) -> Term:
+        """The term at the current token, inside depth argument lists."""
+        name, at, is_ident = self.tokens[self.i]
+        if not is_ident:
+            raise ParseError("expected identifier", at)
+        self.i += 1
+        if self.tokens[self.i][0] != "(":
             if name in CONNECTIVE_BY_KEYWORD:
                 raise ParseError(f"connective {name!r} requires arguments", at)
             if name in self.sig.functions or name in self.sig.predicates:
-                raise ArityMismatchError(
-                    f"symbol {name!r} expects arguments", at)
-            if name in self.sig.constants:
-                return Const(name)
-            return Var(name)
-        self.pos += 1  # consume "("
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+                raise ArityMismatchError(f"symbol {name!r} expects arguments", at)
+            return Const(name) if name in self.sig.constants else Var(name)
+        self.i += 1
+        if depth == MAX_NESTING:
             raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", at)
-        args = [self.term()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            args.append(self.term())
-            self.skip_ws()
-        self.expect(")")
-        self.depth -= 1
+        args = [self.term(depth + 1)]
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
+            args.append(self.term(depth + 1))
+        close, pos, _ = self.tokens[self.i]
+        if close != ")":
+            raise ParseError("expected ')'", pos)
+        self.i += 1
         return self.apply(name, tuple(args), at)
 
     def apply(self, name: str, args: tuple[Term, ...], at: int) -> Term:
+        """Resolve the symbol, then check its arity, then its arguments' sorts."""
         if name in CONNECTIVE_BY_KEYWORD:
-            kind = CONNECTIVE_BY_KEYWORD[name]
-            if len(args) != kind.arity:
-                raise ArityMismatchError(
-                    f"connective {name!r} takes {kind.arity} arguments, got {len(args)}", at)
-            return Connective(kind, args)
-        if name in self.sig.functions:
-            want = self.sig.functions[name]
-            if len(args) != want:
-                raise ArityMismatchError(
-                    f"function {name!r} takes {want} arguments, got {len(args)}", at)
-            return FunApp(name, args)
-        if name in self.sig.predicates:
-            want = self.sig.predicates[name]
-            if len(args) != want:
-                raise ArityMismatchError(
-                    f"predicate {name!r} takes {want} arguments, got {len(args)}", at)
-            return PredApp(name, args)
-        if name in self.sig.constants:
+            space, want = "connective", CONNECTIVE_BY_KEYWORD[name].arity
+        elif name in self.sig.functions:
+            space, want = "function", self.sig.functions[name]
+        elif name in self.sig.predicates:
+            space, want = "predicate", self.sig.predicates[name]
+        elif name in self.sig.constants:
             raise ArityMismatchError(f"constant {name!r} cannot take arguments", at)
-        raise UnknownIdentifierError(f"unknown identifier {name!r}", at)
+        else:
+            raise UnknownIdentifierError(f"unknown identifier {name!r}", at)
+        if len(args) != want:
+            raise ArityMismatchError(f"{space} {name!r} takes {want} arguments, got {len(args)}", at)
+        formulas = space == "connective"
+        for i, a in enumerate(args):
+            if (type(a) in FORMULA_NODES) != formulas:
+                got, expected = (ENTITY, TRUTH) if formulas else (TRUTH, ENTITY)
+                raise TypeCheckError(
+                    f"{space} {name!r} argument {i + 1} has type {got}, expected {expected}", at)
+        if formulas:
+            return Connective(CONNECTIVE_BY_KEYWORD[name], args)
+        return (FunApp if space == "function" else PredApp)(name, args)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    """Parse a prefix term over the signature. Raises ParseError on failure,
-    and on argument lists nested deeper than MAX_NESTING."""
+    """Parse a well-typed prefix term over the signature.  Raises ParseError
+    on failure, TypeCheckError (a ParseError) on an argument of the wrong
+    sort, and ParseError on argument lists nested deeper than MAX_NESTING."""
     p = _Parser(text, sig)
     term = p.term()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError(f"unexpected trailing input {text[p.pos:]!r}", p.pos)
+    rest, pos, _ = p.tokens[p.i]
+    if rest:
+        raise ParseError(f"unexpected trailing input {text[pos:]!r}", pos)
     return term
 
 
@@ -294,42 +292,12 @@ def pretty(term: Term) -> str:
 
 
 def infer_type(term: Term, sig: Signature) -> SemType:
-    """Return the term's semantic type, or raise TypeCheckError."""
-    match term:
-        case Const(name):
-            if name not in sig.constants:
-                raise TypeCheckError(f"constant {name!r} not declared")
-            return sig.constants[name]
-        case Var(_):
-            return ENTITY
-        case FunApp(name, args):
-            _check_all_entity("function", name, args, sig)
-            return ENTITY
-        case PredApp(name, args):
-            _check_all_entity("predicate", name, args, sig)
-            return TRUTH
-        case Connective(kind, args):
-            for i, a in enumerate(args):
-                got = infer_type(a, sig)
-                if got != TRUTH:
-                    raise TypeCheckError(
-                        f"connective {kind.keyword!r} argument {i + 1} has type {got}, expected t")
-            return TRUTH
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _check_all_entity(space: str, name: str, args: tuple[Term, ...], sig: Signature):
-    table = sig.functions if space == "function" else sig.predicates
-    if name not in table:
-        raise TypeCheckError(f"{space} {name!r} not declared")
-    if table[name] != len(args):
-        raise TypeCheckError(
-            f"{space} {name!r} takes {table[name]} arguments, got {len(args)}")
-    for i, a in enumerate(args):
-        got = infer_type(a, sig)
-        if got != ENTITY:
-            raise TypeCheckError(
-                f"{space} {name!r} argument {i + 1} has type {got}, expected e")
+    """The term's semantic type, read off the class of its root (sig is not
+    read): t for a formula, e for any other term.  A term from parse_term is
+    well typed by construction; evaluate checks the sorts of a hand-built one."""
+    if not isinstance(term, Term):
+        raise TypeError(f"not a term: {term!r}")
+    return TRUTH if isinstance(term, FORMULA_NODES) else ENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +345,5 @@ def replace_at(term: Term, path: tuple[int, ...], replacement: Term) -> Term:
     kids = children(term)
     if i >= len(kids):
         raise IndexError(f"path {path} does not exist in term")
-    new_kids = tuple(
-        replace_at(k, rest, replacement) if j == i else k for j, k in enumerate(kids))
-    match term:
-        case FunApp(name, _):
-            return FunApp(name, new_kids)
-        case PredApp(name, _):
-            return PredApp(name, new_kids)
-        case Connective(kind, _):
-            return Connective(kind, new_kids)
-    raise IndexError(f"path {path} descends into a leaf")
+    return replace(term, args=tuple(
+        replace_at(k, rest, replacement) if j == i else k for j, k in enumerate(kids)))

@@ -196,6 +196,9 @@ class OpMatrix:
             raise ValueError("every operator column must be a one-hot truth vector")
         object.__setattr__(self, "mat", _frozen(m))
 
+    def __reduce__(self):  # a copy is rebuilt, so its mat is read-only and its ten views it
+        return OpMatrix, (self.arity, self.mat)
+
     @cached_property
     def ten(self) -> np.ndarray:  # mat's read-only tensor view for contract, made on first use
         return self.mat.reshape((2,) * (self.arity + 1))

@@ -1,6 +1,8 @@
 """Domain maps, lifts of functions/relations/subsets, chains, dual routes."""
 
+import copy
 import json
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -647,6 +649,15 @@ def test_a_lifts_tensor_view_is_read_only():
     assert lf.ten.shape == (3, 3, 3) and np.shares_memory(lf.ten, lf.mat)
     with pytest.raises(ValueError, match="read-only"):
         lf.ten[0, 0, 0] = 0
+
+
+def test_copies_of_operators_and_lifts_stay_read_only():
+    lift = hm.LiftFamily.for_model(MODEL).function("g")
+    assert lift.ten.shape == (3, 3, 3)  # made before the lift is copied
+    for obj in (vl.named_operator("and"), lift):
+        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and np.array_equal(twin.mat, obj.mat)
+            assert not twin.mat.flags.writeable and np.shares_memory(twin.ten, twin.mat)
 
 
 def test_a_wrong_vector_union_fails_the_sets_law(monkeypatch):

@@ -375,10 +375,14 @@ P_OF_A = PredApp("P", (Const("a"),))
     (Connective(ConnectiveKind.NOT, (Var("x"),)), "unbound variable 'x'"),
     (Connective(ConnectiveKind.OR, (P_OF_A, PredApp("P", (Const("nope"),)))),
      "constant 'nope' is not interpreted by the model"),
+    # a variable's value must be an entity of the model, on both routes
+    (Var("y"), "variable 'y' is assigned 'bogus', not an entity of the model"),
+    (PredApp("P", (Var("y"),)), "variable 'y' is assigned 'bogus', not an entity of the model"),
+    (FunApp("f", (Var("y"),)), "variable 'y' is assigned 'bogus', not an entity of the model"),
 ])
 def test_evaluation_errors_come_in_a_fixed_order(route, term, message):
     with pytest.raises(EvaluationError) as exc:
-        route(term, good_model(), {})
+        route(term, good_model(), {"y": "bogus"})
     assert str(exc.value) == message
 
 

@@ -135,8 +135,8 @@ def _outcome(text):
     try:
         term = parse_term(text, SIG)
         sort = infer_type(term, SIG)
-    except (ParseError, TypeCheckError) as exc:
-        return f"{type(exc).__name__} {getattr(exc, 'position', '-')}: {exc}"
+    except ParseError as exc:
+        return f"{type(exc).__name__} {exc.position}: {exc}"
     return f"ok {sort} {pretty(term)}"
 
 
@@ -202,25 +202,19 @@ def test_infer_types():
 
 
 def test_connective_rejects_entity_argument():
-    bad = Connective(ConnectiveKind.AND, (Const("a"), PredApp("P", (Const("b"),))))
-    with pytest.raises(TypeCheckError):
-        infer_type(bad, SIG)
+    # a sort error is a parse error at the offset of the application's symbol
+    with pytest.raises(TypeCheckError, match="connective 'and' argument 1 has type e, expected t") as exc:
+        parse_term(" and(a,P(b))", SIG)
+    assert isinstance(exc.value, ParseError) and exc.value.position == 1
 
 
 def test_function_rejects_formula_argument():
-    bad = FunApp("g", (PredApp("P", (Const("a"),)),))
-    with pytest.raises(TypeCheckError):
-        infer_type(bad, SIG)
-    also_bad = PredApp("P", (Connective(ConnectiveKind.NOT, (PredApp("P", (Const("a"),)),)),))
-    with pytest.raises(TypeCheckError):
-        infer_type(also_bad, SIG)
-
-
-def test_undeclared_symbols_fail_typing():
-    with pytest.raises(TypeCheckError):
-        infer_type(Const("zz"), SIG)
-    with pytest.raises(TypeCheckError):
-        infer_type(FunApp("zz", (Const("a"),)), SIG)
+    with pytest.raises(TypeCheckError, match="function 'g' argument 1 has type t, expected e") as exc:
+        parse_term("g(P(a))", SIG)
+    assert exc.value.position == 0
+    with pytest.raises(TypeCheckError, match="predicate 'P' argument 1 has type t, expected e") as exc:
+        parse_term("and(P(a), P(not(P(a))))", SIG)
+    assert exc.value.position == 10
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +235,8 @@ def test_signature_rejects_reserved_and_bad_names():
         signature_of(functions={"f": 0})
     with pytest.raises(SignatureError):
         signature_of(predicates={"P": -2})
+    with pytest.raises(SignatureError, match="constant 'c' has type t, expected e"):
+        signature_of(constants={"c": TRUTH}, predicates={"P": 1})
 
 
 def test_signature_accepts_disjoint_names():
