@@ -50,6 +50,9 @@ class DomainMap:
         if not self.elements:
             raise ValueError("domain must be nonempty")
 
+    def __reduce__(self):  # a copy is rebuilt, so the columns it caches are read-only too
+        return build_domain_map, (self.elements, self.tag)
+
     @property
     def dim(self) -> int:
         return len(self.elements)

@@ -9,6 +9,7 @@ identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, product as iproduct
 
 import numpy as np
@@ -53,6 +54,8 @@ class LawReport:
 def run_law(law: str, seed: int, trials: int, model: "Model | None" = None) -> LawReport:
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}, expected one of {', '.join(LAWS)}")
+    if trials < 1:  # a run without checks has nothing to PASS
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = sp.Draws(seed)
     runner = {
         "function": _law_function,
@@ -63,6 +66,13 @@ def run_law(law: str, seed: int, trials: int, model: "Model | None" = None) -> L
     }[law]
     checks, failures = runner(rng, trials, model)
     return LawReport(law, seed, trials, checks, failures)
+
+
+def _run_maps():
+    """One run's domain maps over range(d), by tag and size: each is built
+    the first time the run asks for it, then kept, so each element is mapped
+    and checked (argument_columns) once per run, not once per trial."""
+    return cache(lambda tag, d: hm.build_domain_map(range(d), tag=tag))
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +103,11 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
                 if bad := _lift_mismatch(fam.entity, lifted[args], fn.table[args]):
                     failures.append(f"trial {t}: function {name} at {list(args)}: {bad}")
         return checks, failures
+    domain = _run_maps()
     for t in range(trials):
         ds = int(rng.integers(1, 6))
         dt = int(rng.integers(1, 6))
-        src = hm.build_domain_map(range(ds), tag="src")
-        tgt = hm.build_domain_map(range(dt), tag="tgt")
+        src, tgt = domain("src", ds), domain("tgt", dt)
         arity = 2 if t % 3 == 2 else 1
         keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
         table = sp.random_function_table(rng, keys, tgt.elements)
@@ -167,10 +177,11 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
             checks += c
             failures += f
         return checks, failures
+    domain = _run_maps()
     for t in range(trials):
         d = int(rng.integers(1, 5))
         arity = int(rng.integers(1, 4))
-        m = hm.build_domain_map(range(d), tag="dom")
+        m = domain("dom", d)
         tuples = {args for args in iproduct(m.elements, repeat=arity)
                   if rng.integers(2) == 1}
         c, f = _relation_instance_failures(f"trial {t}", hm.lift_relation(tuples, m, arity),
@@ -321,6 +332,7 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
     if model is not None and not unary:
         raise ValueError("model declares no unary functions, cannot build chains")
     entity = hm.entity_map(model) if model is not None else None
+    domain = _run_maps()
     for t in range(trials):
         length = int(rng.integers(1, 6))
         if model is not None:
@@ -330,8 +342,7 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
                       for n in names]
         else:
             sizes = sp.random_chain_sizes(rng, length)
-            maps = [hm.build_domain_map(range(s), tag=f"d{i}")
-                    for i, s in enumerate(sizes)]
+            maps = [domain(f"d{i}", s) for i, s in enumerate(sizes)]
             tables = [sp.random_function_table(rng, maps[i].elements,
                                                maps[i + 1].elements)
                       for i in range(length)]

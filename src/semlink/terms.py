@@ -343,7 +343,7 @@ def replace_at(term: Term, path: tuple[int, ...], replacement: Term) -> Term:
         return replacement
     i, rest = path[0], path[1:]
     kids = children(term)
-    if i >= len(kids):
+    if not 0 <= i < len(kids):
         raise IndexError(f"path {path} does not exist in term")
     return replace(term, args=tuple(
         replace_at(k, rest, replacement) if j == i else k for j, k in enumerate(kids)))

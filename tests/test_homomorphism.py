@@ -78,6 +78,15 @@ def test_argument_columns_are_the_kron_of_components():
     assert hm.argument_columns(dmap(4), 1).tolist() == [0, 1, 2, 3]
 
 
+def test_copies_of_a_domain_map_keep_read_only_columns():
+    m = hm.build_domain_map(["u", "v", "w"], tag="letters")
+    cols = hm.argument_columns(m, 2)
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and twin.tag == m.tag and twin.index == m.index
+        assert np.array_equal(hm.argument_columns(twin, 2), cols)
+        assert twin.columns and not any(c.flags.writeable for c in twin.columns.values())
+
+
 # ---------------------------------------------------------------------------
 # function lifts
 
@@ -588,6 +597,37 @@ def test_a_wrong_entry_in_a_function_matrix_fails_the_law(monkeypatch, law):
     assert laws.run_law(law, 0, 100).ok
     monkeypatch.setattr(hm, "lift_function", _first_column_moved())
     assert not laws.run_law(law, 0, 100).ok
+
+
+@pytest.mark.parametrize("law", ["function", "relation", "chain"])
+def test_a_law_run_builds_each_domain_map_once(monkeypatch, law):
+    built, lifts = [], []
+
+    def spy(fn, out):
+        def wrapped(*args, **kwargs):
+            out.append(fn(*args, **kwargs))
+            return out[-1]
+        return wrapped
+
+    monkeypatch.setattr(hm, "build_domain_map", spy(hm.build_domain_map, built))
+    monkeypatch.setattr(hm, "lift_function", spy(hm.lift_function, lifts))
+    monkeypatch.setattr(hm, "lift_relation", spy(hm.lift_relation, lifts))
+    assert laws.run_law(law, 0, 200).ok
+    keys = [(m.tag, m.dim) for m in built]
+    assert built and len(keys) == len(set(keys))
+    sources: dict = {}
+    for lf in lifts:
+        sources.setdefault((lf.source.tag, lf.source.dim), []).append(lf.source)
+    assert any(len(srcs) > 1 for srcs in sources.values())
+    for srcs in sources.values():
+        assert all(src is srcs[0] for src in srcs)
+
+
+@pytest.mark.parametrize("law", laws.LAWS)
+@pytest.mark.parametrize("trials", [0, -3])
+def test_a_law_run_without_trials_is_refused(law, trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        laws.run_law(law, 0, trials)
 
 
 # two unary functions that do not commute: f is a cycle, h is not onto

@@ -307,6 +307,9 @@ def test_replace_bad_path():
     t = parse_term("f(a,b)", SIG)
     with pytest.raises(IndexError):
         replace_at(t, (5,), Const("a"))
+    for i in (-1, -2, -3):
+        with pytest.raises(IndexError, match=r"does not exist"):
+            replace_at(t, (i,), Const("a"))
     with pytest.raises(IndexError):
         replace_at(t, (0, 0), Const("a"))
 
