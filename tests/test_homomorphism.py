@@ -623,13 +623,6 @@ def test_a_law_run_builds_each_domain_map_once(monkeypatch, law):
         assert all(src is srcs[0] for src in srcs)
 
 
-@pytest.mark.parametrize("law", laws.LAWS)
-@pytest.mark.parametrize("trials", [0, -3])
-def test_a_law_run_without_trials_is_refused(law, trials):
-    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
-        laws.run_law(law, 0, trials)
-
-
 # two unary functions that do not commute: f is a cycle, h is not onto
 CHAIN_MODEL = model_from_dict({
     "entities": ["e1", "e2", "e3"],
