@@ -225,7 +225,10 @@ def model_from_dict(data: dict) -> Model:
 
 def load_model(path: "str | Path") -> Model:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ModelError("model file nests its JSON too deeply to load") from None
     return model_from_dict(data)
 
 

@@ -54,6 +54,8 @@ class Draws:
     """
 
     def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0, got {seed}")
         self._bits = np.random.PCG64(seed)
         self._halves: list[int] = []  # the next 32-bit words, last one first
 

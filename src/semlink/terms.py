@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 from typing import Iterator, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -203,43 +204,51 @@ def signature_of(constants: "list[str] | Mapping[str, SemType]" = (),
 
 
 class _Parser:
-    """Recursive descent over the tokens of one expression.  Each token is
-    (text, offset, is an identifier); the end is the token "" at len(text)."""
+    """Recursive descent over the tokens of one expression.  Each token is an
+    (identifier, other character) pair with one side empty; the end is the
+    pair ("", "").  The descent keeps token indices, and only an error finds
+    the offset of its token."""
 
     def __init__(self, text: str, sig: Signature):
-        self.tokens = [(m[1] or m[2], m.start(m.lastindex), m[1] is not None)
-                       for m in _TOKEN_RE.finditer(text)]
-        self.tokens.append(("", len(text), False))
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(("", ""))
         self.i = 0
         self.sig = sig
 
+    def offset(self, i: int) -> int:
+        """The offset of token i in the text, or len(text) for the end."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return len(self.text) if m is None else m.start(m.lastindex)
+
     def term(self, depth: int = 0) -> Term:
         """The term at the current token, inside depth argument lists."""
-        name, at, is_ident = self.tokens[self.i]
-        if not is_ident:
-            raise ParseError("expected identifier", at)
+        at = self.i
+        name = self.tokens[at][0]
+        if not name:
+            raise ParseError("expected identifier", self.offset(at))
         self.i += 1
-        if self.tokens[self.i][0] != "(":
+        if self.tokens[self.i][1] != "(":
             if name in CONNECTIVE_BY_KEYWORD:
-                raise ParseError(f"connective {name!r} requires arguments", at)
+                raise ParseError(f"connective {name!r} requires arguments", self.offset(at))
             if name in self.sig.functions or name in self.sig.predicates:
-                raise ArityMismatchError(f"symbol {name!r} expects arguments", at)
+                raise ArityMismatchError(f"symbol {name!r} expects arguments", self.offset(at))
             return Const(name) if name in self.sig.constants else Var(name)
         self.i += 1
         if depth == MAX_NESTING:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", at)
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", self.offset(at))
         args = [self.term(depth + 1)]
-        while self.tokens[self.i][0] == ",":
+        while self.tokens[self.i][1] == ",":
             self.i += 1
             args.append(self.term(depth + 1))
-        close, pos, _ = self.tokens[self.i]
-        if close != ")":
-            raise ParseError("expected ')'", pos)
+        if self.tokens[self.i][1] != ")":
+            raise ParseError("expected ')'", self.offset(self.i))
         self.i += 1
         return self.apply(name, tuple(args), at)
 
     def apply(self, name: str, args: tuple[Term, ...], at: int) -> Term:
-        """Resolve the symbol, then check its arity, then its arguments' sorts."""
+        """Resolve the symbol at token at, then check its arity, then its
+        arguments' sorts."""
         if name in CONNECTIVE_BY_KEYWORD:
             space, want = "connective", CONNECTIVE_BY_KEYWORD[name].arity
         elif name in self.sig.functions:
@@ -247,17 +256,18 @@ class _Parser:
         elif name in self.sig.predicates:
             space, want = "predicate", self.sig.predicates[name]
         elif name in self.sig.constants:
-            raise ArityMismatchError(f"constant {name!r} cannot take arguments", at)
+            raise ArityMismatchError(f"constant {name!r} cannot take arguments", self.offset(at))
         else:
-            raise UnknownIdentifierError(f"unknown identifier {name!r}", at)
+            raise UnknownIdentifierError(f"unknown identifier {name!r}", self.offset(at))
         if len(args) != want:
-            raise ArityMismatchError(f"{space} {name!r} takes {want} arguments, got {len(args)}", at)
+            raise ArityMismatchError(
+                f"{space} {name!r} takes {want} arguments, got {len(args)}", self.offset(at))
         formulas = space == "connective"
         for i, a in enumerate(args):
             if (type(a) in FORMULA_NODES) != formulas:
                 got, expected = (ENTITY, TRUTH) if formulas else (TRUTH, ENTITY)
-                raise TypeCheckError(
-                    f"{space} {name!r} argument {i + 1} has type {got}, expected {expected}", at)
+                raise TypeCheckError(f"{space} {name!r} argument {i + 1} has type {got}, "
+                                     f"expected {expected}", self.offset(at))
         if formulas:
             return Connective(CONNECTIVE_BY_KEYWORD[name], args)
         return (FunApp if space == "function" else PredApp)(name, args)
@@ -269,8 +279,8 @@ def parse_term(text: str, sig: Signature) -> Term:
     sort, and ParseError on argument lists nested deeper than MAX_NESTING."""
     p = _Parser(text, sig)
     term = p.term()
-    rest, pos, _ = p.tokens[p.i]
-    if rest:
+    if p.tokens[p.i] != ("", ""):
+        pos = p.offset(p.i)
         raise ParseError(f"unexpected trailing input {text[pos:]!r}", pos)
     return term
 

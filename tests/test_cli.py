@@ -187,6 +187,22 @@ def test_eval_malformed_model(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"entities": ["a"], "constants": {"c": %s}}'
+                                  % ('{"x": ' * 5000 + "1" + "}" * 5000)],
+                         ids=["array", "constant"])
+@pytest.mark.parametrize("argv", [("eval", "--expr", "a"), ("lift", "--function", "f"),
+                                  ("check", "--law", "sets", "--trials", "1")],
+                         ids=["eval", "lift", "check"])
+def test_deeply_nested_model_file_is_malformed_input(capsys, tmp_path, text, argv):
+    # json.load's RecursionError used to end as an internal error, exit 3
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, *argv[:1], "--model", str(p), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: model file nests its JSON too deeply to load\n"
+
+
 @pytest.mark.parametrize("text", [
     '["a"]', '{"entities": "abc"}', '{"entities": [["a"]]}', '{"entities": ["a", 1]}',
     '{"entities": ["a"], "constants": {"c": ["a"]}}',
@@ -465,7 +481,7 @@ def test_check_rejects_runs_without_checks(capsys, trials):
 
 def test_check_rejects_a_negative_seed(capsys):
     code, out, err = run_cli(capsys, "check", "--law", "formula", "--seed", "-1")
-    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+    assert (code, out, err) == (2, "", "error: seed must be at least 0, got -1\n")
 
 
 def test_check_rejects_unknown_law(capsys):

@@ -106,6 +106,14 @@ def test_draws_refuses_what_it_does_not_reproduce(args, kwargs, error):
         sp.Draws(0).integers(*args, **kwargs)
 
 
+def test_draws_refuses_a_negative_seed():
+    # numpy's own message, "expected non-negative integer", named no seed
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        sp.Draws(-1)
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -3$"):
+        laws.run_law("function", -3, 5)
+
+
 def test_draws_reaches_both_ends_of_int64():
     for args in ((2**63 - 2, 2**63), (-2**63, -2**63 + 3), (-2**63, -2**63 + 2**32)):
         want = np.random.Generator(np.random.PCG64(5))

@@ -1,6 +1,7 @@
 """Parser, printer, typing and complexity metrics."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from semlink.terms import (
     ENTITY,
+    IDENT_RE,
     MAX_NESTING,
     TRUTH,
     ArityMismatchError,
@@ -149,6 +151,30 @@ def test_parse_outcomes_are_pinned():
     wrong = [(text, got, want) for text, want in (line.split("\t") for line in lines)
              if (got := _outcome(json.loads(text))) != want]
     assert wrong == []
+
+
+# the alphabet of the pinned inputs: identifiers, keywords, punctuation, each
+# kind of whitespace and characters that no token starts with
+_PIECES = ["a", "b", "c", "x", "q", "f", "g", "h", "k", "P", "R", "not", "and", "cond",
+           "(", ")", ",", " ", "\t", "\n", "\xa0", "\x1c", "$", "1", "é"]
+# the errors that quote the symbol they are about
+_QUOTED_SYMBOL = re.compile(r"(?:unknown identifier|symbol|constant|function|predicate|connective)"
+                            r" '(\w+)' ")
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_parse_errors_point_into_the_text(text):
+    try:
+        term = parse_term(text, SIG)
+    except ParseError as exc:
+        pos = exc.position
+        assert 0 <= pos <= len(text)
+        assert str(exc).endswith(f"(at offset {pos})")
+        assert pos == len(text) or not text[pos].isspace()
+        if m := _QUOTED_SYMBOL.match(str(exc)):
+            assert IDENT_RE.match(text, pos)[0] == m[1]
+    else:
+        assert parse_term(pretty(term), SIG) == term
 
 
 # round-trip: pretty then parse reproduces the AST
