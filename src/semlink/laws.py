@@ -363,16 +363,20 @@ def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
     if model is not None and not model.relations:
         raise ValueError("model declares no relations, cannot build formulas")
     fixed = hm.LiftFamily.for_model(model) if model is not None else None
+    # random models have few entity tuples: one entity map per tuple per run
+    entity = cache(lambda entities: hm.build_domain_map(entities, tag="entity"))
     for t in range(trials):
         # a fresh model each trial needs a fresh family; a fixed one shares its lifts
-        fam = fixed if fixed is not None else hm.LiftFamily.for_model(
-            sp.random_model(rng, n_entities=int(rng.integers(2, 5))))
+        fam = fixed
+        if fam is None:
+            m = sp.random_model(rng, n_entities=int(rng.integers(2, 5)))
+            fam = hm.LiftFamily(m, entity(m.entities))
         m = fam.model
         formula = sp.random_formula(rng, m.signature(), budget=6)
         bit = denote(formula, m, {}).bit
         vec = hm.lift_logical_connective(formula, m, {}, fam)
         checks += 1
-        if not np.array_equal(vec, vl.embed_truth(bit)):
+        if vec.tolist() != vl.embed_truth(bit).tolist():
             failures.append(
                 f"trial {t}: {pretty(formula)}: extensional {bit} "
                 f"vector route {vec.tolist()}")

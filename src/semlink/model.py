@@ -336,7 +336,12 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
                 raise _misplaced(name, formulas=False)
         return apply(name, vals)
 
-    return go(term, 1)
+    try:
+        return go(term, 1)
+    finally:
+        # go reaches itself through its closure cell: clearing the cell breaks
+        # that cycle, so the evaluation's state is freed at once by refcount
+        go = None
 
 
 def denote(term: Term, model: Model, g: Assignment) -> "EntityVal | TruthVal":

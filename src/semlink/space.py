@@ -93,11 +93,12 @@ class WordVector:
 
 def word_vector(word: str, coefficients: Sequence[float],
                 basis: Sequence[np.ndarray]) -> WordVector:
-    """Represent a word as the linear combination sum_i alpha_i basis_i."""
+    """Represent a word as the linear combination sum_i alpha_i basis_i; a
+    combination that is not finite raises ValueError, as in as_vector."""
     if len(coefficients) != len(basis):
         raise ValueError(
             f"{len(coefficients)} coefficients against {len(basis)} basis vectors")
-    if not basis:
+    if len(basis) == 0:  # not `not basis`, which a numpy basis cannot answer
         raise ValueError("word vector needs at least one basis vector")
     vecs = [as_vector(b) for b in basis]
     dim = vecs[0].shape[0]
@@ -105,6 +106,7 @@ def word_vector(word: str, coefficients: Sequence[float],
         if b.shape[0] != dim:
             raise ValueError("basis vectors differ in dimension")
     out = np.zeros(dim, dtype=np.float64)
-    for alpha, b in zip(coefficients, vecs):
-        out += float(alpha) * b
-    return WordVector(word, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # as_vector refuses what is not finite
+        for alpha, b in zip(coefficients, vecs):
+            out += float(alpha) * b
+    return WordVector(word, as_vector(out))

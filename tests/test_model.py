@@ -1,6 +1,7 @@
 """Model loading, validation, and the denotation recursion."""
 
 import copy
+import gc
 import json
 import pickle
 import re
@@ -9,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semlink import homomorphism as hm
+from semlink import homomorphism as hm, laws
 from semlink.model import (
     EntityVal,
     EvaluationError,
@@ -27,6 +28,7 @@ from semlink.sampling import make_rng, random_formula, random_model
 from semlink.terms import (
     complexity_depth,
     parse_term,
+    ParseError,
     pretty,
     replace_at,
     subterms,
@@ -391,6 +393,50 @@ def test_evaluating_a_non_term_is_a_type_error(route):
     for junk in ("a", Connective(ConnectiveKind.NOT, (("P", "a"),))):
         with pytest.raises(TypeError, match="not a term"):
             route(junk, good_model(), {})
+
+
+def _raises(route, exc, *args):
+    """Run route on args, swallowing exc without binding it."""
+    def run():
+        try:
+            route(*args)
+        except exc:
+            pass
+        else:
+            raise AssertionError(f"{route.__name__} did not raise {exc.__name__}")
+    return run
+
+
+_M = good_model()
+_FORMULA = parse_term("iff(R(g(a,f(b)),f(a)),not(P(f(f(a)))))", _M.signature())
+_DEEP_BAD = Connective(ConnectiveKind.AND, (P_OF_A, PredApp("P", (FunApp("f", (Const("nope"),)),))))
+
+_NO_CYCLE_PATHS = {
+    **{f"law-{law}": (lambda law=law: laws.run_law(law, 3, 20)) for law in laws.LAWS},
+    "denote": lambda: denote(_FORMULA, _M, {}),
+    "denote_traced": lambda: denote_traced(_FORMULA, _M, {}),
+    "vector_denote": lambda: _vector_denote(_FORMULA, _M, {}),
+    "parse_term": lambda: parse_term("or(P(a),R(f(b),g(a,b)))", _M.signature()),
+    "denote-raise": _raises(denote, EvaluationError, _DEEP_BAD, _M, {}),
+    "vector_denote-raise": _raises(_vector_denote, EvaluationError, _DEEP_BAD, _M, {}),
+    "parse_term-raise": _raises(parse_term, ParseError, "or(P(a),R(f(b),g(a,zz(b))))", _M.signature()),
+}
+
+
+@pytest.mark.parametrize("path", list(_NO_CYCLE_PATHS))
+def test_a_path_leaves_no_cyclic_garbage(path):
+    """Each evaluation, parse and law run frees its state by reference
+    counting, on the return and the raise path alike: with the cyclic GC
+    off, nothing is left for it to find."""
+    run = _NO_CYCLE_PATHS[path]
+    run()  # first calls fill module-level caches, which are not garbage
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_truthval_validates_bit():

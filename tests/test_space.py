@@ -247,6 +247,24 @@ def test_word_vector_validation():
         word_vector("w", [1.0, 1.0], [np.array([1.0]), np.array([1.0, 0.0])])
 
 
+def test_word_vector_takes_a_numpy_basis():
+    wv = word_vector("w", [2.0, -0.5], np.eye(2))
+    assert wv.vec.tolist() == [2.0, -0.5]
+    with pytest.raises(ValueError, match="at least one basis vector"):
+        word_vector("w", [], np.empty((0, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coefficients,basis", [
+    ([math.inf, 1.0], np.eye(2)),
+    ([1e308], [[1e308]]),  # the product overflows
+    ([1.0, 1.0], [[1e308], [1e308]]),  # the sum overflows
+], ids=["inf-coefficient", "product-overflow", "sum-overflow"])
+def test_word_vector_refuses_a_non_finite_result(coefficients, basis):
+    with pytest.raises(ValueError, match="finite"):
+        word_vector("w", coefficients, basis)
+
+
 def test_norm_is_positive_definite():
     assert norm([0.0, 0.0]) == 0.0
     assert norm([1e-3]) > 0

@@ -263,6 +263,29 @@ def test_apply_operator_validates_inputs():
         apply_operator(op, [embed_truth(1), np.array([1, 1])])
 
 
+_ENTRIES = (-1, 0, 1, 2, 0.5, float("nan"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.int64, np.float64, np.bool_, object]),
+       shape=st.sampled_from([(2,), (1,), (3,), (2, 1)]), data=st.data())
+def test_apply_operator_accepts_exactly_the_one_hot_pairs(dtype, shape, data):
+    pool = _ENTRIES[:-1] if dtype is np.int64 else _ENTRIES  # nan has no int64 value
+    entries = data.draw(st.lists(st.sampled_from(pool), min_size=int(np.prod(shape)),
+                                 max_size=int(np.prod(shape))))
+    v = np.array(entries, dtype=dtype).reshape(shape)
+    want = np.asarray(v).shape == (2,) and is_one_hot(v)
+    op = named_operator(ConnectiveKind.AND)
+    for inputs in ([v, embed_truth(1)], [embed_truth(0), v]):  # each input is checked
+        try:
+            apply_operator(op, inputs)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == want, (v, inputs)
+
+
 def test_results_are_exact_integers():
     op = named_operator(ConnectiveKind.AND)
     out = apply_operator(op, [embed_truth(1), embed_truth(0)])
