@@ -241,6 +241,8 @@ def test_word_vector_on_orthonormal_basis_recovers_coefficients():
 def test_word_vector_validation():
     with pytest.raises(ValueError):
         word_vector("w", [1.0], [])
+    with pytest.raises(ValueError, match="at least one basis vector"):
+        word_vector("w", [], np.empty((0, 2)))
     with pytest.raises(ValueError):
         word_vector("w", [1.0, 2.0], [np.array([1.0, 0.0])])
     with pytest.raises(ValueError):
@@ -248,10 +250,7 @@ def test_word_vector_validation():
 
 
 def test_word_vector_takes_a_numpy_basis():
-    wv = word_vector("w", [2.0, -0.5], np.eye(2))
-    assert wv.vec.tolist() == [2.0, -0.5]
-    with pytest.raises(ValueError, match="at least one basis vector"):
-        word_vector("w", [], np.empty((0, 2)))
+    assert word_vector("w", [2.0, -0.5], np.eye(2)).vec.tolist() == [2.0, -0.5]
 
 
 @pytest.mark.filterwarnings("error")

@@ -271,10 +271,10 @@ _ENTRIES = (-1, 0, 1, 2, 0.5, float("nan"))
        shape=st.sampled_from([(2,), (1,), (3,), (2, 1)]), data=st.data())
 def test_apply_operator_accepts_exactly_the_one_hot_pairs(dtype, shape, data):
     pool = _ENTRIES[:-1] if dtype is np.int64 else _ENTRIES  # nan has no int64 value
-    entries = data.draw(st.lists(st.sampled_from(pool), min_size=int(np.prod(shape)),
-                                 max_size=int(np.prod(shape))))
+    size = int(np.prod(shape))
+    entries = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     v = np.array(entries, dtype=dtype).reshape(shape)
-    want = np.asarray(v).shape == (2,) and is_one_hot(v)
+    want = v.shape == (2,) and is_one_hot(v)
     op = named_operator(ConnectiveKind.AND)
     for inputs in ([v, embed_truth(1)], [embed_truth(0), v]):  # each input is checked
         try:
