@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 import traceback
+from functools import cache
 
 import numpy as np
 
@@ -38,7 +39,10 @@ def format_vector(vec: np.ndarray) -> str:
     return " ".join(str(int(x)) for x in np.asarray(vec))
 
 
-def _parse_args(argv) -> argparse.Namespace:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each build leaves its
+    tree of objects for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="semlink",
         description="evaluate terms in a finite model and in its vector image, "
@@ -48,37 +52,35 @@ def _parse_args(argv) -> argparse.Namespace:
     p_eval = sub.add_parser("eval", help="evaluate an expression both ways")
     p_eval.add_argument("--model", required=True, help="model JSON file")
     p_eval.add_argument("--expr", required=True, help="prefix expression")
-    p_eval.set_defaults(run=_cmd_eval)
 
     p_synth = sub.add_parser("synth", help="operator matrix of a truth table")
     p_synth.add_argument("--table", required=True,
                          help="output bitstring in column order, e.g. 1000")
     p_synth.add_argument("--arity", type=int, default=None)
-    p_synth.set_defaults(run=_cmd_synth)
 
     p_lift = sub.add_parser("lift", help="vector-side table of a model symbol")
     p_lift.add_argument("--model", required=True)
     group = p_lift.add_mutually_exclusive_group(required=True)
     group.add_argument("--function")
     group.add_argument("--relation")
-    p_lift.set_defaults(run=_cmd_lift)
 
     p_check = sub.add_parser("check", help="run a commutation law suite")
     p_check.add_argument("--model", default=None)
     p_check.add_argument("--law", required=True, choices=laws.LAWS)
     p_check.add_argument("--trials", type=int, default=1000)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.set_defaults(run=_cmd_check)
 
     p_sim = sub.add_parser("sim", help="cosine similarity of two vectors")
     p_sim.add_argument("u", help="comma-separated numbers")
     p_sim.add_argument("v", help="comma-separated numbers")
-    p_sim.set_defaults(run=_cmd_sim)
+    return parser
 
+
+def _parse_args(argv) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["sim"] and not {"--", "-h", "--help"} & set(argv):
         argv.insert(1, "--")  # so that a vector such as -1,0 is not read as an option
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -157,7 +159,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return args.run(args)
+        # looked up at call time, so a patched _cmd_ function takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

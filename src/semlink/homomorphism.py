@@ -45,17 +45,15 @@ class DomainMap:
     index: Mapping[Hashable, int] = field(repr=False)
     # argument_columns of this map, by arity
     columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)  # len(elements)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("domain must be nonempty")
+        object.__setattr__(self, "dim", len(self.elements))
 
     def __reduce__(self):  # a copy is rebuilt, so the columns it caches are read-only too
         return build_domain_map, (self.elements, self.tag)
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
 
 
 def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> DomainMap:
@@ -376,10 +374,11 @@ class VectorSemantics:
     def __init__(self, fam: LiftFamily):
         self.fam = fam
         self.entity = fam.vector
+        self.shape = (fam.entity.dim,)  # of every entity value
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
         out = vl.contract(self.fam.function(name).ten, args)
-        if out.shape != (self.fam.entity.dim,):
+        if out.shape != self.shape:
             raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
                                 f"off the image of {self.fam.entity.tag!r}")
         return out

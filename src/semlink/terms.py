@@ -22,12 +22,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import islice
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # one token: an identifier, or any other single non-space character
-_TOKEN_RE = re.compile(rf"\s*(?:({IDENT_RE.pattern})|(\S))")
+_TOKEN_RE = re.compile(rf"{IDENT_RE.pattern}|\S")
+# the characters an identifier token starts with, all ASCII (unlike str.isidentifier)
+_IDENT_START = frozenset(filter(IDENT_RE.match, map(chr, range(128))))
 
 # deepest nesting of argument lists that parse_term accepts; every recursion
 # over a parsed term stays far inside Python's default recursion limit
@@ -116,29 +120,29 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunApp(Term):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredApp(Term):
     name: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connective(Term):
     kind: ConnectiveKind
     args: tuple[Term, ...]
@@ -168,6 +172,9 @@ class Signature:
     predicates: Mapping[str, int]
 
     def __post_init__(self):
+        # validate read-only copies, so no caller can change a checked signature
+        for key in ("constants", "functions", "predicates"):
+            object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
         seen: set[str] = set()
         for space, names in (
             ("constant", self.constants),
@@ -189,6 +196,19 @@ class Signature:
             if not isinstance(arity, int) or arity < 1:
                 raise SignatureError(f"symbol {name!r} has arity {arity!r}, expected an int >= 1")
 
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
+        return Signature, (dict(self.constants), dict(self.functions), dict(self.predicates))
+
+    @cached_property
+    def _symbols(self) -> dict[str, tuple[str, int]]:
+        """Each name's (space, arity), connective keywords included, for the
+        parser to resolve a name with one lookup; a constant's arity is 0."""
+        table = {k.keyword: ("connective", k.arity) for k in ConnectiveKind}
+        table.update((name, ("constant", 0)) for name in self.constants)
+        table.update((name, ("function", n)) for name, n in self.functions.items())
+        table.update((name, ("predicate", n)) for name, n in self.predicates.items())
+        return table
+
 
 def signature_of(constants: "list[str] | Mapping[str, SemType]" = (),
                  functions: Mapping[str, int] | None = None,
@@ -196,7 +216,7 @@ def signature_of(constants: "list[str] | Mapping[str, SemType]" = (),
     """Convenience constructor; a plain list of constant names means all-Entity."""
     if not isinstance(constants, Mapping):
         constants = {name: ENTITY for name in constants}
-    return Signature(dict(constants), dict(functions or {}), dict(predicates or {}))
+    return Signature(constants, functions or {}, predicates or {})
 
 
 # ---------------------------------------------------------------------------
@@ -204,70 +224,71 @@ def signature_of(constants: "list[str] | Mapping[str, SemType]" = (),
 
 
 class _Parser:
-    """Recursive descent over the tokens of one expression.  Each token is an
-    (identifier, other character) pair with one side empty; the end is the
-    pair ("", "").  The descent keeps token indices, and only an error finds
-    the offset of its token."""
+    """Recursive descent over the tokens of one expression: each token is an
+    identifier or one other character, and the end is "".  The descent keeps
+    token indices, and only an error finds the offset of its token."""
+
+    __slots__ = ("text", "tokens", "i", "symbols")
 
     def __init__(self, text: str, sig: Signature):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
-        self.tokens.append(("", ""))
+        self.tokens.append("")
         self.i = 0
-        self.sig = sig
+        self.symbols = sig._symbols
 
     def offset(self, i: int) -> int:
         """The offset of token i in the text, or len(text) for the end."""
         m = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
-        return len(self.text) if m is None else m.start(m.lastindex)
+        return len(self.text) if m is None else m.start()
 
     def term(self, depth: int = 0) -> Term:
         """The term at the current token, inside depth argument lists."""
         at = self.i
-        name = self.tokens[at][0]
-        if not name:
+        name = self.tokens[at]
+        entry = self.symbols.get(name)  # every name in the table is an identifier
+        if entry is None and name[:1] not in _IDENT_START:
             raise ParseError("expected identifier", self.offset(at))
         self.i += 1
-        if self.tokens[self.i][1] != "(":
-            if name in CONNECTIVE_BY_KEYWORD:
+        if self.tokens[self.i] != "(":
+            if entry is None:
+                return Var(name)
+            if entry[0] == "constant":
+                return Const(name)
+            if entry[0] == "connective":
                 raise ParseError(f"connective {name!r} requires arguments", self.offset(at))
-            if name in self.sig.functions or name in self.sig.predicates:
-                raise ArityMismatchError(f"symbol {name!r} expects arguments", self.offset(at))
-            return Const(name) if name in self.sig.constants else Var(name)
+            raise ArityMismatchError(f"symbol {name!r} expects arguments", self.offset(at))
         self.i += 1
         if depth == MAX_NESTING:
             raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", self.offset(at))
         args = [self.term(depth + 1)]
-        while self.tokens[self.i][1] == ",":
+        while self.tokens[self.i] == ",":
             self.i += 1
             args.append(self.term(depth + 1))
-        if self.tokens[self.i][1] != ")":
+        if self.tokens[self.i] != ")":
             raise ParseError("expected ')'", self.offset(self.i))
         self.i += 1
-        return self.apply(name, tuple(args), at)
+        return self.apply(name, entry, tuple(args), at)
 
-    def apply(self, name: str, args: tuple[Term, ...], at: int) -> Term:
-        """Resolve the symbol at token at, then check its arity, then its
-        arguments' sorts."""
-        if name in CONNECTIVE_BY_KEYWORD:
-            space, want = "connective", CONNECTIVE_BY_KEYWORD[name].arity
-        elif name in self.sig.functions:
-            space, want = "function", self.sig.functions[name]
-        elif name in self.sig.predicates:
-            space, want = "predicate", self.sig.predicates[name]
-        elif name in self.sig.constants:
-            raise ArityMismatchError(f"constant {name!r} cannot take arguments", self.offset(at))
-        else:
+    def apply(self, name: str, entry: tuple[str, int] | None, args: tuple[Term, ...],
+              at: int) -> Term:
+        """Resolve the symbol at token at from its entry in the signature's
+        table, then check its arity, then its arguments' sorts."""
+        if entry is None:
             raise UnknownIdentifierError(f"unknown identifier {name!r}", self.offset(at))
+        space, want = entry
+        if space == "constant":
+            raise ArityMismatchError(f"constant {name!r} cannot take arguments", self.offset(at))
         if len(args) != want:
             raise ArityMismatchError(
                 f"{space} {name!r} takes {want} arguments, got {len(args)}", self.offset(at))
         formulas = space == "connective"
-        for i, a in enumerate(args):
+        for a in args:
             if (type(a) in FORMULA_NODES) != formulas:
+                # an equal argument to its left has the same sort, so index finds a
                 got, expected = (ENTITY, TRUTH) if formulas else (TRUTH, ENTITY)
-                raise TypeCheckError(f"{space} {name!r} argument {i + 1} has type {got}, "
-                                     f"expected {expected}", self.offset(at))
+                raise TypeCheckError(f"{space} {name!r} argument {args.index(a) + 1} has type "
+                                     f"{got}, expected {expected}", self.offset(at))
         if formulas:
             return Connective(CONNECTIVE_BY_KEYWORD[name], args)
         return (FunApp if space == "function" else PredApp)(name, args)
@@ -279,7 +300,7 @@ def parse_term(text: str, sig: Signature) -> Term:
     sort, and ParseError on argument lists nested deeper than MAX_NESTING."""
     p = _Parser(text, sig)
     term = p.term()
-    if p.tokens[p.i] != ("", ""):
+    if p.tokens[p.i]:
         pos = p.offset(p.i)
         raise ParseError(f"unexpected trailing input {text[pos:]!r}", pos)
     return term

@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -684,3 +685,22 @@ def test_fuzz_sim(u, v):
     except ValueError:
         defined = False
     assert _main_quietly(["sim", u, v]) == (0 if defined else 2)
+
+
+def test_a_cli_call_leaves_nothing_for_the_cyclic_collector(capsys, model_file):
+    # the argparse tree is built once per process; rebuilt on every call, each
+    # call left its 200-odd objects for the collector
+    calls = (["eval", "--model", model_file, "--expr", "P(f(a))"],
+             ["synth", "--table", "1000"],
+             ["lift", "--model", model_file, "--function", "f"],
+             ["check", "--law", "formula", "--trials", "5"],
+             ["sim", "1,0", "1,0"])
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in calls:
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
+    capsys.readouterr()

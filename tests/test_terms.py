@@ -1,12 +1,16 @@
 """Parser, printer, typing and complexity metrics."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from semlink.sampling import make_rng, random_entity_term, random_formula
 from semlink.terms import (
     ENTITY,
     IDENT_RE,
@@ -215,6 +219,64 @@ def test_roundtrip_formulas(t):
     assert parse_term(pretty(t), SIG) == t
 
 
+# whitespace of each kind the tokenizer skips, U+00A0 included
+_SPACES = st.text(st.sampled_from(" \t\n\xa0"), max_size=3)
+
+
+def _spaced(data, text):
+    """The text with drawn whitespace before and after each '(', ')' and ','."""
+    return re.sub(r"[(),]", lambda m: data.draw(_SPACES) + m[0] + data.draw(_SPACES), text)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(), st.data())
+def test_sampled_terms_roundtrip_through_spaced_text(seed, budget, formula, data):
+    rng = make_rng(seed)
+    t = random_formula(rng, SIG, budget + 1) if formula else random_entity_term(rng, SIG, budget)
+    assert parse_term(pretty(t), SIG) == t
+    assert parse_term(_spaced(data, pretty(t)), SIG) == t
+
+
+# identifiers, keywords, punctuation, digits and characters no token starts with
+_NOISE = ["a", "b", "x", "f", "g", "P", "R", "not", "and", "cond", "a1", "_",
+          "(", ")", ",", "9", "0", "+", "é", " ", "\t", "\n", "\xa0"]
+
+
+def _error_of(text):
+    """The class and offset of the ParseError the text raises, or (None, None)."""
+    try:
+        parse_term(text, SIG)
+    except ParseError as exc:
+        return type(exc), exc.position
+    return None, None
+
+
+@given(st.lists(st.sampled_from(_NOISE), max_size=20).map("".join), st.data())
+def test_spacing_moves_a_parse_error_but_keeps_its_class(text, data):
+    cls, pos = _error_of(text)
+    if cls is not None:
+        assert pos == len(text) or not text[pos].isspace()
+    spaced = _spaced(data, text)
+    spaced_cls, spaced_pos = _error_of(spaced)
+    assert spaced_cls is cls
+    if cls is not None:
+        assert spaced_pos == len(spaced) or not spaced[spaced_pos].isspace()
+
+
+def test_nodes_are_slotted_and_frozen():
+    t = parse_term("and(P(f(a,x)),not(R(b,c)))", SIG)
+    for _, node in subterms(t):
+        assert not hasattr(node, "__dict__")
+        field = dataclasses.fields(node)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, getattr(node, field))
+        assert dataclasses.replace(node) == node and hash(dataclasses.replace(node)) == hash(node)
+        for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert twin == node and type(twin) is type(node)
+    assert dataclasses.replace(t, kind=ConnectiveKind.OR) == parse_term(
+        "or(P(f(a,x)),not(R(b,c)))", SIG)
+    assert replace_at(t, (1, 0, 1), Var("y")) == parse_term("and(P(f(a,x)),not(R(b,y)))", SIG)
+
+
 # ---------------------------------------------------------------------------
 # typing
 
@@ -268,6 +330,19 @@ def test_signature_rejects_reserved_and_bad_names():
 def test_signature_accepts_disjoint_names():
     sig = Signature({"a": ENTITY}, {"f": 3}, {"P": 2})
     assert sig.functions["f"] == 3
+
+
+def test_a_signature_cannot_change_after_it_is_validated():
+    consts, funcs, preds = {"a": ENTITY}, {"f": 1}, {"P": 1}
+    sig = Signature(consts, funcs, preds)
+    # a later write to the caller's dicts would bypass each check of the constructor
+    funcs["a"], funcs["9x"], preds["not"], consts["b"] = 1, 1, 1, TRUTH
+    assert sig == Signature({"a": ENTITY}, {"f": 1}, {"P": 1})
+    assert parse_term("f(a)", sig) == FunApp("f", (Const("a"),))
+    with pytest.raises(TypeError):
+        sig.functions["g"] = 1
+    for twin in (copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+        assert twin == sig and parse_term("P(f(a))", twin) == parse_term("P(f(a))", sig)
 
 
 # ---------------------------------------------------------------------------
