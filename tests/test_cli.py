@@ -688,8 +688,7 @@ def test_fuzz_sim(u, v):
 
 
 def test_a_cli_call_leaves_nothing_for_the_cyclic_collector(capsys, model_file):
-    # the argparse tree is built once per process; rebuilt on every call, each
-    # call left its 200-odd objects for the collector
+    # argparse's tree holds reference cycles, so main must not build one per call
     calls = (["eval", "--model", model_file, "--expr", "P(f(a))"],
              ["synth", "--table", "1000"],
              ["lift", "--model", model_file, "--function", "f"],
