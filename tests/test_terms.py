@@ -241,25 +241,35 @@ _NOISE = ["a", "b", "x", "f", "g", "P", "R", "not", "and", "cond", "a1", "_",
           "(", ")", ",", "9", "0", "+", "é", " ", "\t", "\n", "\xa0"]
 
 
-def _error_of(text):
-    """The class and offset of the ParseError the text raises, or (None, None)."""
+def _outcome_of(text):
+    """The class of the ParseError the text raises, or None and the parsed
+    term.  An error points at the end or at a non-space character, and every
+    name in a parsed term is an identifier."""
     try:
-        parse_term(text, SIG)
+        term = parse_term(text, SIG)
     except ParseError as exc:
-        return type(exc), exc.position
-    return None, None
+        assert exc.position == len(text) or not text[exc.position].isspace()
+        return type(exc), None
+    for _, sub in subterms(term):
+        assert IDENT_RE.fullmatch(sub.kind.keyword if isinstance(sub, Connective) else sub.name)
+    return None, term
 
 
 @given(st.lists(st.sampled_from(_NOISE), max_size=20).map("".join), st.data())
 def test_spacing_moves_a_parse_error_but_keeps_its_class(text, data):
-    cls, pos = _error_of(text)
-    if cls is not None:
-        assert pos == len(text) or not text[pos].isspace()
-    spaced = _spaced(data, text)
-    spaced_cls, spaced_pos = _error_of(spaced)
-    assert spaced_cls is cls
-    if cls is not None:
-        assert spaced_pos == len(spaced) or not spaced[spaced_pos].isspace()
+    assert _outcome_of(_spaced(data, text)) == _outcome_of(text)
+
+
+def test_only_an_ascii_letter_or_underscore_starts_an_identifier():
+    for ch in [chr(i) for i in range(256)] + ["ß", "Ω", "\u0663", "\u4e00"]:
+        if ch.isspace():
+            continue
+        if ch == "_" or ch.isascii() and ch.isalpha():
+            assert parse_term(ch + "1", SIG) == Var(ch + "1")
+        else:
+            with pytest.raises(ParseError, match="expected identifier") as exc:
+                parse_term(ch + "1", SIG)
+            assert exc.value.position == 0
 
 
 def test_nodes_are_slotted_and_frozen():
