@@ -13,7 +13,7 @@ matrices.  All arithmetic here is exact integer; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import islice, product as iproduct
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -129,6 +129,7 @@ class LiftMatrix:
     arity: int
     target: DomainMap
     mat: np.ndarray = field(repr=False)
+    ten: np.ndarray = field(init=False, repr=False)  # mat's read-only tensor view for contract
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=np.int64)
@@ -140,13 +141,10 @@ class LiftMatrix:
         if not vl.columns_one_hot(m):
             raise LiftError(f"every column of a lift must be a basis vector of {self.target.tag!r}")
         object.__setattr__(self, "mat", vl._frozen(m))
+        object.__setattr__(self, "ten", self.mat.reshape((t,) + (d,) * n))
 
     def __reduce__(self):  # a copy is rebuilt, so its mat is read-only and its ten views it
         return LiftMatrix, (self.source, self.arity, self.target, self.mat)
-
-    @cached_property
-    def ten(self) -> np.ndarray:  # mat's read-only tensor view for contract, made on first use
-        return self.mat.reshape((self.target.dim,) + (self.source.dim,) * self.arity)
 
     def __call__(self, vecs: Sequence[np.ndarray]) -> np.ndarray:
         """The lift applied to vecs by veclogic.contract, once each argument

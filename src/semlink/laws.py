@@ -103,8 +103,8 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         return checks, failures
     domain = _run_maps()
     for t in range(trials):
-        ds = int(rng.integers(1, 6))
-        dt = int(rng.integers(1, 6))
+        ds = rng.integers(1, 6)
+        dt = rng.integers(1, 6)
         src, tgt = domain("src", ds), domain("tgt", dt)
         arity = 2 if t % 3 == 2 else 1
         keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
@@ -177,11 +177,10 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         return checks, failures
     domain = _run_maps()
     for t in range(trials):
-        d = int(rng.integers(1, 5))
-        arity = int(rng.integers(1, 4))
+        d = rng.integers(1, 5)
+        arity = rng.integers(1, 4)
         m = domain("dom", d)
-        tuples = {args for args in iproduct(m.elements, repeat=arity)
-                  if rng.integers(2) == 1}
+        tuples = {args for args in iproduct(m.elements, repeat=arity) if rng.below(2)}
         c, f = _relation_instance_failures(f"trial {t}", hm.lift_relation(tuples, m, arity),
                                            tuples)
         checks += c
@@ -332,10 +331,10 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
     entity = hm.entity_map(model) if model is not None else None
     domain = _run_maps()
     for t in range(trials):
-        length = int(rng.integers(1, 6))
+        length = rng.integers(1, 6)
         if model is not None:
             maps = [entity] * (length + 1)
-            names = [unary[int(rng.integers(len(unary)))] for _ in range(length)]
+            names = [unary[rng.below(len(unary))] for _ in range(length)]
             tables = [{a: model.functions[n].table[(a,)] for a in model.entities}
                       for n in names]
         else:
@@ -360,19 +359,19 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
 
 def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
-    if model is not None and not model.relations:
-        raise ValueError("model declares no relations, cannot build formulas")
-    fixed = hm.LiftFamily.for_model(model) if model is not None else None
+    if model is not None:
+        if not model.relations:
+            raise ValueError("model declares no relations, cannot build formulas")
+        # a fixed model shares one family of lifts and one signature across trials
+        fam, sig = hm.LiftFamily.for_model(model), model.signature()
     # random models have few entity tuples: one entity map per tuple per run
     entity = cache(lambda entities: hm.build_domain_map(entities, tag="entity"))
     for t in range(trials):
-        # a fresh model each trial needs a fresh family; a fixed one shares its lifts
-        fam = fixed
-        if fam is None:
-            m = sp.random_model(rng, n_entities=int(rng.integers(2, 5)))
-            fam = hm.LiftFamily(m, entity(m.entities))
+        if model is None:  # a fresh model each trial needs a fresh family
+            m = sp.random_model(rng, n_entities=rng.integers(2, 5))
+            fam, sig = hm.LiftFamily(m, entity(m.entities)), m.signature()
         m = fam.model
-        formula = sp.random_formula(rng, m.signature(), budget=6)
+        formula = sp.random_formula(rng, sig, budget=6)
         bit = denote(formula, m, {}).bit
         vec = hm.lift_logical_connective(formula, m, {}, fam)
         checks += 1

@@ -9,7 +9,7 @@ assignment is a pure structural recursion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
@@ -88,6 +88,10 @@ class Model:
     constants: Mapping[str, str]
     functions: Mapping[str, FunctionInterp]
     relations: Mapping[str, RelationInterp]
+    # the plain dicts the three read-only views wrap, read by evaluate
+    _constants: dict = field(init=False, repr=False, compare=False)
+    _functions: dict = field(init=False, repr=False, compare=False)
+    _relations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entities:
@@ -141,7 +145,9 @@ class Model:
                     if a not in dom:
                         raise ModelError(f"relation {name!r} tuple {list(tup)!r}: unknown entity {a!r}")
         for key in ("constants", "functions", "relations"):
-            object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
+            plain = dict(getattr(self, key))
+            object.__setattr__(self, "_" + key, plain)
+            object.__setattr__(self, key, MappingProxyType(plain))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
         return Model, (self.entities, dict(self.constants), dict(self.functions),
@@ -256,10 +262,10 @@ class Extensional:
         return ent
 
     def fun(self, name: str, args: list[str]) -> str:
-        return self.model.functions[name].table[tuple(args)]
+        return self.model._functions[name].table[tuple(args)]
 
     def pred(self, name: str, args: list[str]) -> int:
-        return int(tuple(args) in self.model.relations[name].tuples)
+        return int(tuple(args) in self.model._relations[name].tuples)
 
     def conn(self, kind: ConnectiveKind, args: list[int]) -> int:
         return _CLASSICAL[kind](*args)
@@ -287,7 +293,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
     node.  enter(term, depth), if given, sees every node on entry, the root
     at depth 1.
     """
-    constants, functions, relations = model.constants, model.functions, model.relations
+    constants, functions, relations = model._constants, model._functions, model._relations
     entity, fun, pred, conn = sem.entity, sem.fun, sem.pred, sem.conn
 
     # one frame per level of nesting: the loops stay in go, since a helper
@@ -297,10 +303,10 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
             enter(t, depth)
         cls = type(t)
         if cls is Const:
-            name = t.name
-            if name not in constants:
-                raise EvaluationError(f"constant {name!r} is not interpreted by the model")
-            return entity(constants[name])
+            ent = constants.get(t.name)
+            if ent is None and t.name not in constants:  # None is an entity id a model may use
+                raise EvaluationError(f"constant {t.name!r} is not interpreted by the model")
+            return entity(ent)
         if cls is Connective:
             kind = t.kind
             vals = []

@@ -1,13 +1,14 @@
 """Seeded random generators for models, terms, tables and chains.
 
 Everything draws from the PCG64 bit stream of a seed, so a fixed seed
-reproduces the exact same structures on every run.  The law suites draw
-their scalars one at a time through Draws, which returns exactly what
-numpy's Generator.integers returns for the same seed and calls, so reports
-stay byte-identical to those drawn through a Generator, at a fraction of
-the cost per draw.  make_rng and random_truth_tables, whose draws are
-vectors, serve the tests and the acceptance sweeps through a numpy
-Generator; the law suites make no vector draws.
+reproduces the exact same structures on every run.  The samplers take a
+Draws and draw their scalars one at a time through Draws.below, which
+returns exactly what numpy's Generator.integers returns for the same seed
+and calls, so reports stay byte-identical to those drawn through a
+Generator, at a fraction of the cost per draw.  make_rng and
+random_truth_tables, whose draws are vectors, serve the tests and the
+acceptance sweeps through a numpy Generator; the law suites make no vector
+draws.
 """
 
 from __future__ import annotations
@@ -69,61 +70,65 @@ class Draws:
     def integers(self, low: int, high: "int | None" = None, size=None, dtype=None) -> int:
         """An int drawn uniformly from range(low, high), or range(low) when
         high is omitted, as Generator.integers(low, high) draws it."""
-        if high is None and type(low) is int and 1 < low < 1 << 32 and size is None and dtype is None:
-            low, span = 0, low  # integers(n) for a plain int n: nothing to refuse
-        else:
-            if size is not None or dtype is not None:
-                raise TypeError("Draws.integers draws one int64 at a time: no size= or dtype=")
-            if high is None:
-                low, high = 0, low
-            low = index(low)
-            span = index(high) - low
-            if span < 1:
-                raise ValueError(f"empty range [{low}, {high})")
-            if low < -_INT64 or low + span > _INT64:
-                raise ValueError(f"range [{low}, {high}) is not within int64")
-            if span == 1:
-                return low
-            if span > 1 << 32:
-                raise ValueError(f"a span of {span} is above the 2^32 Draws reproduces")
+        if size is not None or dtype is not None:
+            raise TypeError("Draws.integers draws one int64 at a time: no size= or dtype=")
+        if high is None:
+            low, high = 0, low
+        low = index(low)
+        span = index(high) - low
+        if span < 1:
+            raise ValueError(f"empty range [{low}, {high})")
+        if low < -_INT64 or low + span > _INT64:
+            raise ValueError(f"range [{low}, {high}) is not within int64")
+        return low + self.below(span)
+
+    def below(self, n: int) -> int:
+        """integers(n) for an int n, without parsing arguments: an int drawn
+        uniformly from range(n).  n is 1 (which draws nothing) up to 2^32.
+        An int below 1 or above 2^32 raises ValueError and leaves the stream
+        as it was; a float raises TypeError once it has taken a word."""
+        if n <= 1:
+            if n == 1:
+                return 0
+            raise ValueError(f"empty range [0, {n})")
         halves = self._halves
         word = halves.pop() if halves else self._next32()
-        if span == 1 << 32:
-            return low + word
-        m = word * span
-        if (m & _LOW32) < span:  # rejection is possible only below span
-            threshold = ((1 << 32) - span) % span
+        m = word * n
+        if (m & _LOW32) < n:  # rejection is possible only below n, so every n above 2^32 is here
+            if n > 1 << 32:
+                halves.append(word)
+                raise ValueError(f"a span of {n} is above the 2^32 Draws reproduces")
+            threshold = ((1 << 32) - n) % n  # 0 for n = 2^32, whose draw is the word
             while (m & _LOW32) < threshold:
-                m = self._next32() * span
-        return low + (m >> 32)
+                m = self._next32() * n
+        return m >> 32
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _choice(rng: Draws | np.random.Generator, items: Sequence):
-    return items[int(rng.integers(len(items)))]
-
-
-def random_model(rng: Draws | np.random.Generator, n_entities: int = 4) -> Model:
+def random_model(rng: Draws, n_entities: int = 4) -> Model:
     """Random model with one constant naming each entity, so every entity is
     denotable by a closed term, and two functions and two predicates, each
     of arity 1 or 2."""
+    below = rng.below
     entities = tuple(f"e{i + 1}" for i in range(n_entities))
     constants = {f"a{i + 1}": e for i, e in enumerate(entities)}
+    d = len(entities)
     functions = {}
     for i in range(2):
-        arity = int(rng.integers(1, 3))
-        table = {args: _choice(rng, entities)
-                 for args in iproduct(entities, repeat=arity)}
+        arity, table = 1 + below(2), {}  # 1 + below(2) draws what integers(1, 3) does
+        for args in iproduct(entities, repeat=arity):
+            table[args] = entities[below(d)]
         functions[f"f{i + 1}"] = FunctionInterp(arity, table)
     relations = {}
     for i in range(2):
-        arity = int(rng.integers(1, 3))
-        tuples = frozenset(args for args in iproduct(entities, repeat=arity)
-                           if rng.integers(2) == 1)
-        relations[f"P{i + 1}"] = RelationInterp(arity, tuples)
+        arity, tuples = 1 + below(2), []
+        for args in iproduct(entities, repeat=arity):
+            if below(2):
+                tuples.append(args)
+        relations[f"P{i + 1}"] = RelationInterp(arity, frozenset(tuples))
     return Model(entities, constants, functions, relations)
 
 
@@ -136,40 +141,49 @@ def _terms_over(sig: Signature) -> tuple[tuple, tuple]:
     return tuple(sorted(sig.functions.items())), tuple(sorted(sig.constants))
 
 
-def _entity_term(rng, functions: tuple, constants: tuple, budget: int) -> Term:
-    if budget > 0 and functions and rng.integers(2) == 1:
-        name, arity = _choice(rng, functions)
-        return FunApp(name, tuple([_entity_term(rng, functions, constants, budget - 1)
-                                   for _ in range(arity)]))
-    return Const(_choice(rng, constants))
+# The recursions take the bound Draws.below and build their argument lists in
+# plain loops: on Python < 3.12 a comprehension would add a frame per node.
+
+def _entity_term(below, functions: tuple, constants: tuple, budget: int) -> Term:
+    if budget > 0 and functions and below(2):
+        name, arity = functions[below(len(functions))]
+        args = []
+        for _ in range(arity):
+            args.append(_entity_term(below, functions, constants, budget - 1))
+        return FunApp(name, tuple(args))
+    return Const(constants[below(len(constants))])
 
 
-def _formula(rng, predicates: tuple, functions: tuple, constants: tuple, budget: int) -> Term:
-    if budget == 1 or rng.integers(3) == 0:
-        name, arity = _choice(rng, predicates)
-        return PredApp(name, tuple([_entity_term(rng, functions, constants, budget - 1)
-                                    for _ in range(arity)]))
-    roll = int(rng.integers(4))
-    if roll == 0:
-        return Connective(ConnectiveKind.NOT,
-                          (_formula(rng, predicates, functions, constants, budget - 1),))
-    kind = ConnectiveKind.COND if roll == 1 else _choice(rng, BINARY_KINDS)
-    return Connective(kind, tuple([_formula(rng, predicates, functions, constants, budget - 1)
-                                   for _ in range(kind.arity)]))
+def _formula(below, predicates: tuple, functions: tuple, constants: tuple, budget: int) -> Term:
+    args = []
+    if budget == 1 or below(3) == 0:
+        name, arity = predicates[below(len(predicates))]
+        for _ in range(arity):
+            args.append(_entity_term(below, functions, constants, budget - 1))
+        return PredApp(name, tuple(args))
+    roll = below(4)
+    kind = (ConnectiveKind.NOT if roll == 0 else ConnectiveKind.COND if roll == 1
+            else BINARY_KINDS[below(len(BINARY_KINDS))])
+    for _ in range(kind.arity):
+        args.append(_formula(below, predicates, functions, constants, budget - 1))
+    return Connective(kind, tuple(args))
 
 
-def random_entity_term(rng: Draws | np.random.Generator, sig: Signature, budget: int) -> Term:
+def random_entity_term(rng: Draws, sig: Signature, budget: int) -> Term:
     """Closed entity-typed term of nesting depth at most budget."""
-    return _entity_term(rng, *_terms_over(sig), budget)
+    functions, constants = _terms_over(sig)
+    return _entity_term(rng.below, functions, constants, budget)
 
 
-def random_formula(rng: Draws | np.random.Generator, sig: Signature, budget: int) -> Term:
+def random_formula(rng: Draws, sig: Signature, budget: int) -> Term:
     """Closed truth-typed term of nesting depth at most budget (at least 1)."""
     if budget < 1:
         raise ValueError("a formula needs depth budget of at least 1")
     if not sig.predicates:
         raise ValueError("signature has no predicates to build formulas from")
-    return _formula(rng, tuple(sorted(sig.predicates.items())), *_terms_over(sig), budget)
+    functions, constants = _terms_over(sig)
+    return _formula(rng.below, tuple(sorted(sig.predicates.items())), functions, constants,
+                    budget)
 
 
 def random_truth_tables(rng: np.random.Generator, arity: int, count: int) -> np.ndarray:
@@ -177,14 +191,20 @@ def random_truth_tables(rng: np.random.Generator, arity: int, count: int) -> np.
     return rng.integers(0, 2, size=(count, 1 << arity), dtype=np.int8)
 
 
-def random_function_table(rng: Draws | np.random.Generator, src: Sequence,
-                          tgt: Sequence) -> dict:
-    return {a: _choice(rng, tgt) for a in src}
+def random_function_table(rng: Draws, src: Sequence, tgt: Sequence) -> dict:
+    below, n, table = rng.below, len(tgt), {}
+    for a in src:
+        table[a] = tgt[below(n)]
+    return table
 
 
-def random_subset(rng: Draws | np.random.Generator, elements: Sequence) -> set:
-    return {a for a in elements if rng.integers(2) == 1}
+def random_subset(rng: Draws, elements: Sequence) -> set:
+    below, subset = rng.below, set()
+    for a in elements:
+        if below(2):
+            subset.add(a)
+    return subset
 
 
-def random_chain_sizes(rng: Draws | np.random.Generator, length: int) -> list[int]:
-    return [int(rng.integers(1, 6)) for _ in range(length + 1)]
+def random_chain_sizes(rng: Draws, length: int) -> list[int]:
+    return [rng.integers(1, 6) for _ in range(length + 1)]

@@ -16,8 +16,7 @@ Everything here is exact int64 arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -186,6 +185,7 @@ class OpMatrix:
 
     arity: int
     mat: np.ndarray
+    ten: np.ndarray = field(init=False, repr=False, compare=False)  # mat's read-only tensor view
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=np.int64)
@@ -195,13 +195,10 @@ class OpMatrix:
         if not columns_one_hot(m):
             raise ValueError("every operator column must be a one-hot truth vector")
         object.__setattr__(self, "mat", _frozen(m))
+        object.__setattr__(self, "ten", self.mat.reshape((2,) * (self.arity + 1)))
 
     def __reduce__(self):  # a copy is rebuilt, so its mat is read-only and its ten views it
         return OpMatrix, (self.arity, self.mat)
-
-    @cached_property
-    def ten(self) -> np.ndarray:  # mat's read-only tensor view for contract, made on first use
-        return self.mat.reshape((2,) * (self.arity + 1))
 
 
 def synth_operator(table: TruthTable) -> OpMatrix:

@@ -17,6 +17,7 @@ from semlink import laws
 from semlink import veclogic as vl
 from semlink.model import denote, denote_traced
 from semlink.sampling import (
+    Draws,
     make_rng,
     random_formula,
     random_model,
@@ -154,7 +155,7 @@ def test_criterion_5_homomorphism_laws():
         assert checks == 10_000 * 65
 
         # (c) set operations on 1,000 seeded random subset pairs, |D| = 6
-        rng = make_rng(57)
+        rng = Draws(57)
         m6 = hm.build_domain_map([f"x{i}" for i in range(6)], tag="d6")
         for _ in range(1000):
             e1 = random_subset(rng, m6.elements)
@@ -175,7 +176,7 @@ def test_criterion_5_homomorphism_laws():
 
 def test_criterion_6_dual_route_formulas():
     with criterion(6, "extensional and vector routes agree on 1,000 formulas", 30.0):
-        rng = make_rng(66)
+        rng = Draws(66)
         for _ in range(1000):
             model = random_model(rng, n_entities=int(rng.integers(2, 5)))
             fam = hm.LiftFamily.for_model(model)
@@ -188,7 +189,7 @@ def test_criterion_6_dual_route_formulas():
 
 def test_criterion_7_recursion_properties():
     with criterion(7, "determinism, depth bound, substitution invariance", 30.0):
-        rng = make_rng(77)
+        rng = Draws(77)
         # determinism and the recursion depth bound
         for _ in range(300):
             model = random_model(rng, n_entities=3)
@@ -204,7 +205,7 @@ def test_criterion_7_recursion_properties():
         seed = 0
         while pairs < 1000:
             seed += 1
-            r2 = make_rng(7700 + seed)
+            r2 = Draws(7700 + seed)
             model = random_model(r2, n_entities=4)
             formula = random_formula(r2, model.signature(), budget=5)
             base = denote(formula, model, {})

@@ -13,8 +13,8 @@ from semlink import cli
 from semlink import homomorphism as hm
 from semlink import laws
 from semlink import veclogic as vl
-from semlink.model import denote, model_from_dict
-from semlink.sampling import make_rng, random_formula, random_model
+from semlink.model import Model, denote, model_from_dict
+from semlink.sampling import Draws, make_rng, random_formula, random_model
 from semlink.terms import parse_term
 
 
@@ -397,7 +397,7 @@ def test_vector_denote_entity_terms(expr, entity):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 100_000))
 def test_random_formula_routes_agree(seed):
-    rng = make_rng(seed)
+    rng = Draws(seed)
     m = random_model(rng, n_entities=int(rng.integers(2, 5)))
     fam = hm.LiftFamily.for_model(m)
     formula = random_formula(rng, m.signature(), budget=5)
@@ -684,13 +684,48 @@ def test_a_lifts_tensor_view_is_read_only():
         lf.ten[0, 0, 0] = 0
 
 
-def test_copies_of_operators_and_lifts_stay_read_only():
-    lift = hm.LiftFamily.for_model(MODEL).function("g")
-    assert lift.ten.shape == (3, 3, 3)  # made before the lift is copied
-    for obj in (vl.named_operator("and"), lift):
-        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert type(twin) is type(obj) and np.array_equal(twin.mat, obj.mat)
-            assert not twin.mat.flags.writeable and np.shares_memory(twin.ten, twin.mat)
+def _tensor_view_cases():
+    d3, d2 = dmap(3, "d3"), dmap(2, "d2")
+    f = hm.lift_function({0: 1, 1: 1, 2: 0}, d3, d2)
+    g = hm.lift_function({0: 1, 1: 0}, d2, d3)
+    return [
+        (hm.lift_function({(a, b): a for a in range(3) for b in range(3)}, d3, d3, 2), (3, 3, 3)),
+        (hm.lift_relation([(0, 1), (2, 2)], d3, 2), (2, 3, 3)),
+        (hm.compose_lifted(g, f), (3, 3)),
+        (vl.named_operator("cond"), (2, 2, 2, 2)),
+        (vl.synth_operator(vl.TruthTable.from_bits("0110")), (2, 2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("obj,shape", _tensor_view_cases(),
+                         ids=["function", "relation", "composed", "named", "synthesized"])
+def test_every_lift_and_operator_has_its_tensor_view_when_built(obj, shape):
+    # the constructor stores the view: it is not made when first read
+    assert "ten" in vars(obj)
+    for twin in (obj, copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and np.array_equal(twin.mat, obj.mat)
+        assert type(twin.ten) is np.ndarray and twin.ten.shape == shape
+        assert np.shares_memory(twin.ten, twin.mat)
+        assert not twin.ten.flags.writeable and not twin.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            twin.ten[(0,) * len(shape)] = 1
+
+
+def test_a_fixed_models_formula_law_builds_its_signature_once(monkeypatch):
+    model = model_from_dict(PROJECTION_MODEL_DATA)
+    want = laws.run_law("formula", 0, 50, model).render()
+    calls = []
+    signature = Model.signature
+
+    def counted(self):
+        calls.append(self)
+        return signature(self)
+
+    monkeypatch.setattr(Model, "signature", counted)
+    assert laws.run_law("formula", 0, 50, model).render() == want
+    assert len(calls) == 1 and calls[0] is model  # 50 before: one per trial
+    assert want == ("law: formula\nseed: 0\ntrials: 50\nchecks: 50\nfailures: 0\n"
+                    "result: PASS\n")
 
 
 def test_a_wrong_vector_union_fails_the_sets_law(monkeypatch):

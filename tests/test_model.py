@@ -24,7 +24,7 @@ from semlink.model import (
     load_model,
     model_from_dict,
 )
-from semlink.sampling import make_rng, random_formula, random_model
+from semlink.sampling import Draws, random_formula, random_model
 from semlink.terms import (
     complexity_depth,
     parse_term,
@@ -461,7 +461,7 @@ def test_traced_matches_plain_and_bounds_depth():
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10_000))
 def test_random_formulas_deterministic_and_bounded(seed):
-    rng = make_rng(seed)
+    rng = Draws(seed)
     m = random_model(rng, n_entities=3)
     t = random_formula(rng, m.signature(), budget=5)
     v1 = denote(t, m, {})
@@ -476,7 +476,7 @@ def test_random_formulas_deterministic_and_bounded(seed):
 def test_substitution_preserves_denotation(seed):
     # replacing a subterm with one denoting the same value cannot change
     # the denotation of the whole
-    rng = make_rng(seed)
+    rng = Draws(seed)
     m = random_model(rng, n_entities=4)
     sig = m.signature()
     t = random_formula(rng, sig, budget=5)

@@ -121,8 +121,46 @@ def test_draws_reaches_both_ends_of_int64():
         assert [got.integers(*args) for _ in range(20)] == want.integers(*args, size=20).tolist()
 
 
+# below's spans add 5, a span whose threshold rejects a few words in 2^32
+BELOW_SPANS = (1, 2, 3, 5, 2**31 + 1, 2**32 - 1, 2**32)
+
+below_calls = st.one_of(st.sampled_from(BELOW_SPANS),
+                        st.tuples(st.integers(-2**40, 2**40), st.sampled_from(BELOW_SPANS)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**128), st.lists(below_calls, min_size=1, max_size=12),
+       st.integers(1, 1600))
+def test_below_equals_numpy_generator_integers(seed, pattern, count):
+    # below(n) against integers(n), interleaved with two-argument integers calls
+    # on the same stream; runs of up to 1600 draws cross several buffer refills
+    want = np.random.Generator(np.random.PCG64(seed))
+    got = sp.Draws(seed)
+    for k in range(count):
+        call = pattern[k % len(pattern)]
+        if isinstance(call, tuple):
+            low, span = call
+            assert got.integers(low, low + span) == int(want.integers(low, low + span)), (k, call)
+        else:
+            drawn = got.below(call)
+            assert type(drawn) is int and drawn == int(want.integers(call)), (k, call)
+
+
+@pytest.mark.parametrize("n,error", [
+    (0, ValueError), (-1, ValueError), (2**32 + 1, ValueError), (2.5, TypeError)])
+def test_below_refuses_what_it_does_not_reproduce(n, error):
+    got, want = sp.Draws(9), np.random.Generator(np.random.PCG64(9))
+    with pytest.raises(error):
+        got.below(n)
+    if error is ValueError:  # a refused int leaves the stream where it was; a float takes a word
+        assert [got.below(7) for _ in range(600)] == want.integers(7, size=600).tolist()
+
+
 class _NoDraws:
     def integers(self, *args, **kwargs):
+        raise AssertionError("drew before refusing the signature")
+
+    def below(self, n):
         raise AssertionError("drew before refusing the signature")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from semlink.sampling import make_rng, random_entity_term, random_formula
+from semlink.sampling import Draws, random_entity_term, random_formula
 from semlink.terms import (
     ENTITY,
     IDENT_RE,
@@ -230,7 +230,7 @@ def _spaced(data, text):
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(), st.data())
 def test_sampled_terms_roundtrip_through_spaced_text(seed, budget, formula, data):
-    rng = make_rng(seed)
+    rng = Draws(seed)
     t = random_formula(rng, SIG, budget + 1) if formula else random_entity_term(rng, SIG, budget)
     assert parse_term(pretty(t), SIG) == t
     assert parse_term(_spaced(data, pretty(t)), SIG) == t
