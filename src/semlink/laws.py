@@ -85,6 +85,18 @@ def _lift_mismatch(tgt: hm.DomainMap, got, want) -> "str | None":
     return None
 
 
+def _function_lift_failures(label: str, table, src: hm.DomainMap, tgt: hm.DomainMap,
+                            arity: int = 1) -> tuple[int, list[str]]:
+    """lift_function's lift of table, asked about every point of its domain."""
+    checks, failures = 0, []
+    for tup, got in hm.lift_function(table, src, tgt, arity).table():
+        a = tup[0] if arity == 1 else tup
+        checks += 1
+        if bad := _lift_mismatch(tgt, got, table[a]):
+            failures.append(f"{label} {a!r}: {bad}")
+    return checks, failures
+
+
 def _law_function(rng, trials, model) -> tuple[int, list[str]]:
     checks, failures = 0, []
     if model is not None:
@@ -109,33 +121,26 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         arity = 2 if t % 3 == 2 else 1
         keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
         table = sp.random_function_table(rng, keys, tgt.elements)
-        for tup, got in hm.lift_function(table, src, tgt, arity).table():
-            a = tup[0] if arity == 1 else tup
-            checks += 1
-            if bad := _lift_mismatch(tgt, got, table[a]):
-                failures.append(f"trial {t}: element {a!r}: {bad}")
+        c, f = _function_lift_failures(f"trial {t}: element", table, src, tgt, arity)
+        checks += c
+        failures += f
     return checks, failures
 
 
 def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
     """Every total unary function between every pair of domain sizes up to
     max_dim, lifted through lift_function and checked at every point of its
-    source domain.  The lifts of each pair of sizes are stacked, and the
-    mapped points, checked once, select their columns from all of them."""
+    source domain, as the function law checks one lift."""
     checks, failures = 0, []
     for ds in range(1, max_dim + 1):
         src = hm.build_domain_map(range(ds), tag=f"src{ds}")
-        cols = hm.argument_columns(src, 1)
         for dt in range(1, max_dim + 1):
             tgt = hm.build_domain_map(range(dt), tag=f"tgt{dt}")
-            combos = list(iproduct(range(dt), repeat=ds))
-            mats = np.stack([hm.lift_function(dict(enumerate(combo)), src, tgt).mat
-                             for combo in combos])
-            got = mats[:, :, cols].argmax(axis=1)  # (tables, points): target indices
-            checks += got.size
-            for k, a in np.argwhere(got != np.array(combos)).tolist():
-                bad = _lift_mismatch(tgt, tgt.elements[got[k, a]], combos[k][a])
-                failures.append(f"table {combos[k]} from {ds} to {dt} at {a}: {bad}")
+            for combo in iproduct(range(dt), repeat=ds):
+                c, f = _function_lift_failures(f"table {combo} from {ds} to {dt} at",
+                                               dict(enumerate(combo)), src, tgt)
+                checks += c
+                failures += f
     return checks, failures
 
 
@@ -150,9 +155,9 @@ def _relation_instance_failures(label: str, lifted: hm.LiftMatrix,
     checks, failures = 1, []
     for tup, got in lifted.table():
         checks += 1
-        expected = 1 if tup in members else 0
-        if got != expected:
-            failures.append(f"{label}: tuple {list(tup)}: lifted {got} extensional {expected}")
+        if got != (tup in members):
+            failures.append(f"{label}: tuple {list(tup)}: lifted {got} "
+                            f"extensional {int(tup in members)}")
     # off-image arguments must make the relation false, not raise
     off = [np.zeros(lifted.source.dim, dtype=np.int64)] * lifted.arity
     if lifted(off).tolist() != vl.FALSE_VEC.tolist():
@@ -191,7 +196,8 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
 def all_relation_masks(d: int, arity: int) -> np.ndarray:
     """Membership masks of every relation of the given arity over d elements."""
     ntup = d ** arity
-    if ntup > 30:
+    # the shifts below make a 2^ntup x ntup uint64 array: 168 MB at 20 tuples
+    if ntup > 20:
         raise ValueError(f"2^{ntup} relations is too many to enumerate")
     ints = np.arange(1 << ntup, dtype=np.uint64)
     shifts = np.arange(ntup, dtype=np.uint64)
@@ -201,31 +207,24 @@ def all_relation_masks(d: int, arity: int) -> np.ndarray:
 def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
     """Every relation given by a row of masks, a membership mask over the
     d**arity tuples of range(d) in lexicographic order: lifted through
-    lift_relation, then checked as the relation law checks one lift.  The
-    lifts are stacked, and the mapped tuples, checked once, select their
-    columns from all of them."""
+    lift_relation, then checked as the relation law checks one lift.  A row
+    with an entry other than 0 or 1 is no mask, and is reported as that
+    relation's failure."""
     mk = np.asarray(masks)
     if mk.ndim != 2 or mk.shape[1] != d ** arity:
         raise ValueError(
             f"expected (m, {d ** arity}) masks for arity {arity} over {d} elements")
     m = hm.build_domain_map(range(d), tag=f"d{d}")
     tuples = list(iproduct(m.elements, repeat=arity))
-    cols = hm.argument_columns(m, arity)
-    off = [np.zeros(d, dtype=np.int64)] * arity  # must give false, as in the relation law
-    mats, off_image = [], []
-    for r, mask in enumerate(mk.tolist()):
-        lifted = hm.lift_relation(compress(tuples, mask), m, arity)
-        mats.append(lifted.mat)
-        if lifted(off).tolist() != vl.FALSE_VEC.tolist():
-            off_image.append(r)
     failures = []
-    if mats:
-        got = np.stack(mats)[:, 0, cols]  # row 0 of a truth vector is its bit
-        failures += [(r, f"relation {r}: tuple {list(tuples[j])}: lifted {int(got[r, j])} "
-                         f"extensional {int(mk[r, j])}") for r, j in np.argwhere(got != mk).tolist()]
-    failures += [(r, f"relation {r}: off-image argument did not evaluate to 0") for r in off_image]
-    # a stable sort keeps each relation's tuples before its off-image argument
-    return len(mk) * (len(tuples) + 1), [f for _, f in sorted(failures, key=lambda f: f[0])]
+    for r, mask in enumerate(mk.tolist()):
+        if not set(mask) <= {0, 1}:
+            failures.append(f"relation {r}: mask entries must be 0 or 1, got {mask}")
+            continue
+        members = set(compress(tuples, mask))
+        failures += _relation_instance_failures(
+            f"relation {r}", hm.lift_relation(members, m, arity), members)[1]
+    return len(mk) * (len(tuples) + 1), failures
 
 
 # ---------------------------------------------------------------------------
@@ -234,37 +233,27 @@ def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
 
 def sweep_operator_faithfulness(tables, arity: int) -> tuple[int, list[str]]:
     """Every table (a row of 0/1 outputs in column order) through
-    synth_operator, applied to every input tuple.
-
-    The operators are stacked and multiplied in one product against the
-    matrix whose column j is the Kronecker fold of the embedded input bits
-    of column j, which is apply_operator's arithmetic for every input at
-    once.  Each result must be a one-hot truth vector that projects back to
-    the table's output bit.
-    """
+    synth_operator, then apply_operator on every embedded input tuple.  Each
+    result must be the embedded output bit of its column; a table fails at
+    its first column that is not."""
     rows = np.asarray(tables)
     ncols = 1 << arity
     if rows.ndim != 2 or rows.shape[1] != ncols:
         raise ValueError(f"expected (m, {ncols}) tables for arity {arity}")
-    inputs = np.stack([vl.kron_fold([vl.embed_truth(b) for b in vl.column_bits(j, arity)])
-                       for j in range(ncols)], axis=1)
-    failures: dict[int, str] = {}
-    built, mats = [], []
+    inputs = [[vl.embed_truth(b) for b in vl.column_bits(j, arity)] for j in range(ncols)]
+    failures = []
     for i, row in enumerate(rows):
         try:
-            mats.append(vl.synth_operator(vl.TruthTable(arity, row)).mat)
+            op = vl.synth_operator(vl.TruthTable(arity, row))
         except ValueError as exc:
-            failures[i] = f"table {i}: {exc}"
+            failures.append(f"table {i}: {exc}")
             continue
-        built.append(i)
-    if mats:
-        results = np.stack(mats) @ inputs  # (tables, 2, columns)
-        bad = ~vl.is_one_hot(results, axis=1) | (results[:, 0, :] != rows[built])
-        for k in np.flatnonzero(bad.any(axis=1)):
-            i, j = built[k], int(np.argmax(bad[k]))
-            failures[i] = (f"table {i}: column {j}: operator gave "
-                           f"{results[k, :, j].tolist()} for output {rows[i, j]}")
-    return len(rows) * ncols, [failures[i] for i in sorted(failures)]
+        for j, out in enumerate(row.tolist()):
+            got = vl.apply_operator(op, inputs[j]).tolist()
+            if got != vl.embed_truth(out).tolist():
+                failures.append(f"table {i}: column {j}: operator gave {got} for output {out}")
+                break
+    return len(rows) * ncols, failures
 
 
 def sweep_majority(n: int) -> tuple[int, list[str]]:

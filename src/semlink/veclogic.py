@@ -69,14 +69,10 @@ def project_truth(vec: np.ndarray) -> int:
     return int(v[0])
 
 
-def is_one_hot(v: np.ndarray, axis: int | None = None) -> "bool | np.ndarray":
-    """Whether v, or each slice of v along axis, has exactly one entry equal
-    to 1 and every other entry equal to 0."""
-    v = np.asarray(v)
-    if axis is None:
-        entries = v.ravel().tolist()
-        return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
-    return ((v == 1).sum(axis=axis) == 1) & ((v == 0).sum(axis=axis) == v.shape[axis] - 1)
+def is_one_hot(v: np.ndarray) -> bool:
+    """Whether v has exactly one entry equal to 1 and every other entry equal to 0."""
+    entries = np.asarray(v).ravel().tolist()
+    return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
 
 
 def columns_one_hot(m: np.ndarray) -> bool:

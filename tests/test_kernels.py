@@ -1,9 +1,10 @@
 """The mass sweeps in laws run the shipped synth, lift and polynomial code.
 
 Each sweep returns (checks, failures).  They pass on the real code, and a
-deliberately broken synth_operator, lift_relation, LiftMatrix or
-majority_polynomial makes the matching sweep report failures.  Inputs are
-given as numpy arrays and as nested lists, which the sweeps accept alike.
+deliberately broken synth_operator, contract, apply_operator, lift_relation,
+LiftMatrix or majority_polynomial makes the matching sweep report failures.
+Inputs are given as numpy arrays and as nested lists, which the sweeps
+accept alike.
 """
 
 import itertools
@@ -71,11 +72,6 @@ def test_kernel_sweep_agrees_with_api_loop(container):
     rng = make_rng(23)
     tables = random_truth_tables(rng, 3, 40)
     assert laws.sweep_operator_faithfulness(as_container(tables, container), 3) == (320, [])
-    for row in tables:
-        op = vl.synth_operator(vl.TruthTable(3, row))
-        for j in range(8):
-            ins = [vl.embed_truth(b) for b in vl.column_bits(j, 3)]
-            assert vl.project_truth(vl.apply_operator(op, ins)) == row[j]
 
 
 def test_faithfulness_sweep_catches_broken_synth(monkeypatch):
@@ -93,13 +89,29 @@ def test_faithfulness_sweep_catches_broken_synth(monkeypatch):
     assert failures[0].startswith("table 0: column 0: operator gave [1, 0] for output 0")
 
 
-def test_faithfulness_sweep_catches_broken_fold(monkeypatch):
-    # a fold that always returns the first basis vector evaluates every
-    # input as the all-true row
-    monkeypatch.setattr(vl, "kron_fold", lambda vecs: np.eye(1 << len(vecs),
-                                                             dtype=np.int64)[0])
-    _, failures = laws.sweep_operator_faithfulness(all_tables(2), 2)
-    assert failures
+def _reversed_contract(ten, vecs):
+    # contracts the last axis with the first vector: every input tuple is
+    # read back to front
+    for v in vecs:
+        ten = ten.dot(v)
+    return ten
+
+
+@pytest.mark.parametrize("name,fault,n,failed", [
+    # the asymmetric tables, each at its first column: 8 of 16, then the
+    # 256 - 64 tables of arity 3 that change when inputs 1 and 3 swap
+    ("contract", _reversed_contract, 2, 8),
+    ("contract", _reversed_contract, 3, 192),
+    # every table but the constant true one
+    ("apply_operator", lambda op, inputs: vl.TRUE_VEC, 2, 15),
+], ids=["reversed-contract-2", "reversed-contract-3", "constant-apply-2"])
+def test_faithfulness_sweep_catches_broken_application(monkeypatch, name, fault, n, failed):
+    # the sweep applies each operator as the vector route does, so a fault
+    # in apply_operator or in the contraction it runs shows
+    monkeypatch.setattr(vl, name, fault)
+    checks, failures = laws.sweep_operator_faithfulness(all_tables(n), n)
+    assert checks == len(all_tables(n)) << n
+    assert len(failures) == failed
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +151,17 @@ def test_relation_sweep_every_relation(container, d, arity):
     checks, failures = laws.sweep_relations(as_container(masks, container), d, arity)
     assert failures == []
     assert checks == len(masks) * (d ** arity + 1)
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+def test_relation_sweep_flags_an_entry_that_is_not_0_or_1(container):
+    # a 2 is no membership bit; the sweep reports it as the failure of its
+    # relation and keeps checking the others
+    masks = np.vstack([all_relation_masks(2, 2), [[0, 2, 0, 0]]])
+    checks, failures = laws.sweep_relations(as_container(masks, container), 2, 2)
+    assert checks == 17 * 5
+    assert len(failures) == 1
+    assert failures[0].startswith("relation 16: ")
 
 
 def test_relation_sweep_validates_shape():
@@ -196,5 +219,7 @@ def test_relation_law_report_does_not_depend_on_batch_size(monkeypatch):
 def test_all_relation_masks_enumerates_all():
     masks = all_relation_masks(2, 1)
     assert sorted(map(tuple, masks.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(ValueError):
-        all_relation_masks(6, 2)  # 2^36 relations
+    # 2^25, 2^27 and 2^36 relations: refused before any array is built
+    for d, arity in [(5, 2), (3, 3), (6, 2)]:
+        with pytest.raises(ValueError):
+            all_relation_masks(d, arity)

@@ -420,27 +420,3 @@ def test_cap_blocks_synthesis():
     with pytest.raises(ArityCapError):
         synth_operator(TruthTable(21, np.zeros(1 << 21, dtype=np.int8)))
 
-
-ENTRIES = {
-    np.int64: st.sampled_from([0, 1, -1, 2, 2**63 - 1, -2**63]),
-    np.float64: st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1.0 + 2**-52, 0.5,
-                                 float("nan"), float("inf"), float("-inf")]),
-    np.bool_: st.booleans(),
-}
-
-
-@st.composite
-def short_and_long_vectors(draw):
-    """Vectors of length 1-70 of one dtype: zeros (or falses) but for a few
-    entries, so that one-hot vectors and near misses are both common."""
-    dtype = draw(st.sampled_from(sorted(ENTRIES, key=str)))
-    n = draw(st.integers(1, 70))
-    v = np.zeros(n, dtype=dtype)
-    for i, x in draw(st.dictionaries(st.integers(0, n - 1), ENTRIES[dtype], max_size=3)).items():
-        v[i] = x
-    return v
-
-
-@given(short_and_long_vectors())
-def test_one_hot_rule_is_the_same_for_one_vector_and_along_an_axis(v):
-    assert is_one_hot(v) == is_one_hot(v[None], axis=1)[0]
