@@ -109,8 +109,9 @@ def test_faithfulness_sweep_catches_broken_application(monkeypatch, name, fault,
     # the sweep applies each operator as the vector route does, so a fault
     # in apply_operator or in the contraction it runs shows
     monkeypatch.setattr(vl, name, fault)
-    checks, failures = laws.sweep_operator_faithfulness(all_tables(n), n)
-    assert checks == len(all_tables(n)) << n
+    tables = all_tables(n)
+    checks, failures = laws.sweep_operator_faithfulness(tables, n)
+    assert checks == len(tables) << n
     assert len(failures) == failed
 
 
