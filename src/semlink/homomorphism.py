@@ -46,13 +46,15 @@ class DomainMap:
     # argument_columns of this map, by arity
     columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)  # len(elements)
+    # basis_matrix of this map, made on first use: a relation-only map never pays dim^2
+    basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("domain must be nonempty")
         object.__setattr__(self, "dim", len(self.elements))
 
-    def __reduce__(self):  # a copy is rebuilt, so the columns it caches are read-only too
+    def __reduce__(self):  # a copy is rebuilt, so the columns and basis it caches are its own
         return build_domain_map, (self.elements, self.tag)
 
 
@@ -105,6 +107,15 @@ def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
             cols = (cols[:, None] * m.dim + idx).ravel()
         m.columns[arity] = vl._frozen(cols)
     return m.columns[arity]
+
+
+def basis_matrix(m: DomainMap) -> np.ndarray:
+    """The dim x dim int64 identity, whose column i is the basis vector of
+    element i: made the first time it is asked for, then kept read-only by
+    the map."""
+    if m.basis is None:
+        object.__setattr__(m, "basis", vl._frozen(np.eye(m.dim, dtype=np.int64)))
+    return m.basis
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
             raise LiftError(f"function value {table[a]!r} is outside target domain "
                             f"{m_tgt.tag!r}") from None
     # column j is basis vector rows[j] of the target
-    return LiftMatrix(m_src, arity, m_tgt, np.eye(m_tgt.dim, dtype=np.int64).take(rows, axis=1))
+    return LiftMatrix(m_src, arity, m_tgt, basis_matrix(m_tgt).take(rows, axis=1))
 
 
 def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:

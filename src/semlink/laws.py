@@ -104,10 +104,11 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
             raise ValueError("model declares no functions, cannot check function lifts")
         fam = hm.LiftFamily.for_model(model)
         names = sorted(model.functions)
+        # the lifts cannot change during the run: each name's values are read once
+        values = cache(lambda name: dict(fam.function(name).table()))
         for t in range(trials):
             name = names[t % len(names)]
-            fn = model.functions[name]
-            lifted = dict(fam.function(name).table())
+            fn, lifted = model.functions[name], values(name)
             for args in sorted(fn.table):
                 checks += 1
                 if bad := _lift_mismatch(fam.entity, lifted[args], fn.table[args]):
@@ -115,8 +116,8 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         return checks, failures
     domain = _run_maps()
     for t in range(trials):
-        ds = rng.integers(1, 6)
-        dt = rng.integers(1, 6)
+        ds = 1 + rng.below(5)
+        dt = 1 + rng.below(5)
         src, tgt = domain("src", ds), domain("tgt", dt)
         arity = 2 if t % 3 == 2 else 1
         keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
@@ -182,8 +183,8 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         return checks, failures
     domain = _run_maps()
     for t in range(trials):
-        d = rng.integers(1, 5)
-        arity = rng.integers(1, 4)
+        d = 1 + rng.below(4)
+        arity = 1 + rng.below(3)
         m = domain("dom", d)
         tuples = {args for args in iproduct(m.elements, repeat=arity) if rng.below(2)}
         c, f = _relation_instance_failures(f"trial {t}", hm.lift_relation(tuples, m, arity),
@@ -320,7 +321,7 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
     entity = hm.entity_map(model) if model is not None else None
     domain = _run_maps()
     for t in range(trials):
-        length = rng.integers(1, 6)
+        length = 1 + rng.below(5)
         if model is not None:
             maps = [entity] * (length + 1)
             names = [unary[rng.below(len(unary))] for _ in range(length)]
@@ -357,7 +358,7 @@ def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
     entity = cache(lambda entities: hm.build_domain_map(entities, tag="entity"))
     for t in range(trials):
         if model is None:  # a fresh model each trial needs a fresh family
-            m = sp.random_model(rng, n_entities=rng.integers(2, 5))
+            m = sp.random_model(rng, n_entities=2 + rng.below(3))
             fam, sig = hm.LiftFamily(m, entity(m.entities)), m.signature()
         m = fam.model
         formula = sp.random_formula(rng, sig, budget=6)

@@ -207,4 +207,5 @@ def random_subset(rng: Draws, elements: Sequence) -> set:
 
 
 def random_chain_sizes(rng: Draws, length: int) -> list[int]:
-    return [rng.integers(1, 6) for _ in range(length + 1)]
+    below = rng.below
+    return [1 + below(5) for _ in range(length + 1)]

@@ -75,10 +75,15 @@ def is_one_hot(v: np.ndarray) -> bool:
     return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
 
 
+_INT64_ONE = np.int64(1).tobytes()
+
+
 def columns_one_hot(m: np.ndarray) -> bool:
-    """Whether every column of the 2-d array m is one-hot: m has one nonzero
-    entry per column on average, and every column sums to 1, so exactly."""
-    return np.count_nonzero(m) == m.shape[1] == np.count_nonzero(np.add.reduce(m, axis=0) == 1)
+    """Whether every column of the 2-d int64 array m is one-hot: m has one
+    nonzero entry per column on average, and every column sums to 1, so
+    exactly.  The sums are compared as bytes, with no further numpy call."""
+    n = m.shape[1]
+    return np.count_nonzero(m) == n and np.add.reduce(m, axis=0).tobytes() == _INT64_ONE * n
 
 
 def kron(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -87,6 +87,33 @@ def test_copies_of_a_domain_map_keep_read_only_columns():
         assert twin.columns and not any(c.flags.writeable for c in twin.columns.values())
 
 
+def test_lifts_into_one_map_share_its_read_only_basis(monkeypatch):
+    made = []
+    eye = np.eye
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return eye(*args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", counted)
+    src, tgt = dmap(3, "src"), dmap(4, "tgt")
+    hm.lift_relation([(0,)], tgt, 1)
+    assert not made and tgt.basis is None  # made on first use by a function lift only
+    f = hm.lift_function({0: 1, 1: 3, 2: 1}, src, tgt)
+    g = hm.lift_function({0: 0, 1: 2, 2: 3}, src, tgt)
+    assert made == [(4,)]
+    assert f.mat.argmax(axis=0).tolist() == [1, 3, 1] and g.mat.argmax(axis=0).tolist() == [0, 2, 3]
+    basis = hm.basis_matrix(tgt)
+    assert basis is tgt.basis and basis.tolist() == eye(4, dtype=np.int64).tolist()
+    assert not basis.flags.writeable
+    assert not np.shares_memory(f.mat, basis)
+    for twin in (copy.deepcopy(tgt), pickle.loads(pickle.dumps(tgt))):
+        assert twin.basis is None  # rebuilt by the copy, not copied
+        hm.lift_function({0: 0, 1: 2, 2: 3}, src, twin)
+        assert twin.basis is not basis and not twin.basis.flags.writeable
+    assert len(made) == 3
+
+
 # ---------------------------------------------------------------------------
 # function lifts
 
@@ -597,6 +624,29 @@ def test_a_wrong_entry_in_a_function_matrix_fails_the_law(monkeypatch, law):
     assert laws.run_law(law, 0, 100).ok
     monkeypatch.setattr(hm, "lift_function", _first_column_moved())
     assert not laws.run_law(law, 0, 100).ok
+
+
+@pytest.mark.parametrize("broken,want", [
+    (False, "law: function\nseed: 0\ntrials: 50\nchecks: 800\nfailures: 0\nresult: PASS\n"),
+    (True, "law: function\nseed: 0\ntrials: 50\nchecks: 800\nfailures: 50\n"
+     + "".join(f"counterexample: trial {t}: function f{t % 2 + 1} at ['e1', 'e1']: "
+               "lifted [0, 1, 0, 0] expected [1, 0, 0, 0]\n" for t in range(5))
+     + "result: FAIL\n"),
+])
+def test_a_fixed_models_function_law_reads_each_lift_once(monkeypatch, broken, want):
+    model = random_model(Draws(3), n_entities=4)  # two binary functions, f1 and f2
+    if broken:
+        monkeypatch.setattr(hm, "lift_function", _first_column_moved())
+    read = []
+    table = hm.LiftMatrix.table
+
+    def counted(self):
+        read.append(self)
+        return table(self)
+
+    monkeypatch.setattr(hm.LiftMatrix, "table", counted)
+    assert laws.run_law("function", 0, 50, model).render() == want
+    assert len(read) == len({id(lf) for lf in read}) == len(model.functions) == 2
 
 
 @pytest.mark.parametrize("law", ["function", "relation", "chain"])

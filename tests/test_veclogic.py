@@ -6,7 +6,7 @@ faithfulness law is cross-checked against classical evaluation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semlink.terms import ConnectiveKind
@@ -17,6 +17,7 @@ from semlink.veclogic import (
     ARITY_CAP,
     apply_operator,
     column_bits,
+    columns_one_hot,
     column_index,
     contract,
     embed_truth,
@@ -253,6 +254,35 @@ def test_opmatrix_validation():
         OpMatrix(2, np.array([[1, 0], [0, 1]]))  # wrong width for arity
     with pytest.raises(ValueError):
         OpMatrix(1, np.array([[2, 0], [-1, 1]]))
+
+
+@st.composite
+def near_one_hot(draw):
+    """A 1-4 x 1-9 int64 matrix with one-hot columns, then up to three
+    entries overwritten with values in -2..2."""
+    t, n = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    m = np.zeros((t, n), dtype=np.int64)
+    m[draw(st.lists(st.integers(0, t - 1), min_size=n, max_size=n)), np.arange(n)] = 1
+    for _ in range(draw(st.integers(0, 3))):
+        m[draw(st.integers(0, t - 1)), draw(st.integers(0, n - 1))] = draw(st.integers(-2, 2))
+    return m
+
+
+_WIDE = np.eye(2, dtype=np.int64)[:, np.arange(1 << 12) % 2]
+_WIDE_LAST_2_MINUS_1 = _WIDE.copy()
+_WIDE_LAST_2_MINUS_1[:, -1] = [2, -1]  # sums to 1 with two nonzero entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_one_hot(),
+                 arrays(np.int64, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                        elements=st.integers(-2, 2))))
+@example(np.array([[2], [-1]], dtype=np.int64))
+@example(np.array([[1, 0], [1, 0]], dtype=np.int64))
+@example(_WIDE)
+@example(_WIDE_LAST_2_MINUS_1)
+def test_columns_one_hot_is_every_column_one_hot(m):
+    assert columns_one_hot(m) == all(is_one_hot(col) for col in m.T)
 
 
 def test_apply_operator_validates_inputs():
