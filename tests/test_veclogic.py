@@ -17,8 +17,8 @@ from semlink.veclogic import (
     ARITY_CAP,
     apply_operator,
     column_bits,
-    columns_one_hot,
     column_index,
+    columns_one_hot,
     contract,
     embed_truth,
     is_one_hot,
