@@ -216,10 +216,10 @@ def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
                       reduce(np.matmul, [lf.mat for lf in lifts]))
 
 
-def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
-                  arity: int) -> LiftMatrix:
-    """Lift of the relation's characteristic function into TRUTH: column j
-    is TRUE_VEC exactly when the j-th tuple is a member."""
+def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
+                 arity: int) -> bytearray:
+    """One byte per arity-tuple over m, in lexicographic order: 1 exactly
+    when the tuple is a member.  Every relation and subset is read here."""
     if not 1 <= arity <= vl.ARITY_CAP or m.dim ** arity > 1 << vl.ARITY_CAP:
         raise LiftError(f"a relation of arity {arity} over {m.dim} elements is past the caps "
                         f"of arity {vl.ARITY_CAP} and 2^{vl.ARITY_CAP} tuples")
@@ -234,6 +234,14 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
                 raise LiftError(f"tuple {tup!r} mentions {a!r}, outside domain {m.tag!r}")
             j = j * d + i
         bits[j] = 1
+    return bits
+
+
+def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
+                  arity: int) -> LiftMatrix:
+    """Lift of the relation's characteristic function into TRUTH: column j
+    is TRUE_VEC exactly when the j-th tuple is a member."""
+    bits = _member_bits(tuples, m, arity)
     return LiftMatrix(m, arity, TRUTH, _EMBEDDED.take(np.frombuffer(bits, dtype=np.uint8), axis=1))
 
 
@@ -247,8 +255,11 @@ def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftMatrix:
 
 
 def indicator_vector(subset: Iterable[Hashable], m: DomainMap) -> np.ndarray:
-    """The top row of the subset's lift: component i marks element i."""
-    return lift_subset(set(subset), m).mat[0]
+    """The top row of the subset's lift, read-only: component i marks element
+    i.  It is read from the membership bits the lift is built from, so no
+    lift is built."""
+    bits = _member_bits([(a,) for a in subset], m, 1)
+    return vl._frozen(np.frombuffer(bits, dtype=np.uint8).astype(np.int64))
 
 
 # each set operation beside its arithmetic on indicator vectors (Mizraji's vector logic)
@@ -261,9 +272,19 @@ SET_OPS = {
 
 def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable], m: DomainMap,
                   lifted1: "LiftMatrix | None" = None) -> dict[str, bool]:
-    """Whether each of SET_OPS commutes with the subset lift, by name; lifted1 is e1's, if built."""
+    """Whether each of SET_OPS commutes with the subset lift, by name:
+    e1's lift (lifted1, if built) against the indicator vectors of e2 and
+    of each result, which are read without a lift."""
     s1, s2 = set(e1), set(e2)
-    x, y = (lifted1 or lift_subset(s1, m)).mat[0], indicator_vector(s2, m)
+    if lifted1 is None:
+        lifted1 = lift_subset(s1, m)
+    elif (lifted1.arity != 1 or lifted1.source.elements != m.elements
+          or lifted1.target.elements != TRUTH.elements):
+        src, tgt = lifted1.source, lifted1.target
+        raise LiftError(f"lifted1 must be a lift of arity 1 over {m.tag!r} (dim {m.dim}) into "
+                        f"{TRUTH.tag!r}, got arity {lifted1.arity} over {src.tag!r} "
+                        f"(dim {src.dim}) into {tgt.tag!r}")
+    x, y = lifted1.mat[0], indicator_vector(s2, m)
     return {name: indicator_vector(on_sets(s1, s2), m).tolist() == on_vectors(x, y).tolist()
             for name, (on_sets, on_vectors) in SET_OPS.items()}
 

@@ -149,19 +149,24 @@ def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
 # relation biconditional
 
 
-def _relation_instance_failures(label: str, lifted: hm.LiftMatrix,
+def _off_image_is_false(lifted: hm.LiftMatrix) -> bool:
+    """Whether off-image arguments make the relation lift false; they must
+    not raise."""
+    off = [np.zeros(lifted.source.dim, dtype=np.int64)] * lifted.arity
+    return lifted(off).tolist() == vl.FALSE_VEC.tolist()
+
+
+def _relation_instance_failures(label: str, values, off_false: bool,
                                 members) -> tuple[int, list[str]]:
-    """The lift of members asked about every tuple over its domain, and
-    about an off-image tuple."""
+    """A relation lift's (tuple, truth value) pairs, in the order of its
+    table, and its _off_image_is_false, against the relation's members."""
     checks, failures = 1, []
-    for tup, got in lifted.table():
+    for tup, got in values:
         checks += 1
         if got != (tup in members):
             failures.append(f"{label}: tuple {list(tup)}: lifted {got} "
                             f"extensional {int(tup in members)}")
-    # off-image arguments must make the relation false, not raise
-    off = [np.zeros(lifted.source.dim, dtype=np.int64)] * lifted.arity
-    if lifted(off).tolist() != vl.FALSE_VEC.tolist():
+    if not off_false:
         failures.append(f"{label}: off-image argument did not evaluate to 0")
     return checks, failures
 
@@ -173,11 +178,18 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
             raise ValueError("model declares no relations, cannot check relation lifts")
         fam = hm.LiftFamily.for_model(model)
         names = sorted(model.relations)
+
+        @cache
+        def read(name):  # the lifts cannot change during the run: each is read once
+            lifted = fam.relation(name)
+            return [got for _, got in lifted.table()], _off_image_is_false(lifted)
+
         for t in range(trials):
             name = names[t % len(names)]
-            c, f = _relation_instance_failures(f"trial {t}: relation {name}",
-                                               fam.relation(name),
-                                               model.relations[name].tuples)
+            rel, (truth, off_false) = model.relations[name], read(name)
+            values = zip(iproduct(fam.entity.elements, repeat=rel.arity), truth)
+            c, f = _relation_instance_failures(f"trial {t}: relation {name}", values,
+                                               off_false, rel.tuples)
             checks += c
             failures += f
         return checks, failures
@@ -187,8 +199,9 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         arity = 1 + rng.below(3)
         m = domain("dom", d)
         tuples = {args for args in iproduct(m.elements, repeat=arity) if rng.below(2)}
-        c, f = _relation_instance_failures(f"trial {t}", hm.lift_relation(tuples, m, arity),
-                                           tuples)
+        lifted = hm.lift_relation(tuples, m, arity)
+        c, f = _relation_instance_failures(f"trial {t}", lifted.table(),
+                                           _off_image_is_false(lifted), tuples)
         checks += c
         failures += f
     return checks, failures
@@ -223,8 +236,9 @@ def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
             failures.append(f"relation {r}: mask entries must be 0 or 1, got {mask}")
             continue
         members = set(compress(tuples, mask))
-        failures += _relation_instance_failures(
-            f"relation {r}", hm.lift_relation(members, m, arity), members)[1]
+        lifted = hm.lift_relation(members, m, arity)
+        failures += _relation_instance_failures(f"relation {r}", lifted.table(),
+                                                _off_image_is_false(lifted), members)[1]
     return len(mk) * (len(tuples) + 1), failures
 
 

@@ -278,6 +278,45 @@ def test_indicator_vector_is_sum_of_member_images():
     assert hm.indicator_vector(set(), m).tolist() == [0, 0, 0, 0]
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(0, 4)), st.sampled_from([list, tuple, set, iter]))
+def test_indicator_vector_is_the_top_row_of_the_subset_lift(members, kind):
+    m = dmap(5)
+    for subset in (members, [], list(m.elements), members + members):
+        got, want = hm.indicator_vector(kind(subset), m), hm.lift_subset(set(subset), m).mat[0]
+        assert got.tolist() == want.tolist()
+        assert got.dtype == want.dtype == np.int64
+        assert not got.flags.writeable and not want.flags.writeable
+    with pytest.raises(hm.LiftError, match="outside domain"):
+        hm.indicator_vector(kind(members + [5]), m)
+
+
+@pytest.mark.parametrize("lifted,shown", [
+    (hm.lift_subset({0}, dmap(4)), "got arity 1 over 'd' (dim 4) into 'truth'"),
+    (hm.lift_relation({(0, 1)}, dmap(3), 2), "got arity 2 over 'd' (dim 3) into 'truth'"),
+    (hm.lift_function({0: 0, 1: 1, 2: 2}, dmap(3), dmap(3)),
+     "got arity 1 over 'd' (dim 3) into 'd'"),
+], ids=["subset-over-4", "binary-relation", "identity-function"])
+def test_check_set_ops_refuses_a_lift_that_is_no_subset_lift_over_the_map(lifted, shown):
+    with pytest.raises(hm.LiftError) as err:
+        hm.check_set_ops({0}, {1, 2}, dmap(3), lifted)
+    assert str(err.value) == ("lifted1 must be a lift of arity 1 over 'd' (dim 3) into "
+                              f"'truth', {shown}")
+
+
+def test_a_sets_trial_builds_one_lift(monkeypatch):
+    calls = []
+    real = hm.lift_relation
+
+    def counted(tuples, m, arity):
+        calls.append(arity)
+        return real(tuples, m, arity)
+
+    monkeypatch.setattr(hm, "lift_relation", counted)
+    assert laws.run_law("sets", 0, 50).ok
+    assert calls == [1] * 50  # 250 when every indicator vector came from a lift
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -647,6 +686,41 @@ def test_a_fixed_models_function_law_reads_each_lift_once(monkeypatch, broken, w
     monkeypatch.setattr(hm.LiftMatrix, "table", counted)
     assert laws.run_law("function", 0, 50, model).render() == want
     assert len(read) == len({id(lf) for lf in read}) == len(model.functions) == 2
+
+
+def _off_image_is_true(self, vecs):
+    return vl.TRUE_VEC
+
+
+@pytest.mark.parametrize("broken,failure", [
+    (None, None),
+    ("lift_relation", "tuple ['e1']: lifted 0 extensional 1"),
+    ("__call__", "off-image argument did not evaluate to 0"),
+], ids=["real", "member-dropped", "off-image-true"])
+def test_a_fixed_models_relation_law_reads_each_lift_once(monkeypatch, broken, failure):
+    model = random_model(Draws(3), n_entities=4)  # two unary relations, P1 and P2
+    if broken == "lift_relation":  # drops the first member
+        real = hm.lift_relation
+        monkeypatch.setattr(hm, "lift_relation",
+                            lambda tuples, m, arity: real(sorted(tuples)[1:], m, arity))
+    elif broken == "__call__":
+        monkeypatch.setattr(hm.LiftMatrix, "__call__", _off_image_is_true)
+    read = []
+    table = hm.LiftMatrix.table
+
+    def counted(self):
+        read.append(self)
+        return table(self)
+
+    monkeypatch.setattr(hm.LiftMatrix, "table", counted)
+    want = "law: relation\nseed: 0\ntrials: 50\nchecks: 250\nfailures: 0\nresult: PASS\n"
+    if failure:
+        want = ("law: relation\nseed: 0\ntrials: 50\nchecks: 250\nfailures: 50\n"
+                + "".join(f"counterexample: trial {t}: relation P{t % 2 + 1}: {failure}\n"
+                          for t in range(5))
+                + "result: FAIL\n")
+    assert laws.run_law("relation", 0, 50, model).render() == want
+    assert len(read) == len({id(lf) for lf in read}) == len(model.relations) == 2
 
 
 @pytest.mark.parametrize("law", ["function", "relation", "chain"])
