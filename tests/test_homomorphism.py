@@ -688,10 +688,6 @@ def test_a_fixed_models_function_law_reads_each_lift_once(monkeypatch, broken, w
     assert len(read) == len({id(lf) for lf in read}) == len(model.functions) == 2
 
 
-def _off_image_is_true(self, vecs):
-    return vl.TRUE_VEC
-
-
 @pytest.mark.parametrize("broken,failure", [
     (None, None),
     ("lift_relation", "tuple ['e1']: lifted 0 extensional 1"),
@@ -704,7 +700,7 @@ def test_a_fixed_models_relation_law_reads_each_lift_once(monkeypatch, broken, f
         monkeypatch.setattr(hm, "lift_relation",
                             lambda tuples, m, arity: real(sorted(tuples)[1:], m, arity))
     elif broken == "__call__":
-        monkeypatch.setattr(hm.LiftMatrix, "__call__", _off_image_is_true)
+        monkeypatch.setattr(hm.LiftMatrix, "__call__", lambda self, vecs: vl.TRUE_VEC)
     read = []
     table = hm.LiftMatrix.table
 
