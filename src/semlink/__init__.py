@@ -56,9 +56,8 @@ from .veclogic import (
     named_operator,
     project_truth,
     synth_operator,
-    table_of,
 )
-from .space import cosine_similarity, distance, inner_product, norm, word_vector
+from .space import cosine_similarity, distance, inner_product, norm
 from .homomorphism import (
     DomainMap,
     LiftFamily,

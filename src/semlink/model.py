@@ -82,7 +82,9 @@ class RelationInterp:
 @dataclass(frozen=True)
 class Model:
     """A validated model.  It cannot change afterwards: its mappings are
-    read-only copies of the ones it was given."""
+    read-only copies of the ones it was given.  Its symbol names are those of
+    its signature, built and checked once here, so a model whose names no
+    expression could use is refused when it is made."""
 
     entities: tuple[str, ...]
     constants: Mapping[str, str]
@@ -92,6 +94,7 @@ class Model:
     _constants: dict = field(init=False, repr=False, compare=False)
     _functions: dict = field(init=False, repr=False, compare=False)
     _relations: dict = field(init=False, repr=False, compare=False)
+    _signature: Signature = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entities:
@@ -148,17 +151,18 @@ class Model:
             plain = dict(getattr(self, key))
             object.__setattr__(self, "_" + key, plain)
             object.__setattr__(self, key, MappingProxyType(plain))
+        object.__setattr__(self, "_signature", signature_of(
+            constants={name: ENTITY for name in self._constants},
+            functions={name: fn.arity for name, fn in self._functions.items()},
+            predicates={name: rel.arity for name, rel in self._relations.items()},
+        ))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
         return Model, (self.entities, dict(self.constants), dict(self.functions),
                        dict(self.relations))
 
     def signature(self) -> Signature:
-        return signature_of(
-            constants={name: ENTITY for name in self.constants},
-            functions={name: fn.arity for name, fn in self.functions.items()},
-            predicates={name: rel.arity for name, rel in self.relations.items()},
-        )
+        return self._signature
 
 
 # ---------------------------------------------------------------------------

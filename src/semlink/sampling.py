@@ -2,19 +2,17 @@
 
 Everything draws from the PCG64 bit stream of a seed, so a fixed seed
 reproduces the exact same structures on every run.  The samplers take a
-Draws and draw their scalars one at a time through Draws.below, which
-returns exactly what numpy's Generator.integers returns for the same seed
-and calls, so reports stay byte-identical to those drawn through a
-Generator, at a fraction of the cost per draw.  make_rng and
-random_truth_tables, whose draws are vectors, serve the tests and the
-acceptance sweeps through a numpy Generator; the law suites make no vector
-draws.
+Draws and draw their scalars one at a time through Draws.below, the one
+draw: below(n) returns exactly what numpy's Generator.integers(n) returns
+for the same seed and calls, and a draw from [lo, hi) is lo + below(hi - lo),
+which is what integers(lo, hi) returns.  So reports stay byte-identical to
+those drawn through a Generator, at a fraction of the cost per draw.  The
+law suites make no vector draws.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +35,6 @@ BINARY_KINDS = (ConnectiveKind.AND, ConnectiveKind.OR, ConnectiveKind.IMPLIES,
 # raw 64-bit words Draws reads from the bit generator at a time
 _BLOCK = 256
 _LOW32 = 0xFFFFFFFF
-_INT64 = 1 << 63
 
 
 class Draws:
@@ -48,10 +45,10 @@ class Draws:
     (the low half of each raw 64-bit word, then its high half) and maps one
     onto range(n) by Lemire's multiply-and-reject method ("Fast random
     integer generation in an interval", ACM TOMACS 2019); a span of 1 draws
-    nothing.  Draws does the same on raw words read a block at a time.  It
-    buffers ahead, so nothing else may draw from its bit generator, and it
-    refuses what it does not reproduce: size=, dtype=, spans above 2^32 and
-    bounds outside int64.
+    nothing.  below(n) does the same on raw words read a block at a time,
+    and integers(lo, hi) is lo + below(hi - lo).  Draws buffers ahead, so
+    nothing else may draw from its bit generator, and below refuses the
+    spans it does not reproduce: those below 1 and above 2^32.
     """
 
     def __init__(self, seed: int):
@@ -67,26 +64,11 @@ class Draws:
             halves += np.stack([raw & _LOW32, raw >> 32], axis=1).ravel()[::-1].tolist()
         return halves.pop()
 
-    def integers(self, low: int, high: "int | None" = None, size=None, dtype=None) -> int:
-        """An int drawn uniformly from range(low, high), or range(low) when
-        high is omitted, as Generator.integers(low, high) draws it."""
-        if size is not None or dtype is not None:
-            raise TypeError("Draws.integers draws one int64 at a time: no size= or dtype=")
-        if high is None:
-            low, high = 0, low
-        low = index(low)
-        span = index(high) - low
-        if span < 1:
-            raise ValueError(f"empty range [{low}, {high})")
-        if low < -_INT64 or low + span > _INT64:
-            raise ValueError(f"range [{low}, {high}) is not within int64")
-        return low + self.below(span)
-
     def below(self, n: int) -> int:
-        """integers(n) for an int n, without parsing arguments: an int drawn
-        uniformly from range(n).  n is 1 (which draws nothing) up to 2^32.
-        An int below 1 or above 2^32 raises ValueError and leaves the stream
-        as it was; a float raises TypeError once it has taken a word."""
+        """integers(n) for an int n: an int drawn uniformly from range(n).
+        n is 1 (which draws nothing) up to 2^32.  An int below 1 or above
+        2^32 raises ValueError and leaves the stream as it was; a float
+        raises TypeError once it has taken a word."""
         if n <= 1:
             if n == 1:
                 return 0
@@ -102,10 +84,6 @@ class Draws:
             while (m & _LOW32) < threshold:
                 m = self._next32() * n
         return m >> 32
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def random_model(rng: Draws, n_entities: int = 4) -> Model:
@@ -184,11 +162,6 @@ def random_formula(rng: Draws, sig: Signature, budget: int) -> Term:
     functions, constants = _terms_over(sig)
     return _formula(rng.below, tuple(sorted(sig.predicates.items())), functions, constants,
                     budget)
-
-
-def random_truth_tables(rng: np.random.Generator, arity: int, count: int) -> np.ndarray:
-    """count random truth tables as an int8 array in column order."""
-    return rng.integers(0, 2, size=(count, 1 << arity), dtype=np.int8)
 
 
 def random_function_table(rng: Draws, src: Sequence, tgt: Sequence) -> dict:

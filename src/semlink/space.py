@@ -7,7 +7,6 @@ stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,30 +82,3 @@ def cosine_similarity(u, v) -> float:
     # rounding can carry the quotient of parallel vectors just past +-1,
     # which acos refuses
     return float(min(max((a @ b) / (na * nb), -1.0), 1.0))
-
-
-@dataclass(frozen=True)
-class WordVector:
-    word: str
-    vec: np.ndarray
-
-
-def word_vector(word: str, coefficients: Sequence[float],
-                basis: Sequence[np.ndarray]) -> WordVector:
-    """Represent a word as the linear combination sum_i alpha_i basis_i; a
-    combination that is not finite raises ValueError, as in as_vector."""
-    if len(coefficients) != len(basis):
-        raise ValueError(
-            f"{len(coefficients)} coefficients against {len(basis)} basis vectors")
-    if len(basis) == 0:  # not `not basis`, which a numpy basis cannot answer
-        raise ValueError("word vector needs at least one basis vector")
-    vecs = [as_vector(b) for b in basis]
-    dim = vecs[0].shape[0]
-    for b in vecs[1:]:
-        if b.shape[0] != dim:
-            raise ValueError("basis vectors differ in dimension")
-    out = np.zeros(dim, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # as_vector refuses what is not finite
-        for alpha, b in zip(coefficients, vecs):
-            out += float(alpha) * b
-    return WordVector(word, as_vector(out))

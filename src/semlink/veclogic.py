@@ -223,12 +223,6 @@ def apply_operator(op: OpMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
     return contract(op.ten, inputs)
 
 
-def table_of(op: OpMatrix) -> TruthTable:
-    """Read the truth table back out of a matrix (projection of each column)."""
-    outs = [project_truth(op.mat[:, j]) for j in range(op.mat.shape[1])]
-    return TruthTable(op.arity, np.array(outs, dtype=np.int8))
-
-
 # ---------------------------------------------------------------------------
 # named operators
 

@@ -70,7 +70,9 @@ def test_load_good_model(tmp_path):
 
 
 def test_signature_derived_from_model():
-    sig = good_model().signature()
+    m = good_model()
+    sig = m.signature()
+    assert sig is m.signature()  # built once, when the model was
     assert sig.functions == {"f": 1, "g": 2}
     assert sig.predicates == {"P": 1, "R": 2}
     assert set(sig.constants) == {"a", "b"}
@@ -262,6 +264,7 @@ def test_a_model_survives_pickling_and_deep_copies():
     m = good_model()
     for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
         assert twin == m and twin is not m
+        assert twin.signature() == m.signature()
         with pytest.raises(TypeError):
             twin.functions["f"].table[("e1",)] = "e9"
 

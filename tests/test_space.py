@@ -1,4 +1,4 @@
-"""Inner products, norms, distances, cosine similarity, word vectors."""
+"""Inner products, norms, distances, cosine similarity."""
 
 import math
 
@@ -12,7 +12,6 @@ from semlink.space import (
     distance,
     inner_product,
     norm,
-    word_vector,
 )
 
 TOL = 1e-9
@@ -216,52 +215,6 @@ def test_nonnegative_components_give_unit_interval_similarity():
         v = rngs.uniform(0.01, 10, d)
         s = cosine_similarity(u, v)
         assert -TOL <= s <= 1 + TOL
-
-
-# ---------------------------------------------------------------------------
-# word vectors
-
-
-def test_word_vector_is_linear_combination():
-    b1 = np.array([1.0, 0.0, 0.0])
-    b2 = np.array([0.0, 1.0, 0.0])
-    wv = word_vector("w", [2.0, -0.5], [b1, b2])
-    assert wv.word == "w"
-    assert np.allclose(wv.vec, [2.0, -0.5, 0.0], atol=TOL)
-
-
-def test_word_vector_on_orthonormal_basis_recovers_coefficients():
-    basis = [np.eye(4)[i] for i in range(4)]
-    coeff = [0.3, -1.2, 4.0, 0.0]
-    wv = word_vector("w", coeff, basis)
-    for alpha, b in zip(coeff, basis):
-        assert inner_product(wv.vec, b) == pytest.approx(alpha, abs=TOL)
-
-
-def test_word_vector_validation():
-    with pytest.raises(ValueError):
-        word_vector("w", [1.0], [])
-    with pytest.raises(ValueError, match="at least one basis vector"):
-        word_vector("w", [], np.empty((0, 2)))
-    with pytest.raises(ValueError):
-        word_vector("w", [1.0, 2.0], [np.array([1.0, 0.0])])
-    with pytest.raises(ValueError):
-        word_vector("w", [1.0, 1.0], [np.array([1.0]), np.array([1.0, 0.0])])
-
-
-def test_word_vector_takes_a_numpy_basis():
-    assert word_vector("w", [2.0, -0.5], np.eye(2)).vec.tolist() == [2.0, -0.5]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("coefficients,basis", [
-    ([math.inf, 1.0], np.eye(2)),
-    ([1e308], [[1e308]]),  # the product overflows
-    ([1.0, 1.0], [[1e308], [1e308]]),  # the sum overflows
-], ids=["inf-coefficient", "product-overflow", "sum-overflow"])
-def test_word_vector_refuses_a_non_finite_result(coefficients, basis):
-    with pytest.raises(ValueError, match="finite"):
-        word_vector("w", coefficients, basis)
 
 
 def test_norm_is_positive_definite():
