@@ -472,41 +472,6 @@ def test_check_model_must_have_the_law_symbols(capsys, tmp_path, law, model, lac
     assert err.startswith("error: model declares " + lacking)
 
 
-# a model every law and command accepts, but for the name added to it
-MODEL_BASE = {"entities": ["e1"], "constants": {"a": "e1"},
-              "functions": {"f": {"arity": 1, "table": [["e1", "e1"]]}},
-              "relations": {"P": {"arity": 1, "tuples": [["e1"]]}}}
-
-
-def _misnamed(constants=(), functions=(), relations=()) -> dict:
-    """MODEL_BASE with more constants, unary functions and unary relations."""
-    data = json.loads(json.dumps(MODEL_BASE))  # a deep copy
-    data["constants"].update((name, "e1") for name in constants)
-    data["functions"].update((name, {"arity": 1, "table": [["e1", "e1"]]}) for name in functions)
-    data["relations"].update((name, {"arity": 1, "tuples": []}) for name in relations)
-    return data
-
-
-@pytest.mark.parametrize("argv", [["eval", "--expr", "a"], ["lift", "--function", "f"],
-                                  ["lift", "--relation", "P"]]
-                         + [["check", "--law", law, "--trials", "2"] for law in laws.LAWS],
-                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:3]))
-@pytest.mark.parametrize("data,line", [
-    (_misnamed(constants=["1a"]), "constant name '1a' is not a valid identifier"),
-    (_misnamed(relations=["P-Q"]), "predicate name 'P-Q' is not a valid identifier"),
-    (_misnamed(functions=["not"], relations=["not"]),
-     "function name 'not' is a reserved connective keyword"),
-    (_misnamed(functions=["g"], relations=["g"]), "name 'g' declared in more than one namespace"),
-], ids=["digit-first", "hyphen", "keyword", "two-namespaces"])
-def test_every_command_refuses_a_model_whose_names_no_expression_can_use(
-        capsys, tmp_path, argv, data, line):
-    # check --model for the function, relation, sets and chain laws and lift
-    # used to accept such a model; eval and the formula law refused it
-    p = tmp_path / "m.json"
-    p.write_text(json.dumps(data))
-    assert run_cli(capsys, *argv[:1], "--model", str(p), *argv[1:]) == (2, "", f"error: {line}\n")
-
-
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_check_rejects_runs_without_checks(capsys, trials):
     code, out, err = run_cli(capsys, "check", "--law", "sets", "--trials", trials)
@@ -667,6 +632,28 @@ def _with(path, value):
     *keys, last = path
     reduce(dict.__getitem__, keys, data)[last] = value
     return data
+
+
+NO_TUPLES = {"arity": 1, "tuples": []}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--expr", "a"], ["lift", "--function", "f"],
+                                  ["lift", "--relation", "P"]]
+                         + [["check", "--law", law, "--trials", "2"] for law in laws.LAWS],
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:3]))
+@pytest.mark.parametrize("path,value,line", [
+    (("constants", "1a"), "e1", "constant name '1a' is not a valid identifier"),
+    (("relations", "P-Q"), NO_TUPLES, "predicate name 'P-Q' is not a valid identifier"),
+    (("relations", "not"), NO_TUPLES, "predicate name 'not' is a reserved connective keyword"),
+    (("relations", "f"), NO_TUPLES, "name 'f' declared in more than one namespace"),
+], ids=["digit-first", "hyphen", "keyword", "two-namespaces"])
+def test_every_command_refuses_a_model_whose_names_no_expression_can_use(
+        capsys, tmp_path, argv, path, value, line):
+    # check --model for the function, relation, sets and chain laws and lift
+    # used to accept such a model; eval and the formula law refused it
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(_with(path, value)))
+    assert run_cli(capsys, *argv[:1], "--model", str(p), *argv[1:]) == (2, "", f"error: {line}\n")
 
 
 # models near MODEL reach the lifts and the laws; free-form ones mostly the loader
