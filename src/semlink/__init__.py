@@ -36,13 +36,11 @@ from .model import (
     RelationInterp,
     TruthVal,
     denote,
-    denote_traced,
     load_model,
     model_from_dict,
 )
 from .veclogic import (
     ArityCapError,
-    OpMatrix,
     TruthTable,
     apply_operator,
     contract,

@@ -1,186 +1,36 @@
-"""Structure-preserving maps from finite domains into one-hot vector spaces.
+"""The lifts of a model, and the checks that they commute with its maps.
 
-Each finite domain D gets an injective map onto the standard basis of an
-integer vector space of dimension |D|.  Every function on the domain lifts
-to a LiftMatrix, an integer matrix whose columns are basis vectors, applied
-to the Kronecker fold of its mapped arguments; a relation lifts as its
-characteristic function into the embedded truth values, and a subset is a
-unary relation.  The lifts are checked to commute with the maps, and
-formulas evaluate along both routes, connectives acting as operator
-matrices.  All arithmetic here is exact integer; no floats.
+A model's functions and relations lift over its entity map (the maps and
+LiftMatrix are veclogic's, re-exported here), a relation as its
+characteristic function into TRUTH and a subset as a unary relation.  Set
+operations and composition chains are checked to commute with the maps, and
+terms evaluate along both routes, connectives acting as the lifts of their
+truth functions.  All arithmetic here is exact integer; no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, product as iproduct
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import product as iproduct
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import veclogic as vl
 from .model import Assignment, Model, denote, evaluate  # noqa: F401 (denote is re-exported)
 from .terms import FORMULA_NODES, ConnectiveKind, Term
-
-
-class OffImageError(ValueError):
-    """A vector is not the image of any domain element under the map."""
-
-
-class LiftError(ValueError):
-    """A lift was requested for data that does not fit the maps involved."""
-
-
-# ---------------------------------------------------------------------------
-# domain maps
-
-
-@dataclass(frozen=True)
-class DomainMap:
-    """Injective map from a finite domain onto the standard basis vectors."""
-
-    tag: str
-    elements: tuple[Hashable, ...]
-    index: Mapping[Hashable, int] = field(repr=False)
-    # argument_columns of this map, by arity
-    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    dim: int = field(init=False, repr=False, compare=False)  # len(elements)
-    # basis_matrix of this map, made on first use: a relation-only map never pays dim^2
-    basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("domain must be nonempty")
-        object.__setattr__(self, "dim", len(self.elements))
-
-    def __reduce__(self):  # a copy is rebuilt, so the columns and basis it caches are its own
-        return build_domain_map, (self.elements, self.tag)
-
-
-def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> DomainMap:
-    elems = tuple(elements)
-    if len(set(elems)) != len(elems):
-        raise ValueError(f"domain elements for {tag!r} are not distinct")
-    return DomainMap(tag, elems, {e: i for i, e in enumerate(elems)})
-
-
-def map_element(m: DomainMap, a: Hashable) -> np.ndarray:
-    """Basis vector of the element, as an int64 one-hot of length dim."""
-    if a not in m.index:
-        raise LiftError(f"{a!r} is not an element of domain {m.tag!r}")
-    out = np.zeros(m.dim, dtype=np.int64)
-    out[m.index[a]] = 1
-    return out
-
-
-def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
-    """Partial inverse of map_element; anything not exactly one-hot of the
-    right length is off the image and raises OffImageError."""
-    v = np.asarray(vec)
-    if v.shape != (m.dim,):
-        raise OffImageError(
-            f"vector of shape {v.shape} is off the image of {m.tag!r} (dim {m.dim})")
-    if not vl.is_one_hot(v):
-        raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
-    return m.elements[int(np.argmax(v))]
-
-
-def entity_map(model: Model) -> DomainMap:
-    return build_domain_map(model.entities, tag="entity")
-
-
-# the two truth values, mapped onto their embeddings: 1 to TRUE_VEC, 0 to FALSE_VEC
-TRUTH = build_domain_map((1, 0), tag="truth")
-# column b is the embedded bit b
-_EMBEDDED = vl._frozen(np.column_stack([vl.embed_truth(0), vl.embed_truth(1)]))
-
-
-def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
-    """For every arity-tuple over m, in lexicographic order, the column that
-    mat @ kron_fold picks out of a lift's matrix on the tuple's mapped
-    vectors.  Each element is mapped and checked to be on the image (or
-    OffImageError) once per map, and the map keeps the read-only result."""
-    if arity not in m.columns:
-        idx = cols = np.array([m.index[unmap_element(m, map_element(m, a))] for a in m.elements])
-        for _ in range(arity - 1):
-            cols = (cols[:, None] * m.dim + idx).ravel()
-        m.columns[arity] = vl._frozen(cols)
-    return m.columns[arity]
-
-
-def basis_matrix(m: DomainMap) -> np.ndarray:
-    """The dim x dim int64 identity, whose column i is the basis vector of
-    element i: made the first time it is asked for, then kept read-only by
-    the map."""
-    if m.basis is None:
-        object.__setattr__(m, "basis", vl._frozen(np.eye(m.dim, dtype=np.int64)))
-    return m.basis
+from .veclogic import (  # noqa: F401 (re-exported)
+    _EMBEDDED, TRUTH, DomainMap, LiftError, LiftMatrix, OffImageError, argument_columns,
+    basis_matrix, build_domain_map, map_element, unmap_element)
 
 
 # ---------------------------------------------------------------------------
 # lifts
 
 
-# columns read per batch of LiftMatrix.table
-_BATCH_COLUMNS = 1 << 16
-
-
-@dataclass(frozen=True, eq=False)
-class LiftMatrix:
-    """Vector-side image of a map from arity-tuples over source to target:
-    a target.dim x source.dim**arity int64 matrix whose column j is the
-    basis vector of the value at the j-th tuple in lexicographic order.  The
-    Kronecker fold of that tuple's basis vectors is basis vector j, so
-    mat @ kron_fold(args) is column j.  A lift into TRUTH lifts a relation,
-    and an off-image argument makes it false; any other lift refuses one.
-    """
-
-    source: DomainMap
-    arity: int
-    target: DomainMap
-    mat: np.ndarray = field(repr=False)
-    ten: np.ndarray = field(init=False, repr=False)  # mat's read-only tensor view for contract
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=np.int64)
-        d, n, t = self.source.dim, self.arity, self.target.dim
-        # the arity is bounded first, so d**n is computed only when it is small
-        if not 1 <= n <= vl.ARITY_CAP or m.shape != (t, d ** n):
-            raise LiftError(f"lift of arity {n} from dim {d} to dim {t} "
-                            f"must be {t} x {d}^{n}, got {m.shape}")
-        if not vl.columns_one_hot(m):
-            raise LiftError(f"every column of a lift must be a basis vector of {self.target.tag!r}")
-        object.__setattr__(self, "mat", vl._frozen(m))
-        object.__setattr__(self, "ten", self.mat.reshape((t,) + (d,) * n))
-
-    def __reduce__(self):  # a copy is rebuilt, so its mat is read-only and its ten views it
-        return LiftMatrix, (self.source, self.arity, self.target, self.mat)
-
-    def __call__(self, vecs: Sequence[np.ndarray]) -> np.ndarray:
-        """The lift applied to vecs by veclogic.contract, once each argument
-        is checked to be on the image of the source."""
-        if len(vecs) != self.arity:
-            raise LiftError(f"lift of arity {self.arity} got {len(vecs)} arguments")
-        try:
-            for v in vecs:
-                unmap_element(self.source, v)
-        except OffImageError:
-            if self.target.elements != TRUTH.elements:
-                raise
-            return vl.FALSE_VEC
-        return vl.contract(self.ten, vecs)
-
-    def table(self) -> Iterator[tuple[tuple[Hashable, ...], Hashable]]:
-        """Every arity-tuple over the source, in lexicographic order, with the
-        target element whose basis vector the lift gives on its mapped
-        vectors: its column, read a batch of columns at a time."""
-        cols = argument_columns(self.source, self.arity)
-        tuples = iproduct(self.source.elements, repeat=self.arity)
-        out = self.target.elements
-        for start in range(0, len(cols), _BATCH_COLUMNS):
-            vals = self.mat[:, cols[start:start + _BATCH_COLUMNS]].argmax(axis=0)
-            yield from zip(islice(tuples, len(vals)), [out[v] for v in vals.tolist()])
+def entity_map(model: Model) -> DomainMap:
+    return build_domain_map(model.entities, tag="entity")
 
 
 def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
@@ -204,6 +54,8 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
 def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
     """g after f is compose_lifted(g, f), the product of their matrices; every
     lift but the last must be unary, and the domains that meet must agree."""
+    if not lifts:
+        raise LiftError("compose_lifted needs at least one lift")
     for g, f in zip(lifts, lifts[1:]):
         if g.arity != 1:
             raise LiftError(f"cannot compose after a lift of arity {g.arity}")

@@ -280,7 +280,7 @@ def _misplaced(owner: str, formulas: bool) -> EvaluationError:
     return EvaluationError(f"argument of {owner!r} evaluated to {got}, expected {want}")
 
 
-def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
+def evaluate(term: Term, model: Model, g: Assignment, sem):
     """The one structural recursion over terms, for either route.
 
     The checks come in a fixed order at every node.  A leaf resolves to an
@@ -294,17 +294,14 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
 
     The semantics `sem` makes the values: sem.entity(id) at a leaf,
     sem.fun(name, args), sem.pred(name, args) or sem.conn(kind, args) at a
-    node.  enter(term, depth), if given, sees every node on entry, the root
-    at depth 1.
+    node.
     """
     constants, functions, relations = model._constants, model._functions, model._relations
     entity, fun, pred, conn = sem.entity, sem.fun, sem.pred, sem.conn
 
     # one frame per level of nesting: the loops stay in go, since a helper
     # or a list comprehension would add a frame per level on Python < 3.12
-    def go(t: Term, depth: int):
-        if enter is not None:
-            enter(t, depth)
+    def go(t: Term):
         cls = type(t)
         if cls is Const:
             ent = constants.get(t.name)
@@ -315,7 +312,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
             kind = t.kind
             vals = []
             for a in t.args:
-                vals.append(go(a, depth + 1))
+                vals.append(go(a))
                 if type(a) not in FORMULA_NODES:
                     raise _misplaced(kind.keyword, formulas=True)
             return conn(kind, vals)
@@ -341,13 +338,13 @@ def evaluate(term: Term, model: Model, g: Assignment, sem, enter=None):
             raise EvaluationError(f"{kind} {name!r} takes {interp.arity} arguments, got {len(args)}")
         vals = []
         for a in args:
-            vals.append(go(a, depth + 1))
+            vals.append(go(a))
             if type(a) in FORMULA_NODES:
                 raise _misplaced(name, formulas=False)
         return apply(name, vals)
 
     try:
-        return go(term, 1)
+        return go(term)
     finally:
         # go reaches itself through its closure cell: clearing the cell breaks
         # that cycle, so the evaluation's state is freed at once by refcount
@@ -359,13 +356,3 @@ def denote(term: Term, model: Model, g: Assignment) -> "EntityVal | TruthVal":
     val = evaluate(term, model, g, Extensional(model))
     return TruthVal(val) if type(term) in FORMULA_NODES else EntityVal(val)
 
-
-def denote_traced(term: Term, model: Model, g: Assignment) -> "tuple[EntityVal | TruthVal, int]":
-    """Like denote, but also report the maximum evaluator recursion depth.
-
-    The root call counts as depth 1, so the result is bounded by
-    complexity_depth(term) + 1.
-    """
-    depths: list[int] = []
-    val = evaluate(term, model, g, Extensional(model), lambda _term, depth: depths.append(depth))
-    return TruthVal(val) if type(term) in FORMULA_NODES else EntityVal(val), max(depths)

@@ -46,9 +46,10 @@ class Draws:
     onto range(n) by Lemire's multiply-and-reject method ("Fast random
     integer generation in an interval", ACM TOMACS 2019); a span of 1 draws
     nothing.  below(n) does the same on raw words read a block at a time,
-    and integers(lo, hi) is lo + below(hi - lo).  Draws buffers ahead, so
-    nothing else may draw from its bit generator, and below refuses the
-    spans it does not reproduce: those below 1 and above 2^32.
+    and a draw from [lo, hi) is lo + below(hi - lo), which is what
+    Generator.integers(lo, hi) returns.  Draws buffers ahead, so nothing
+    else may draw from its bit generator, and below refuses the spans it
+    does not reproduce: those below 1 and above 2^32.
     """
 
     def __init__(self, seed: int):
@@ -65,7 +66,7 @@ class Draws:
         return halves.pop()
 
     def below(self, n: int) -> int:
-        """integers(n) for an int n: an int drawn uniformly from range(n).
+        """Generator.integers(n) for an int n: an int drawn uniformly from range(n).
         n is 1 (which draws nothing) up to 2^32.  An int below 1 or above
         2^32 raises ValueError and leaves the stream as it was; a float
         raises TypeError once it has taken a word."""

@@ -1,15 +1,20 @@
-"""Vector form of classical logic over exact integer arrays.
+"""One-hot maps of finite domains, the lifts of maps between them, and the
+vector form of classical logic, all over exact integer arrays.
+
+Each finite domain maps injectively onto the standard basis of an integer
+vector space of dimension |D|.  A function on arity-tuples over a domain
+lifts to a LiftMatrix, whose columns are basis vectors, applied to its
+mapped arguments by contraction with one at a time.
 
 Truth values embed as orthonormal one-hot 2-vectors, true = [1,0] and
-false = [0,1].  An n-ary operator is a 2 x 2^n integer matrix applied to the
-Kronecker product of the embedded inputs, by contraction with one at a time;
-the result is a one-hot 2-vector, so matrices compose with the truth functions.
+false = [0,1]: the map TRUTH of the domain (1, 0).  An n-ary operator is the
+lift of its truth function over TRUTH, a 2 x 2^n integer matrix.
 
 Column convention: column 0 corresponds to the all-true input tuple and the
-tuples descend lexicographically with 1 ordered before 0.  Equivalently the
-binary digits of the column index are the complemented input bits, so the
-Kronecker product of the embedded inputs is exactly the standard basis
-vector of that column.
+tuples descend lexicographically with 1 ordered before 0, the lexicographic
+order over TRUTH.  Equivalently the binary digits of the column index are
+the complemented input bits, so the Kronecker product of the embedded
+inputs is exactly the standard basis vector of that column.
 
 Everything here is exact int64 arithmetic; no floats.
 """
@@ -17,8 +22,8 @@ Everything here is exact int64 arithmetic; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, islice, product as iproduct
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -177,42 +182,174 @@ class TruthTable:
 
 
 # ---------------------------------------------------------------------------
-# operator matrices
+# domain maps
+
+
+class OffImageError(ValueError):
+    """A vector is not the image of any domain element under the map."""
+
+
+class LiftError(ValueError):
+    """A lift was requested for data that does not fit the maps involved."""
 
 
 @dataclass(frozen=True)
-class OpMatrix:
-    """2 x 2^n integer matrix whose columns are all one-hot."""
+class DomainMap:
+    """Injective map from a finite domain onto the standard basis vectors."""
 
+    tag: str
+    elements: tuple[Hashable, ...]
+    index: Mapping[Hashable, int] = field(repr=False)
+    # argument_columns of this map, by arity
+    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)  # len(elements)
+    # basis_matrix of this map, made on first use: a relation-only map never pays dim^2
+    basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.elements:
+            raise ValueError("domain must be nonempty")
+        object.__setattr__(self, "dim", len(self.elements))
+
+    def __reduce__(self):  # a copy is rebuilt, so the columns and basis it caches are its own
+        return build_domain_map, (self.elements, self.tag)
+
+
+def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> DomainMap:
+    elems = tuple(elements)
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"domain elements for {tag!r} are not distinct")
+    return DomainMap(tag, elems, {e: i for i, e in enumerate(elems)})
+
+
+def map_element(m: DomainMap, a: Hashable) -> np.ndarray:
+    """Basis vector of the element, as an int64 one-hot of length dim."""
+    if a not in m.index:
+        raise LiftError(f"{a!r} is not an element of domain {m.tag!r}")
+    out = np.zeros(m.dim, dtype=np.int64)
+    out[m.index[a]] = 1
+    return out
+
+
+def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
+    """Partial inverse of map_element; anything not exactly one-hot of the
+    right length is off the image and raises OffImageError."""
+    v = np.asarray(vec)
+    if v.shape != (m.dim,):
+        raise OffImageError(
+            f"vector of shape {v.shape} is off the image of {m.tag!r} (dim {m.dim})")
+    if not is_one_hot(v):
+        raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
+    return m.elements[int(np.argmax(v))]
+
+
+# the two truth values, mapped onto their embeddings: 1 to TRUE_VEC, 0 to FALSE_VEC
+TRUTH = build_domain_map((1, 0), tag="truth")
+# column b is the embedded bit b
+_EMBEDDED = _frozen(np.column_stack([embed_truth(0), embed_truth(1)]))
+
+
+def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
+    """For every arity-tuple over m, in lexicographic order, the column that
+    mat @ kron_fold picks out of a lift's matrix on the tuple's mapped
+    vectors.  Each element is mapped and checked to be on the image (or
+    OffImageError) once per map, and the map keeps the read-only result."""
+    if arity not in m.columns:
+        idx = cols = np.array([m.index[unmap_element(m, map_element(m, a))] for a in m.elements])
+        for _ in range(arity - 1):
+            cols = (cols[:, None] * m.dim + idx).ravel()
+        m.columns[arity] = _frozen(cols)
+    return m.columns[arity]
+
+
+def basis_matrix(m: DomainMap) -> np.ndarray:
+    """The dim x dim int64 identity, whose column i is the basis vector of
+    element i: made the first time it is asked for, then kept read-only by
+    the map."""
+    if m.basis is None:
+        object.__setattr__(m, "basis", _frozen(np.eye(m.dim, dtype=np.int64)))
+    return m.basis
+
+
+# ---------------------------------------------------------------------------
+# lifts
+
+
+# columns read per batch of LiftMatrix.table
+_BATCH_COLUMNS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class LiftMatrix:
+    """Vector-side image of a map from arity-tuples over source to target:
+    a target.dim x source.dim**arity int64 matrix whose column j is the
+    basis vector of the value at the j-th tuple in lexicographic order.  The
+    Kronecker fold of that tuple's basis vectors is basis vector j, so
+    mat @ kron_fold(args) is column j.  A lift into TRUTH lifts a relation,
+    and an off-image argument makes it false; any other lift refuses one.
+    """
+
+    source: DomainMap
     arity: int
-    mat: np.ndarray
-    ten: np.ndarray = field(init=False, repr=False, compare=False)  # mat's read-only tensor view
+    target: DomainMap
+    mat: np.ndarray = field(repr=False)
+    ten: np.ndarray = field(init=False, repr=False)  # mat's read-only tensor view for contract
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=np.int64)
-        if self.arity < 1 or m.ndim != 2 or m.shape[0] != 2 or not _is_2_to_the(m.shape[1], self.arity):
-            raise ValueError(
-                f"operator of arity {self.arity} must be 2 x 2^{self.arity}, got {m.shape}")
+        d, n, t = self.source.dim, self.arity, self.target.dim
+        # the arity is bounded first, so d**n is computed only when it is small
+        if not 1 <= n <= ARITY_CAP or m.shape != (t, d ** n):
+            raise LiftError(f"lift of arity {n} from dim {d} to dim {t} "
+                            f"must be {t} x {d}^{n}, got {m.shape}")
         if not columns_one_hot(m):
-            raise ValueError("every operator column must be a one-hot truth vector")
+            raise LiftError(f"every column of a lift must be a basis vector of {self.target.tag!r}")
         object.__setattr__(self, "mat", _frozen(m))
-        object.__setattr__(self, "ten", self.mat.reshape((2,) * (self.arity + 1)))
+        object.__setattr__(self, "ten", self.mat.reshape((t,) + (d,) * n))
 
     def __reduce__(self):  # a copy is rebuilt, so its mat is read-only and its ten views it
-        return OpMatrix, (self.arity, self.mat)
+        return LiftMatrix, (self.source, self.arity, self.target, self.mat)
+
+    def __call__(self, vecs: Sequence[np.ndarray]) -> np.ndarray:
+        """The lift applied to vecs by veclogic.contract, once each argument
+        is checked to be on the image of the source."""
+        if len(vecs) != self.arity:
+            raise LiftError(f"lift of arity {self.arity} got {len(vecs)} arguments")
+        try:
+            for v in vecs:
+                unmap_element(self.source, v)
+        except OffImageError:
+            if self.target.elements != TRUTH.elements:
+                raise
+            return FALSE_VEC
+        return contract(self.ten, vecs)
+
+    def table(self) -> Iterator[tuple[tuple[Hashable, ...], Hashable]]:
+        """Every arity-tuple over the source, in lexicographic order, with the
+        target element whose basis vector the lift gives on its mapped
+        vectors: its column, read a batch of columns at a time."""
+        cols = argument_columns(self.source, self.arity)
+        tuples = iproduct(self.source.elements, repeat=self.arity)
+        out = self.target.elements
+        for start in range(0, len(cols), _BATCH_COLUMNS):
+            vals = self.mat[:, cols[start:start + _BATCH_COLUMNS]].argmax(axis=0)
+            yield from zip(islice(tuples, len(vals)), [out[v] for v in vals.tolist()])
 
 
-def synth_operator(table: TruthTable) -> OpMatrix:
-    """Matrix of a truth table: column j is the embedded output for column j,
-    picked from the two embedded truth values, in O(2^n).  take gives a
-    row-major matrix, whose column sums numpy reduces about 6x faster at
-    ARITY_CAP than those of the column-major result of embedded[:, idx]."""
+# ---------------------------------------------------------------------------
+# operator matrices
+
+
+def synth_operator(table: TruthTable) -> LiftMatrix:
+    """Lift of a truth table over TRUTH: column j is the embedded output for
+    column j, picked from the two embedded truth values, in O(2^n).  take
+    gives a row-major matrix, whose column sums numpy reduces about 6x faster
+    at ARITY_CAP than those of the column-major result of _EMBEDDED[:, idx]."""
     _check_arity(table.arity)
-    embedded = np.column_stack([embed_truth(1), embed_truth(0)])  # column 1 - b embeds b
-    return OpMatrix(table.arity, embedded.take(1 - table.outputs, axis=1))
+    return LiftMatrix(TRUTH, table.arity, TRUTH, _EMBEDDED.take(table.outputs, axis=1))
 
 
-def apply_operator(op: OpMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
+def apply_operator(op: LiftMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
     """Contract the operator with its inputs, each first checked to be a truth vector."""
     if len(inputs) != op.arity:
         raise ValueError(f"operator of arity {op.arity} got {len(inputs)} inputs")
@@ -226,7 +363,7 @@ def apply_operator(op: OpMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # named operators
 
-def _closed_forms() -> dict[ConnectiveKind, OpMatrix]:
+def _closed_forms() -> dict[ConnectiveKind, LiftMatrix]:
     """The seven named operators from their standard closed forms.
 
     Negation, conjunction, disjunction and equivalence are sums of outer
@@ -252,13 +389,13 @@ def _closed_forms() -> dict[ConnectiveKind, OpMatrix]:
         ConnectiveKind.COND: np.array([[1, 1, 0, 0, 1, 0, 1, 0],
                                        [0, 0, 1, 1, 0, 1, 0, 1]], dtype=np.int64),
     }
-    return {kind: OpMatrix(kind.arity, mat) for kind, mat in mats.items()}
+    return {kind: LiftMatrix(TRUTH, kind.arity, TRUTH, mat) for kind, mat in mats.items()}
 
 
 _NAMED = _closed_forms()
 
 
-def named_operator(kind: "ConnectiveKind | str") -> OpMatrix:
+def named_operator(kind: "ConnectiveKind | str") -> LiftMatrix:
     """Matrix for a connective, built once at import from its closed form."""
     if isinstance(kind, str):
         kind = ConnectiveKind[kind.upper()] if kind.upper() in ConnectiveKind.__members__ else kind
@@ -280,7 +417,7 @@ def majority_table(n: int) -> TruthTable:
     return TruthTable.from_function(lambda *bits: majority_bit(bits), n)
 
 
-def majority_matrix(n: int) -> OpMatrix:
+def majority_matrix(n: int) -> LiftMatrix:
     """Operator matrix of the strict n-ary majority function."""
     _check_arity(n)
     return synth_operator(majority_table(n))

@@ -8,14 +8,16 @@ runtime cap; randomized sweeps are seeded and reproducible.
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 import numpy as np
 
 from semlink import homomorphism as hm
 from semlink import laws
+from semlink import model as model_module
 from semlink import veclogic as vl
-from semlink.model import denote, denote_traced
+from semlink.model import Extensional, denote, evaluate
 from semlink.sampling import (
     Draws,
     random_formula,
@@ -44,6 +46,22 @@ EXPECTED_MAJ4 = [[1, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
 
 
 RESULTS: list[str] = []
+
+
+@dataclass(frozen=True)
+class FrameCounting(Extensional):
+    """The extensional route, noting at every leaf how many frames of
+    evaluate's walker are on the stack."""
+
+    frames: list = field(default_factory=list)
+
+    def entity(self, ent):
+        f, n = sys._getframe(1), 0
+        while f is not None:
+            n += f.f_code.co_name == "go" and f.f_code.co_filename == model_module.__file__
+            f = f.f_back
+        self.frames.append(n)
+        return ent
 
 
 def _announce(num: int, label: str, status: str, elapsed: float):
@@ -194,9 +212,9 @@ def test_criterion_7_recursion_properties():
             formula = random_formula(rng, model.signature(), budget=6)
             first = denote(formula, model, {})
             again = denote(formula, model, {})
-            traced, depth = denote_traced(formula, model, {})
-            assert first == again == traced
-            assert depth <= complexity_depth(formula) + 1
+            sem = FrameCounting(model)
+            assert first == again and first.bit == evaluate(formula, model, {}, sem)
+            assert max(sem.frames) <= complexity_depth(formula) + 1
         # substitution: swapping a subterm for one with the same denotation
         # never changes the whole; 1,000 non-vacuous replacement pairs
         pairs = 0

@@ -125,13 +125,13 @@ def test_truth_table_checks_a_huge_arity_without_computing_2_to_the_arity():
 def test_op_matrix_checks_a_huge_arity_without_computing_2_to_the_arity():
     # 1 << arity used to come before the shape check: a MemoryError
     code = ("import numpy as np\n"
-            "from semlink.veclogic import OpMatrix\n"
+            "from semlink.veclogic import TRUTH, LiftMatrix\n"
             "try:\n"
-            "    OpMatrix(10**11, np.zeros((2, 2)))\n"
+            "    LiftMatrix(TRUTH, 10**11, TRUTH, np.zeros((2, 2)))\n"
             "except ValueError as exc:\n"
             "    print(exc)\n")
-    assert run_limited("-c", code) == (
-        0, "operator of arity 100000000000 must be 2 x 2^100000000000, got (2, 2)\n", "")
+    assert run_limited("-c", code) == (0, "lift of arity 100000000000 from dim 2 to dim 2 must be "
+                                          "2 x 2^100000000000, got (2, 2)\n", "")
 
 
 # ---------------------------------------------------------------------------

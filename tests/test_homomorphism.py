@@ -209,7 +209,7 @@ def test_lift_relation_table_asks_every_tuple_in_order(monkeypatch):
     assert [tup for tup, _ in rows] == [(a, b) for a in "uvw" for b in "uvw"]
     assert [tup for tup, bit in rows if bit] == [("u", "w"), ("w", "v")]
     # one tuple per batch gives the same rows
-    monkeypatch.setattr(hm, "_BATCH_COLUMNS", 1)
+    monkeypatch.setattr(vl, "_BATCH_COLUMNS", 1)
     assert list(lifted.table()) == rows
 
 
@@ -340,6 +340,8 @@ def test_compose_lifted_rejects_mismatched_maps():
     g = hm.lift_function({0: 0, 1: 1, 2: 2}, b, b)
     with pytest.raises(hm.LiftError):
         hm.compose_lifted(g, f)
+    with pytest.raises(hm.LiftError, match="^compose_lifted needs at least one lift$"):
+        hm.compose_lifted()
 
 
 @settings(deadline=None, max_examples=40)
@@ -824,6 +826,8 @@ def test_every_lift_and_operator_has_its_tensor_view_when_built(obj, shape):
     assert "ten" in vars(obj)
     for twin in (obj, copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(twin) is type(obj) and np.array_equal(twin.mat, obj.mat)
+        assert (twin.source.elements, twin.arity, twin.target.elements) == (
+            obj.source.elements, obj.arity, obj.target.elements)
         assert type(twin.ten) is np.ndarray and twin.ten.shape == shape
         assert np.shares_memory(twin.ten, twin.mat)
         assert not twin.ten.flags.writeable and not twin.mat.flags.writeable

@@ -78,7 +78,7 @@ def test_faithfulness_sweep_catches_broken_synth(monkeypatch):
     def negated_column_zero(table):
         mat = real(table).mat.copy()
         mat[:, 0] = mat[::-1, 0]
-        return vl.OpMatrix(table.arity, mat)
+        return vl.LiftMatrix(vl.TRUTH, table.arity, vl.TRUTH, mat)
 
     monkeypatch.setattr(vl, "synth_operator", negated_column_zero)
     checks, failures = laws.sweep_operator_faithfulness(all_tables(2), 2)
@@ -182,13 +182,13 @@ def test_relation_sweep_catches_broken_lift(monkeypatch):
 
 
 def test_relation_sweep_catches_transposed_arguments(monkeypatch):
-    real = hm.argument_columns
+    real = vl.argument_columns
 
     def transposed(m, arity):
         # each tuple reads the column of its components in reverse order
         return real(m, arity).reshape((m.dim,) * arity).transpose().ravel()
 
-    monkeypatch.setattr(hm, "argument_columns", transposed)
+    monkeypatch.setattr(vl, "argument_columns", transposed)
     _, failures = laws.sweep_relations(all_relation_masks(2, 2), 2, 2)
     # 8 of the 16 relations tell (0, 1) from (1, 0), and each fails at both
     assert len(failures) == 2 * 8
@@ -211,7 +211,7 @@ def test_relation_sweep_catches_off_image_true(monkeypatch):
 def test_relation_law_report_does_not_depend_on_batch_size(monkeypatch):
     # the relation law asks each lift about its tuples a batch at a time
     whole = laws.run_law("relation", 4, 40).render()
-    monkeypatch.setattr(hm, "_BATCH_COLUMNS", 5)
+    monkeypatch.setattr(vl, "_BATCH_COLUMNS", 5)
     assert laws.run_law("relation", 4, 40).render() == whole
 
 

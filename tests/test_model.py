@@ -5,22 +5,25 @@ import gc
 import json
 import pickle
 import re
+import sys
+from dataclasses import dataclass, field
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semlink import homomorphism as hm, laws
+from semlink import homomorphism as hm, laws, model as model_module
 from semlink.model import (
     EntityVal,
     EvaluationError,
+    Extensional,
     FunctionInterp,
     Model,
     ModelError,
     RelationInterp,
     TruthVal,
     denote,
-    denote_traced,
+    evaluate,
     load_model,
     model_from_dict,
 )
@@ -328,8 +331,8 @@ def test_denote_wraps_the_root_by_its_term_class(expr, want):
     # an EntityVal for Const, Var and FunApp and a TruthVal for PredApp and Connective
     m = good_model()
     term = parse_term(expr, m.signature())
-    for val in (denote(term, m, {"x": "e3"}), denote_traced(term, m, {"x": "e3"})[0]):
-        assert type(val) is type(want) and val == want
+    val = denote(term, m, {"x": "e3"})
+    assert type(val) is type(want) and val == want
 
 
 def test_denote_unbound_variable():
@@ -344,14 +347,6 @@ def test_denote_unknown_symbols():
         denote(Const("zz"), m, {})
     with pytest.raises(EvaluationError):
         denote(FunApp("zz", (Const("a"),)), m, {})
-
-
-def test_denote_traced_unknown_symbols():
-    m = good_model()
-    for term in (Const("zz"), FunApp("zz", (Const("a"),)), PredApp("Z", (Const("a"),)),
-                 FunApp("f", (Const("a"), Const("b")))):
-        with pytest.raises(EvaluationError):
-            denote_traced(term, m, {})
 
 
 def _vector_denote(term, m, g):
@@ -417,7 +412,6 @@ _DEEP_BAD = Connective(ConnectiveKind.AND, (P_OF_A, PredApp("P", (FunApp("f", (C
 _NO_CYCLE_PATHS = {
     **{f"law-{law}": (lambda law=law: laws.run_law(law, 3, 20)) for law in laws.LAWS},
     "denote": lambda: denote(_FORMULA, _M, {}),
-    "denote_traced": lambda: denote_traced(_FORMULA, _M, {}),
     "vector_denote": lambda: _vector_denote(_FORMULA, _M, {}),
     "parse_term": lambda: parse_term("or(P(a),R(f(b),g(a,b)))", _M.signature()),
     "denote-raise": _raises(denote, EvaluationError, _DEEP_BAD, _M, {}),
@@ -451,14 +445,36 @@ def test_truthval_validates_bit():
 # recursion properties
 
 
-def test_traced_matches_plain_and_bounds_depth():
+@dataclass(frozen=True)
+class FrameCounting(Extensional):
+    """The extensional route, noting at every leaf how many frames of
+    evaluate's walker are on the stack."""
+
+    frames: list = field(default_factory=list)
+
+    def entity(self, ent):
+        f, n = sys._getframe(1), 0
+        while f is not None:
+            n += f.f_code.co_name == "go" and f.f_code.co_filename == model_module.__file__
+            f = f.f_back
+        self.frames.append(n)
+        return ent
+
+
+def walker_depth(t, m) -> tuple:
+    """The bare value of t in m, and the most walker frames on the stack at once."""
+    sem = FrameCounting(m)
+    return evaluate(t, m, {}, sem), max(sem.frames)
+
+
+def test_walker_takes_one_frame_per_level_of_nesting():
     m = good_model()
     sig = m.signature()
     for expr in ["a", "f(a)", "g(f(a),f(f(b)))", "not(and(P(a),R(a,f(b))))"]:
         t = parse_term(expr, sig)
-        val, depth = denote_traced(t, m, {})
-        assert val == denote(t, m, {})
-        assert depth <= complexity_depth(t) + 1
+        val, depth = walker_depth(t, m)
+        assert val == evaluate(t, m, {}, Extensional(m))
+        assert depth == complexity_depth(t) + 1
 
 
 @settings(deadline=None, max_examples=60)
@@ -469,9 +485,9 @@ def test_random_formulas_deterministic_and_bounded(seed):
     t = random_formula(rng, m.signature(), budget=5)
     v1 = denote(t, m, {})
     v2 = denote(t, m, {})
-    traced, depth = denote_traced(t, m, {})
-    assert v1 == v2 == traced
-    assert depth <= complexity_depth(t) + 1
+    bit, depth = walker_depth(t, m)
+    assert v1 == v2 == TruthVal(bit)
+    assert depth == complexity_depth(t) + 1
 
 
 @settings(deadline=None, max_examples=60)

@@ -4,17 +4,22 @@ Expected matrices are frozen from hand-checked sources; the operator
 faithfulness law is cross-checked against classical evaluation.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semlink import homomorphism as hm
 from semlink.terms import ConnectiveKind
 from semlink.veclogic import (
     ArityCapError,
-    OpMatrix,
     TruthTable,
     ARITY_CAP,
+    LiftError,
+    LiftMatrix,
+    TRUTH,
     apply_operator,
     column_bits,
     column_index,
@@ -246,13 +251,13 @@ def test_projecting_each_column_inverts_synth():
         assert "".join(str(project_truth(mat[:, j])) for j in range(mat.shape[1])) == bits
 
 
-def test_opmatrix_validation():
-    with pytest.raises(ValueError):
-        OpMatrix(1, np.array([[1, 1], [1, 0]]))  # first column sums to 2
-    with pytest.raises(ValueError):
-        OpMatrix(2, np.array([[1, 0], [0, 1]]))  # wrong width for arity
-    with pytest.raises(ValueError):
-        OpMatrix(1, np.array([[2, 0], [-1, 1]]))
+def test_operator_validation():
+    with pytest.raises(LiftError):
+        LiftMatrix(TRUTH, 1, TRUTH, np.array([[1, 1], [1, 0]]))  # first column sums to 2
+    with pytest.raises(LiftError):
+        LiftMatrix(TRUTH, 2, TRUTH, np.array([[1, 0], [0, 1]]))  # wrong width for arity
+    with pytest.raises(LiftError):
+        LiftMatrix(TRUTH, 1, TRUTH, np.array([[2, 0], [-1, 1]]))
 
 
 @st.composite
@@ -360,6 +365,30 @@ def test_named_operator_agrees_with_classical_function(kind):
 def test_named_operator_equals_synthesized(kind):
     table = TruthTable.from_function(CLASSICAL[kind], kind.arity)
     assert np.array_equal(named_operator(kind).mat, synth_operator(table).mat)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_operator_is_the_lift_of_its_truth_function_over_truth(n):
+    # the column convention is the lexicographic order over TRUTH, so the
+    # operator of every table is the lift of its truth function, built as a
+    # relation and as a function alike
+    for outputs in product((0, 1), repeat=1 << n):
+        table = TruthTable(n, np.array(outputs, dtype=np.int8))
+        fn = {bits: table(bits) for bits in product((0, 1), repeat=n)}
+        op = synth_operator(table)
+        as_relation = hm.lift_relation([bits for bits, out in fn.items() if out], TRUTH, n)
+        as_function = hm.lift_function(fn if n > 1 else {bits[0]: out for bits, out in fn.items()},
+                                       TRUTH, TRUTH, n)
+        assert (op.source, op.arity, op.target) == (TRUTH, n, TRUTH)
+        assert op.mat.tolist() == as_relation.mat.tolist() == as_function.mat.tolist()
+
+
+@pytest.mark.parametrize("kind", list(ConnectiveKind))
+def test_named_operator_table_is_the_classical_function(kind):
+    op, fn = named_operator(kind), CLASSICAL[kind]
+    assert op.source is op.target is TRUTH
+    assert list(op.table()) == [
+        (bits, fn(*bits)) for bits in product((1, 0), repeat=kind.arity)]
 
 
 def test_implication_is_disjunction_of_negated_antecedent():
