@@ -9,14 +9,11 @@ from .terms import (
     Connective,
     ConnectiveKind,
     Const,
-    Entity,
     FunApp,
     ParseError,
     PredApp,
-    SemType,
     Signature,
     Term,
-    Truth,
     TypeCheckError,
     Var,
     complexity_depth,
@@ -55,7 +52,7 @@ from .veclogic import (
     project_truth,
     synth_operator,
 )
-from .space import cosine_similarity, distance, inner_product, norm
+from .space import cosine_similarity, norm
 from .homomorphism import (
     DomainMap,
     LiftFamily,

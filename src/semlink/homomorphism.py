@@ -185,14 +185,21 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
 
 
 class LiftFamily:
-    """The lifts of one model: its entity map, and each function, relation
-    and entity vector built the first time it is asked for, then kept.
+    """The lifts of one model, and the semantics of the vector route over it:
+    one-hot entity vectors, and each function, relation and connective a
+    matrix contracted with its arguments by veclogic.contract.
 
-    A symbol's image depends on the model alone, not on the term, so every
-    evaluation over the model shares one family.  The model cannot change
-    after it is validated, so a kept lift never goes stale; each kept array
-    is read-only, so no caller can corrupt a later evaluation by writing
-    into one.  Truth values embed through veclogic.embed_truth.
+    Each function, relation and entity vector is built the first time it is
+    asked for, then kept.  A symbol's image depends on the model alone, not
+    on the term, so every evaluation over the model shares one family.  The
+    model cannot change after it is validated, so a kept lift never goes
+    stale; each kept array is read-only, so no caller can corrupt a later
+    evaluation by writing into one.
+
+    Each value is checked once, where it is made: an entity vector is a
+    basis vector, a function or predicate node gives a column of a lift
+    checked when it was built (a function node checks the column's length,
+    all a wrong target could change), and apply_operator checks its inputs.
     """
 
     __slots__ = ("model", "entity", "_functions", "_relations", "_vectors")
@@ -218,15 +225,29 @@ class LiftFamily:
     def relation(self, name: str) -> LiftMatrix:
         lift = self._relations.get(name)
         if lift is None:
-            lift = self._relations[name] = lifted_model_relation(self.model, name, self)
+            rel = self.model.relations[name]
+            lift = self._relations[name] = lift_relation(rel.tuples, self.entity, rel.arity)
         return lift
 
-    def vector(self, ent: str) -> np.ndarray:
+    def leaf(self, ent: str) -> np.ndarray:
         """The entity's basis vector, read-only."""
         vec = self._vectors.get(ent)
         if vec is None:
             vec = self._vectors[ent] = vl._frozen(map_element(self.entity, ent))
         return vec
+
+    def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        out = vl.contract(self.function(name).ten, args)
+        if out.shape != (self.entity.dim,):
+            raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
+                                f"off the image of {self.entity.tag!r}")
+        return out
+
+    def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        return vl.contract(self.relation(name).ten, args)
+
+    def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
+        return vl.apply_operator(vl.named_operator(kind), args)
 
 
 def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftMatrix:
@@ -237,48 +258,13 @@ def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftMatri
     return lift_function(table, fam.entity, fam.entity, fn.arity)
 
 
-def lifted_model_relation(model: Model, name: str, fam: LiftFamily) -> LiftMatrix:
-    rel = model.relations[name]
-    return lift_relation(rel.tuples, fam.entity, rel.arity)
-
-
-class VectorSemantics:
-    """Semantics of the vector route: one-hot entity vectors, and each
-    function, relation and connective a matrix contracted with its arguments
-    by veclogic.contract.  Lifts and entity vectors come from the family.
-
-    Each value is checked once, where it is made: an entity vector is a
-    basis vector, a function or predicate node gives a column of a lift
-    checked when it was built (a function node checks the column's length,
-    all a wrong target could change), and apply_operator checks its inputs.
-    """
-
-    def __init__(self, fam: LiftFamily):
-        self.fam = fam
-        self.entity = fam.vector
-        self.shape = (fam.entity.dim,)  # of every entity value
-
-    def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        out = vl.contract(self.fam.function(name).ten, args)
-        if out.shape != self.shape:
-            raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
-                                f"off the image of {self.fam.entity.tag!r}")
-        return out
-
-    def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        return vl.contract(self.fam.relation(name).ten, args)
-
-    def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
-        return vl.apply_operator(vl.named_operator(kind), args)
-
-
 def vector_denote(term: Term, model: Model, g: Assignment, fam: LiftFamily) -> np.ndarray:
     """Evaluate a term on the vector side only, down to the leaves.  The
     projection of the result always agrees with the extensional denotation.
     The family must be the one built for this model object."""
     if fam.model is not model:
         raise LiftError("the lift family was built for another model")
-    return evaluate(term, model, g, VectorSemantics(fam))
+    return evaluate(term, model, g, fam)
 
 
 def lift_logical_connective(term: Term, model: Model, g: Assignment,

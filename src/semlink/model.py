@@ -16,7 +16,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .terms import (
-    ENTITY,
     FORMULA_NODES,
     Connective,
     ConnectiveKind,
@@ -152,7 +151,7 @@ class Model:
             object.__setattr__(self, "_" + key, plain)
             object.__setattr__(self, key, MappingProxyType(plain))
         object.__setattr__(self, "_signature", signature_of(
-            constants={name: ENTITY for name in self._constants},
+            constants=self._constants,
             functions={name: fn.arity for name, fn in self._functions.items()},
             predicates={name: rel.arity for name, rel in self._relations.items()},
         ))
@@ -200,8 +199,8 @@ def model_from_dict(data: dict) -> Model:
 
     Keys: "entities" (array of ids), "constants" (name -> id), "functions"
     (name -> {"arity": n, "table": [[arg1..argn, result], ...]}), "relations"
-    (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).  Entity ids are
-    strings; each violation of the layout raises ModelError naming the row.
+    (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).  The entity ids
+    are strings; each violation of the layout raises ModelError naming the row.
     """
     if not isinstance(data, dict):
         raise ModelError(f"model must be a JSON object, got {type(data).__name__}")
@@ -262,7 +261,7 @@ class Extensional:
 
     model: Model
 
-    def entity(self, ent: str) -> str:
+    def leaf(self, ent: str) -> str:
         return ent
 
     def fun(self, name: str, args: list[str]) -> str:
@@ -292,12 +291,12 @@ def evaluate(term: Term, model: Model, g: Assignment, sem):
     reported before anything to its right is looked at.  Anything that is
     not a term raises TypeError.
 
-    The semantics `sem` makes the values: sem.entity(id) at a leaf,
+    The semantics `sem` makes the values: sem.leaf(id) at a leaf,
     sem.fun(name, args), sem.pred(name, args) or sem.conn(kind, args) at a
     node.
     """
     constants, functions, relations = model._constants, model._functions, model._relations
-    entity, fun, pred, conn = sem.entity, sem.fun, sem.pred, sem.conn
+    leaf, fun, pred, conn = sem.leaf, sem.fun, sem.pred, sem.conn
 
     # one frame per level of nesting: the loops stay in go, since a helper
     # or a list comprehension would add a frame per level on Python < 3.12
@@ -307,7 +306,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem):
             ent = constants.get(t.name)
             if ent is None and t.name not in constants:  # None is an entity id a model may use
                 raise EvaluationError(f"constant {t.name!r} is not interpreted by the model")
-            return entity(ent)
+            return leaf(ent)
         if cls is Connective:
             kind = t.kind
             vals = []
@@ -327,7 +326,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem):
             if ent not in model.entities:
                 raise EvaluationError(
                     f"variable {t.name!r} is assigned {ent!r}, not an entity of the model")
-            return entity(ent)
+            return leaf(ent)
         else:
             raise TypeError(f"not a term: {t!r}")
         name, args = t.name, t.args
@@ -352,7 +351,7 @@ def evaluate(term: Term, model: Model, g: Assignment, sem):
 
 
 def denote(term: Term, model: Model, g: Assignment) -> "EntityVal | TruthVal":
-    """Evaluate a term. Entity-typed terms yield EntityVal, formulas TruthVal."""
+    """Evaluate a term. A term of sort e yields EntityVal, a formula TruthVal."""
     val = evaluate(term, model, g, Extensional(model))
     return TruthVal(val) if type(term) in FORMULA_NODES else EntityVal(val)
 

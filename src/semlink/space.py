@@ -1,4 +1,4 @@
-"""Inner-product geometry for dense vectors: norms, distances, similarity.
+"""The geometry behind `sim`: norms and cosine similarity of dense vectors.
 
 This is the only module that works in floating point; the logic modules
 stay exact.
@@ -21,29 +21,6 @@ def as_vector(v: "Sequence[float] | np.ndarray") -> np.ndarray:
     return out
 
 
-def _pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    a, b = as_vector(u), as_vector(v)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
-def inner_product(u, v) -> float:
-    a, b = _pair(u, v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain = float(a @ b)
-    if math.isfinite(plain):
-        return plain
-    # a product or a partial sum passed the float range: sum the products
-    # exactly and round once, to +-inf only if the exact sum is past the range
-    from fractions import Fraction  # here, as it imports decimal, which no other path needs
-    exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist()))
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(a * 2**-e, e), with e chosen to put the largest magnitude of a in
     [0.5, 1).  Scaling by a power of two is exact, so squares and products
@@ -63,18 +40,12 @@ def norm(v) -> float:
         return float(np.ldexp(np.sqrt(a @ a), e))
 
 
-def distance(u, v) -> float:
-    a, b = _pair(u, v)
-    with np.errstate(over="ignore"):
-        diff = a - b
-    # a difference past the float range puts the distance past it too
-    return norm(diff) if np.isfinite(diff).all() else math.inf
-
-
 def cosine_similarity(u, v) -> float:
     """Inner product normalized by both lengths, within [-1, 1]; undefined
     on a zero vector."""
-    a, b = _pair(u, v)
+    a, b = as_vector(u), as_vector(v)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     (a, _), (b, _) = _scaled(a), _scaled(b)  # the quotient is scale-free
     na, nb = norm(a), norm(b)
     if na == 0.0 or nb == 0.0:

@@ -1,4 +1,4 @@
-"""Typed prefix term language: types, AST, parser, printer, complexity metrics.
+"""Typed prefix term language: sorts, AST, parser, printer, complexity metrics.
 
 Grammar (prefix notation, no precedence, whitespace insignificant):
 
@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # one token: an identifier, or any other single non-space character
@@ -62,30 +62,9 @@ class TypeCheckError(ParseError):
     """An argument of the wrong sort: an entity term for a formula, or the reverse."""
 
 
-# ---------------------------------------------------------------------------
-# semantic types
-
-
-class SemType:
-    """Base of the semantic type algebra."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Entity(SemType):
-    def __str__(self) -> str:
-        return "e"
-
-
-@dataclass(frozen=True)
-class Truth(SemType):
-    def __str__(self) -> str:
-        return "t"
-
-
-ENTITY = Entity()
-TRUTH = Truth()
+# the two sorts: entity terms are of sort e, formulas of sort t
+ENTITY = "e"
+TRUTH = "t"
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +139,27 @@ FORMULA_NODES = (PredApp, Connective)
 class Signature:
     """Declares the non-logical vocabulary.
 
-    constants map to their semantic type, which must be Entity; functions
-    and predicates map to arities; argument and result types of functions
-    are all Entity, predicate arguments all Entity.  Names must be
-    valid identifiers, unique across the three namespaces, and must not
-    collide with connective keywords.  Arities are at least 1.
+    constants are names, each of an entity (a mapping given gives its keys);
+    functions and predicates map names to arities, and every argument and
+    function result is an entity.  Names must be valid identifiers, unique
+    across the three namespaces, and must not collide with connective
+    keywords.  Arities are at least 1.
     """
 
-    constants: Mapping[str, SemType]
+    constants: frozenset[str]
     functions: Mapping[str, int]
     predicates: Mapping[str, int]
 
     def __post_init__(self):
-        # validate read-only copies, so no caller can change a checked signature
-        for key in ("constants", "functions", "predicates"):
+        # validate read-only copies, so no caller can change a checked signature;
+        # the constants are checked in the order given, each once
+        constants = dict.fromkeys(self.constants)
+        object.__setattr__(self, "constants", frozenset(constants))
+        for key in ("functions", "predicates"):
             object.__setattr__(self, key, MappingProxyType(dict(getattr(self, key))))
         seen: set[str] = set()
         for space, names in (
-            ("constant", self.constants),
+            ("constant", constants),
             ("function", self.functions),
             ("predicate", self.predicates),
         ):
@@ -189,15 +171,12 @@ class Signature:
                 if name in seen:
                     raise SignatureError(f"name {name!r} declared in more than one namespace")
                 seen.add(name)
-        for name, sort in self.constants.items():
-            if sort != ENTITY:
-                raise SignatureError(f"constant {name!r} has type {sort}, expected e")
         for name, arity in list(self.functions.items()) + list(self.predicates.items()):
             if not isinstance(arity, int) or arity < 1:
                 raise SignatureError(f"symbol {name!r} has arity {arity!r}, expected an int >= 1")
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
-        return Signature, (dict(self.constants), dict(self.functions), dict(self.predicates))
+        return Signature, (self.constants, dict(self.functions), dict(self.predicates))
 
     @cached_property
     def _symbols(self) -> dict[str, tuple[str, int]]:
@@ -210,12 +189,10 @@ class Signature:
         return table
 
 
-def signature_of(constants: "list[str] | Mapping[str, SemType]" = (),
+def signature_of(constants: Iterable[str] = (),
                  functions: Mapping[str, int] | None = None,
                  predicates: Mapping[str, int] | None = None) -> Signature:
-    """Convenience constructor; a plain list of constant names means all-Entity."""
-    if not isinstance(constants, Mapping):
-        constants = {name: ENTITY for name in constants}
+    """Convenience constructor; functions and predicates default to none."""
     return Signature(constants, functions or {}, predicates or {})
 
 
@@ -322,8 +299,8 @@ def pretty(term: Term) -> str:
 # typing
 
 
-def infer_type(term: Term, sig: Signature) -> SemType:
-    """The term's semantic type, read off the class of its root (sig is not
+def infer_type(term: Term, sig: Signature) -> str:
+    """The term's sort, read off the class of its root (sig is not
     read): t for a formula, e for any other term.  A term from parse_term is
     well typed by construction; evaluate checks the sorts of a hand-built one."""
     if not isinstance(term, Term):

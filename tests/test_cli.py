@@ -122,7 +122,7 @@ def test_truth_table_checks_a_huge_arity_without_computing_2_to_the_arity():
         0, "table for arity 100000000000 needs 2^100000000000 outputs, got (2,)\n", "")
 
 
-def test_op_matrix_checks_a_huge_arity_without_computing_2_to_the_arity():
+def test_lift_matrix_checks_a_huge_arity_without_computing_2_to_the_arity():
     # 1 << arity used to come before the shape check: a MemoryError
     code = ("import numpy as np\n"
             "from semlink.veclogic import TRUTH, LiftMatrix\n"

@@ -494,12 +494,12 @@ def _shifted_function_lift(model, name, fam, real=hm.lifted_model_function):
     return hm.LiftMatrix(lf.source, lf.arity, lf.target, np.roll(lf.mat, 1, axis=0))
 
 
-def _empty_relation_lift(model, name, fam):
-    return hm.lift_relation((), fam.entity, model.relations[name].arity)
+def _empty_relation_lift(tuples, m, arity, real=hm.lift_relation):
+    return real((), m, arity)
 
 
 BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
-                "lifted_model_relation": _empty_relation_lift}
+                "lift_relation": _empty_relation_lift}
 
 
 @pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
@@ -523,7 +523,7 @@ def test_broken_lift_fails_eval(monkeypatch, tmp_path, capsys, target):
 
 
 @pytest.mark.parametrize("target,law", [("lifted_model_function", "function"),
-                                        ("lifted_model_relation", "relation")])
+                                        ("lift_relation", "relation")])
 def test_broken_lift_fails_check_with_model(monkeypatch, tmp_path, capsys, target, law):
     # the relation law used to lift the model's relations by itself
     path = tmp_path / "model.json"
@@ -582,7 +582,7 @@ def test_kept_vectors_are_read_only():
     fam = hm.LiftFamily.for_model(MODEL)
     term = parse_term("a", MODEL.signature())
     vec = hm.vector_denote(term, MODEL, {}, fam)
-    assert vec is fam.vector("e1")
+    assert vec is fam.leaf("e1")
     with pytest.raises(ValueError, match="read-only"):
         vec[:] = [0, 1, 0]
     assert hm.vector_denote(term, MODEL, {}, fam).tolist() == [1, 0, 0]

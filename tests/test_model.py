@@ -452,7 +452,7 @@ class FrameCounting(Extensional):
 
     frames: list = field(default_factory=list)
 
-    def entity(self, ent):
+    def leaf(self, ent):
         f, n = sys._getframe(1), 0
         while f is not None:
             n += f.f_code.co_name == "go" and f.f_code.co_filename == model_module.__file__

@@ -1,4 +1,4 @@
-"""Inner products, norms, distances, cosine similarity."""
+"""Norms and cosine similarity."""
 
 import math
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from semlink.space import (
-    as_vector,
-    cosine_similarity,
-    distance,
-    inner_product,
-    norm,
-)
+from semlink.space import as_vector, cosine_similarity, norm
 
 TOL = 1e-9
 
@@ -20,22 +14,19 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False)
 
 
-def vec_pair(min_dim=1, max_dim=8):
+def vec_pair(components=finite, min_dim=1, max_dim=8):
     return st.integers(min_dim, max_dim).flatmap(
         lambda d: st.tuples(
-            st.lists(finite, min_size=d, max_size=d),
-            st.lists(finite, min_size=d, max_size=d)))
+            st.lists(components, min_size=d, max_size=d),
+            st.lists(components, min_size=d, max_size=d)))
 
 
-def test_inner_product_norm_distance_known_values():
-    assert inner_product([3, 4], [3, 4]) == pytest.approx(25.0, abs=TOL)
+def test_norm_known_values():
     assert norm([3, 4]) == pytest.approx(5.0, abs=TOL)
-    assert distance([0, 0], [3, 4]) == pytest.approx(5.0, abs=TOL)
-    assert inner_product([1, 0], [0, 1]) == pytest.approx(0.0, abs=TOL)
 
 
 def test_truth_basis_is_orthonormal():
-    assert inner_product([1, 0], [0, 1]) == 0.0
+    assert cosine_similarity([1, 0], [0, 1]) == 0.0
     assert norm([1, 0]) == 1.0
     assert norm([0, 1]) == 1.0
 
@@ -88,15 +79,20 @@ def test_norm_and_similarity_at_the_ends_of_the_float_range():
 # that are normal floats (at least 2^-1008), with room for the scaling by as
 # little as 2^-7 per vector that components of magnitude up to 100 get.
 SMALLEST_SAFE_COMPONENT = 2.0 ** -504
+# 0, or a magnitude in [SMALLEST_SAFE_COMPONENT, 100] of either sign, drawn so
+# rather than filtered from [-100, 100], which rejected too many draws for
+# Hypothesis's filter_too_much health check
+safe_component = (st.just(0.0)
+                  | st.floats(min_value=SMALLEST_SAFE_COMPONENT, max_value=100)
+                  | st.floats(min_value=-100, max_value=-SMALLEST_SAFE_COMPONENT))
 
 
-@given(vec_pair())
+@given(vec_pair(safe_component))
 def test_power_of_two_scaling_is_exact(pair):
     # the scaled computation rounds like the plain one where no square or
     # product of components is subnormal; both quotients are clamped to [-1, 1]
-    assume(all(x == 0 or abs(x) >= SMALLEST_SAFE_COMPONENT for x in (*pair[0], *pair[1])))
     u, v = (np.array(x) for x in pair)
-    assume(u @ u > 0 and v @ v > 0)
+    assume(u @ u > 0 and v @ v > 0)  # neither is the zero vector
     plain = float(np.clip((u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v)), -1.0, 1.0))
     assert cosine_similarity(u, v) == plain
     assert norm(u) == float(np.sqrt(u @ u))
@@ -112,10 +108,8 @@ def test_power_of_two_scaling_is_exact_where_the_plain_formula_is_not():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        inner_product([1, 2], [1, 2, 3])
-    with pytest.raises(ValueError):
-        distance([1], [1, 2])
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        cosine_similarity([1, 2], [1, 2, 3])
 
 
 def test_as_vector_validates():
@@ -130,47 +124,12 @@ def test_as_vector_validates():
 def test_non_finite_components_are_refused(bad):
     with pytest.raises(ValueError, match="must be finite"):
         as_vector(bad)
-    for f in (inner_product, distance, cosine_similarity):
-        with pytest.raises(ValueError, match="must be finite"):
-            f(bad, [1, 1])
-        with pytest.raises(ValueError, match="must be finite"):
-            f([1, 1], bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        cosine_similarity(bad, [1, 1])
+    with pytest.raises(ValueError, match="must be finite"):
+        cosine_similarity([1, 1], bad)
     with pytest.raises(ValueError, match="must be finite"):
         norm(bad)
-
-
-@pytest.mark.filterwarnings("error")
-def test_finite_vectors_past_the_float_range_give_inf():
-    assert distance([1e308], [-1e308]) == math.inf
-    assert distance([0, 1e308], [0, -1e308]) == math.inf
-    assert distance([1e308, 1], [1e308, 0]) == 1.0
-    assert inner_product([1e308], [1e308]) == math.inf
-    assert inner_product([1e308], [-1e308]) == -math.inf
-    # a partial sum past the range does not decide the result
-    assert inner_product([1e308, 1e308, -1e308], [1, 1, 1]) == 1e308
-
-
-@pytest.mark.filterwarnings("error")
-def test_inner_product_cancels_exactly_past_the_float_range():
-    # each product is past the range, and they cancel to exactly 0
-    assert inner_product([1e308, -1e308], [1e308, 1e308]) == 0.0
-    assert inner_product([1e308, 1e308, -1e308], [1, 1, 1]) == 1e308
-    assert inner_product([1e308], [1e308]) == math.inf
-    # what is left after the cancelling pair is kept in full
-    assert inner_product([1e308, -1e308, 3.0], [1e308, 1e308, 1.0]) == 3.0
-
-
-@given(vec_pair())
-def test_symmetry(pair):
-    u, v = pair
-    assert abs(inner_product(u, v) - inner_product(v, u)) <= TOL
-    assert abs(distance(u, v) - distance(v, u)) <= TOL
-
-
-@given(vec_pair())
-def test_cauchy_schwarz(pair):
-    u, v = pair
-    assert abs(inner_product(u, v)) <= norm(u) * norm(v) + TOL
 
 
 @given(vec_pair())
@@ -195,16 +154,6 @@ def test_similarity_scale_invariant(pair, alpha):
 def test_self_similarity_is_one(u):
     assume(norm(u) > 1e-6)
     assert cosine_similarity(u, u) == pytest.approx(1.0, abs=TOL)
-    assert distance(u, u) == 0.0
-
-
-@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
-    st.lists(finite, min_size=d, max_size=d),
-    st.lists(finite, min_size=d, max_size=d),
-    st.lists(finite, min_size=d, max_size=d))))
-def test_triangle_inequality(triple):
-    u, v, w = triple
-    assert distance(u, w) <= distance(u, v) + distance(v, w) + TOL
 
 
 def test_nonnegative_components_give_unit_interval_similarity():

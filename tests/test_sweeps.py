@@ -67,7 +67,7 @@ def test_faithfulness_validates_shape():
 
 
 @pytest.mark.parametrize("container", CONTAINERS)
-def test_kernel_sweep_agrees_with_api_loop(container):
+def test_sweep_agrees_with_api_loop(container):
     tables = np.random.default_rng(23).integers(0, 2, size=(40, 8), dtype=np.int8)
     assert laws.sweep_operator_faithfulness(as_container(tables, container), 3) == (320, [])
 
@@ -119,7 +119,7 @@ def test_faithfulness_sweep_catches_broken_application(monkeypatch, name, fault,
 
 @pytest.mark.parametrize("container", CONTAINERS)
 @pytest.mark.parametrize("n", range(1, 8))
-def test_majority_polynomial_kernel_matches_api(container, n):
+def test_majority_polynomial_matches_api(container, n):
     assert laws.sweep_majority(n) == (1 << n, [])
     for j in range(1 << n):
         bits = vl.column_bits(j, n)

@@ -20,11 +20,9 @@ from semlink.terms import (
     Connective,
     ConnectiveKind,
     Const,
-    Entity,
     FunApp,
     ParseError,
     PredApp,
-    Truth,
     TypeCheckError,
     UnknownIdentifierError,
     Var,
@@ -333,21 +331,26 @@ def test_signature_rejects_reserved_and_bad_names():
         signature_of(functions={"f": 0})
     with pytest.raises(SignatureError):
         signature_of(predicates={"P": -2})
-    with pytest.raises(SignatureError, match="constant 'c' has type t, expected e"):
-        signature_of(constants={"c": TRUTH}, predicates={"P": 1})
+    # the constants are checked in the order given, so the first bad one is named
+    with pytest.raises(SignatureError, match="constant name 'and' is a reserved"):
+        signature_of(constants=["a", "and", "1bad", "or"])
 
 
 def test_signature_accepts_disjoint_names():
-    sig = Signature({"a": ENTITY}, {"f": 3}, {"P": 2})
+    sig = Signature(["a"], {"f": 3}, {"P": 2})
     assert sig.functions["f"] == 3
+    assert sig.constants == frozenset({"a"})
+    # a mapping gives its keys, as a model's constants do
+    assert Signature({"a": "e1"}, {"f": 3}, {"P": 2}) == sig
 
 
 def test_a_signature_cannot_change_after_it_is_validated():
-    consts, funcs, preds = {"a": ENTITY}, {"f": 1}, {"P": 1}
+    consts, funcs, preds = ["a"], {"f": 1}, {"P": 1}
     sig = Signature(consts, funcs, preds)
-    # a later write to the caller's dicts would bypass each check of the constructor
-    funcs["a"], funcs["9x"], preds["not"], consts["b"] = 1, 1, 1, TRUTH
-    assert sig == Signature({"a": ENTITY}, {"f": 1}, {"P": 1})
+    # a later write to the caller's list or dicts would bypass each check of the constructor
+    funcs["a"], funcs["9x"], preds["not"] = 1, 1, 1
+    consts.append("and")
+    assert sig == Signature(["a"], {"f": 1}, {"P": 1})
     assert parse_term("f(a)", sig) == FunApp("f", (Const("a"),))
     with pytest.raises(TypeError):
         sig.functions["g"] = 1
@@ -356,13 +359,12 @@ def test_a_signature_cannot_change_after_it_is_validated():
 
 
 # ---------------------------------------------------------------------------
-# semantic types
+# sorts
 
 
 def test_type_rendering():
     assert str(ENTITY) == "e"
     assert str(TRUTH) == "t"
-    assert Entity() == ENTITY and Truth() == TRUTH
 
 
 # ---------------------------------------------------------------------------
