@@ -150,6 +150,31 @@ def test_similarity_scale_invariant(pair, alpha):
         cosine_similarity(u, v), abs=1e-7)
 
 
+@given(vec_pair())
+def test_similarity_is_odd_under_negation(pair):
+    # negating a vector negates every product exactly and keeps both norms
+    u, v = pair
+    assume(norm(u) > 1e-6 and norm(v) > 1e-6)
+    assert cosine_similarity([-x for x in u], v) == -cosine_similarity(u, v)
+
+
+@given(vec_pair())
+def test_norm_triangle_inequality(pair):
+    u, v = pair
+    assert norm(np.add(u, v)) <= norm(u) + norm(v) + TOL
+
+
+@given(st.lists(finite, min_size=1, max_size=8), st.floats(min_value=-50, max_value=50))
+def test_norm_is_absolutely_homogeneous(u, alpha):
+    assert norm([alpha * x for x in u]) == pytest.approx(abs(alpha) * norm(u), rel=1e-12, abs=TOL)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 4), st.integers(0, 4))
+def test_norm_of_a_one_hot_vector_is_its_magnitude(x, before, after):
+    # exact over the whole float range, subnormals and the largest floats included
+    assert norm([0.0] * before + [x] + [0.0] * after) == abs(x)
+
+
 @given(st.lists(finite, min_size=1, max_size=8))
 def test_self_similarity_is_one(u):
     assume(norm(u) > 1e-6)
