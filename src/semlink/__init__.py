@@ -21,7 +21,6 @@ from .terms import (
     infer_type,
     parse_term,
     pretty,
-    signature_of,
 )
 from .model import (
     Assignment,

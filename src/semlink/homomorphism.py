@@ -214,6 +214,19 @@ class LiftFamily:
     def for_model(cls, model: Model) -> "LiftFamily":
         return cls(model, entity_map(model))
 
+    def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        out = vl.contract(self.function(name).ten, args)
+        if out.shape != (self.entity.dim,):
+            raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
+                                f"off the image of {self.entity.tag!r}")
+        return out
+
+    def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
+        return vl.contract(self.relation(name).ten, args)
+
+    def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
+        return vl.apply_operator(vl.named_operator(kind), args)
+
     # lifts come from the module-level functions, looked up at call time, so
     # a traced or patched one sees every lift
     def function(self, name: str) -> LiftMatrix:
@@ -235,19 +248,6 @@ class LiftFamily:
         if vec is None:
             vec = self._vectors[ent] = vl._frozen(map_element(self.entity, ent))
         return vec
-
-    def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        out = vl.contract(self.function(name).ten, args)
-        if out.shape != (self.entity.dim,):
-            raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
-                                f"off the image of {self.entity.tag!r}")
-        return out
-
-    def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        return vl.contract(self.relation(name).ten, args)
-
-    def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
-        return vl.apply_operator(vl.named_operator(kind), args)
 
 
 def lifted_model_function(model: Model, name: str, fam: LiftFamily) -> LiftMatrix:

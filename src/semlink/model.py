@@ -25,7 +25,6 @@ from .terms import (
     Signature,
     Term,
     Var,
-    signature_of,
 )
 from .veclogic import ARITY_CAP
 
@@ -150,7 +149,7 @@ class Model:
             plain = dict(getattr(self, key))
             object.__setattr__(self, "_" + key, plain)
             object.__setattr__(self, key, MappingProxyType(plain))
-        object.__setattr__(self, "_signature", signature_of(
+        object.__setattr__(self, "_signature", Signature(
             constants=self._constants,
             functions={name: fn.arity for name, fn in self._functions.items()},
             predicates={name: rel.arity for name, rel in self._relations.items()},
@@ -199,8 +198,8 @@ def model_from_dict(data: dict) -> Model:
 
     Keys: "entities" (array of ids), "constants" (name -> id), "functions"
     (name -> {"arity": n, "table": [[arg1..argn, result], ...]}), "relations"
-    (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).  The entity ids
-    are strings; each violation of the layout raises ModelError naming the row.
+    (name -> {"arity": n, "tuples": [[arg1..argn], ...]}).  Entity ids are
+    strings; each violation of the layout raises ModelError naming the row.
     """
     if not isinstance(data, dict):
         raise ModelError(f"model must be a JSON object, got {type(data).__name__}")

@@ -20,12 +20,12 @@ TypeCheckError, a ParseError at the offset of the application's symbol.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # one token: an identifier, or any other single non-space character
@@ -141,14 +141,14 @@ class Signature:
 
     constants are names, each of an entity (a mapping given gives its keys);
     functions and predicates map names to arities, and every argument and
-    function result is an entity.  Names must be valid identifiers, unique
+    function result is an entity.  Each namespace defaults to empty.  Names must be valid identifiers, unique
     across the three namespaces, and must not collide with connective
     keywords.  Arities are at least 1.
     """
 
-    constants: frozenset[str]
-    functions: Mapping[str, int]
-    predicates: Mapping[str, int]
+    constants: frozenset[str] = frozenset()
+    functions: Mapping[str, int] = field(default_factory=dict)
+    predicates: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         # validate read-only copies, so no caller can change a checked signature;
@@ -187,13 +187,6 @@ class Signature:
         table.update((name, ("function", n)) for name, n in self.functions.items())
         table.update((name, ("predicate", n)) for name, n in self.predicates.items())
         return table
-
-
-def signature_of(constants: Iterable[str] = (),
-                 functions: Mapping[str, int] | None = None,
-                 predicates: Mapping[str, int] | None = None) -> Signature:
-    """Convenience constructor; functions and predicates default to none."""
-    return Signature(constants, functions or {}, predicates or {})
 
 
 # ---------------------------------------------------------------------------

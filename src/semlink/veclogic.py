@@ -6,7 +6,7 @@ vector space of dimension |D|.  A function on arity-tuples over a domain
 lifts to a LiftMatrix, whose columns are basis vectors, applied to its
 mapped arguments by contraction with one at a time.
 
-The truth values embed as orthonormal one-hot 2-vectors, true = [1,0] and
+Truth values embed as orthonormal one-hot 2-vectors, true = [1,0] and
 false = [0,1]: the map TRUTH of the domain (1, 0).  An n-ary operator is the
 lift of its truth function over TRUTH, a 2 x 2^n integer matrix.
 

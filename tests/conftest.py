@@ -3,20 +3,9 @@
 The acceptance tests record one status line per criterion; pytest's
 capture would otherwise swallow those lines on passing runs, so they
 are replayed in a terminal summary section at the end.
-
-HYPOTHESIS_PROFILE names a Hypothesis settings profile to load.  The "ci"
-profile prints a failing example's reproduction blob, so a rare failure on a
-runner with no example database can be replayed with @reproduce_failure.
 """
 
-import os
 import sys
-
-from hypothesis import settings
-
-settings.register_profile("ci", print_blob=True)
-if "HYPOTHESIS_PROFILE" in os.environ:
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def pytest_terminal_summary(terminalreporter):

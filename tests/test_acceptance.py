@@ -28,12 +28,12 @@ from semlink.space import cosine_similarity, norm
 from semlink.terms import (
     Const,
     FunApp,
+    Signature,
     Var,
     complexity_depth,
     complexity_size,
     parse_term,
     replace_at,
-    signature_of,
     subterms,
 )
 
@@ -241,7 +241,7 @@ def test_criterion_7_recursion_properties():
 
 def test_criterion_8_complexity_worked_examples():
     with criterion(8, "depth and size metrics match the worked cases", 1.0):
-        sig = signature_of(constants=["a", "b", "c"],
+        sig = Signature(constants=["a", "b", "c"],
                            functions={"f": 2, "g": 1, "h": 2, "u": 1, "w": 1})
         t1 = parse_term("f(a,b)", sig)
         assert (complexity_depth(t1), complexity_size(t1)) == (1, 3)

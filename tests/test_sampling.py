@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from semlink import laws
 from semlink import sampling as sp
-from semlink.terms import pretty, signature_of
+from semlink.terms import Signature, pretty
 
 FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
 
@@ -123,8 +123,8 @@ class _NoDraws:
 
 
 @pytest.mark.parametrize("sig,message", [
-    (signature_of([], {"f": 1}, {"P": 1}), "signature has no constants to build terms from"),
-    (signature_of(["a"], {"f": 1}, {}), "signature has no predicates to build formulas from"),
+    (Signature([], {"f": 1}, {"P": 1}), "signature has no constants to build terms from"),
+    (Signature(["a"], {"f": 1}, {}), "signature has no predicates to build formulas from"),
 ])
 def test_samplers_refuse_a_signature_before_drawing(sig, message):
     with pytest.raises(ValueError) as exc:

@@ -35,11 +35,10 @@ from semlink.terms import (
     parse_term,
     pretty,
     replace_at,
-    signature_of,
     subterms,
 )
 
-SIG = signature_of(
+SIG = Signature(
     constants=["a", "b", "c"],
     functions={"f": 2, "g": 1, "h": 2, "k": 1},
     predicates={"P": 1, "R": 2},
@@ -319,21 +318,21 @@ def test_function_rejects_formula_argument():
 
 def test_signature_rejects_duplicates_across_namespaces():
     with pytest.raises(SignatureError):
-        signature_of(constants=["a"], functions={"a": 1})
+        Signature(constants=["a"], functions={"a": 1})
 
 
 def test_signature_rejects_reserved_and_bad_names():
     with pytest.raises(SignatureError):
-        signature_of(constants=["and"])
+        Signature(constants=["and"])
     with pytest.raises(SignatureError):
-        signature_of(functions={"1bad": 1})
+        Signature(functions={"1bad": 1})
     with pytest.raises(SignatureError):
-        signature_of(functions={"f": 0})
+        Signature(functions={"f": 0})
     with pytest.raises(SignatureError):
-        signature_of(predicates={"P": -2})
+        Signature(predicates={"P": -2})
     # the constants are checked in the order given, so the first bad one is named
     with pytest.raises(SignatureError, match="constant name 'and' is a reserved"):
-        signature_of(constants=["a", "and", "1bad", "or"])
+        Signature(constants=["a", "and", "1bad", "or"])
 
 
 def test_signature_accepts_disjoint_names():

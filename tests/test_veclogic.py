@@ -1,4 +1,4 @@
-"""Embedded truth values, operator synthesis, named operators, majority forms.
+"""Truth vectors, operator synthesis, named operators, majority forms.
 
 Expected matrices are frozen from hand-checked sources; the operator
 faithfulness law is cross-checked against classical evaluation.
