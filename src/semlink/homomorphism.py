@@ -189,12 +189,14 @@ class LiftFamily:
     one-hot entity vectors, and each function, relation and connective a
     matrix contracted with its arguments by veclogic.contract.
 
-    Each function, relation and entity vector is built the first time it is
-    asked for, then kept.  A symbol's image depends on the model alone, not
-    on the term, so every evaluation over the model shares one family.  The
-    model cannot change after it is validated, so a kept lift never goes
-    stale; each kept array is read-only, so no caller can corrupt a later
-    evaluation by writing into one.
+    Each function and relation lift is built the first time it is asked
+    for, then kept by the family.  A symbol's image depends on the model
+    alone, not on the term, so every evaluation over the model shares one
+    family.  An entity vector depends on the entity map alone, so the map
+    keeps it, and every family over one map shares it.  The model cannot
+    change after it is validated, so a kept lift never goes stale; each kept
+    array is read-only, so no caller can corrupt a later evaluation by
+    writing into one.
 
     Each value is checked once, where it is made: an entity vector is a
     basis vector, a function or predicate node gives a column of a lift
@@ -202,13 +204,12 @@ class LiftFamily:
     all a wrong target could change), and apply_operator checks its inputs.
     """
 
-    __slots__ = ("model", "entity", "_functions", "_relations", "_vectors")
+    __slots__ = ("model", "entity", "_functions", "_relations")
 
     def __init__(self, model: Model, entity: DomainMap):
         self.model, self.entity = model, entity
         self._functions: dict[str, LiftMatrix] = {}
         self._relations: dict[str, LiftMatrix] = {}
-        self._vectors: dict[str, np.ndarray] = {}
 
     @classmethod
     def for_model(cls, model: Model) -> "LiftFamily":
@@ -243,10 +244,11 @@ class LiftFamily:
         return lift
 
     def leaf(self, ent: str) -> np.ndarray:
-        """The entity's basis vector, read-only."""
-        vec = self._vectors.get(ent)
+        """The entity's basis vector, read-only, kept by the entity map."""
+        vectors = self.entity.vectors
+        vec = vectors.get(ent)
         if vec is None:
-            vec = self._vectors[ent] = vl._frozen(map_element(self.entity, ent))
+            vec = vectors[ent] = vl._frozen(map_element(self.entity, ent))
         return vec
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
@@ -149,10 +150,10 @@ class Model:
             plain = dict(getattr(self, key))
             object.__setattr__(self, "_" + key, plain)
             object.__setattr__(self, key, MappingProxyType(plain))
-        object.__setattr__(self, "_signature", Signature(
-            constants=self._constants,
-            functions={name: fn.arity for name, fn in self._functions.items()},
-            predicates={name: rel.arity for name, rel in self._relations.items()},
+        object.__setattr__(self, "_signature", _signature_of(
+            tuple(self._constants),
+            tuple([(name, fn.arity) for name, fn in self._functions.items()]),
+            tuple([(name, rel.arity) for name, rel in self._relations.items()]),
         ))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied
@@ -161,6 +162,30 @@ class Model:
 
     def signature(self) -> Signature:
         return self._signature
+
+
+# random_model makes 16 vocabularies per entity count (two functions and two
+# predicates, each of arity 1 or 2), and the formula law draws 2 to 4 entities:
+# 48 vocabularies, which a table of 64 holds with room for a few fixed models
+_SIGNATURES = 64
+
+
+@lru_cache(maxsize=_SIGNATURES)
+def _interned_signature(constants: tuple, functions: tuple, predicates: tuple) -> Signature:
+    return Signature(constants, dict(functions), dict(predicates))
+
+
+def _signature_of(constants: tuple, functions: tuple, predicates: tuple) -> Signature:
+    """The signature of a vocabulary: its constant names in order, and each
+    function and predicate as a (name, arity) pair.  Models of one vocabulary
+    share one signature, built and validated the first time it is asked for.
+    Only a plain int arity is kept in the table: another type (1.0,
+    np.int64(1), True) may equal an int, or may not hash, so its vocabulary
+    is validated on its own, and refused or accepted just as it would be."""
+    for _, arity in functions + predicates:
+        if type(arity) is not int:
+            return _interned_signature.__wrapped__(constants, functions, predicates)
+    return _interned_signature(constants, functions, predicates)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .model import FunctionInterp, Model, RelationInterp
 from .terms import (
     Connective,
     ConnectiveKind,
-    Const,
     FunApp,
     PredApp,
     Signature,
@@ -111,13 +110,13 @@ def random_model(rng: Draws, n_entities: int = 4) -> Model:
     return Model(entities, constants, functions, relations)
 
 
-def _terms_over(sig: Signature) -> tuple[tuple, tuple]:
-    """The signature's functions as sorted (name, arity) pairs and its
-    constants sorted.  Every closed term ends in constants, so a signature
-    without them is refused."""
+def _vocabulary(sig: Signature) -> tuple[tuple, tuple, tuple]:
+    """The signature's sorted functions, predicates and constant nodes.
+    Every closed term ends in constants, so a signature without them is
+    refused."""
     if not sig.constants:
         raise ValueError("signature has no constants to build terms from")
-    return tuple(sorted(sig.functions.items())), tuple(sorted(sig.constants))
+    return sig._vocabulary
 
 
 # The recursions take the bound Draws.below and build their argument lists in
@@ -130,7 +129,7 @@ def _entity_term(below, functions: tuple, constants: tuple, budget: int) -> Term
         for _ in range(arity):
             args.append(_entity_term(below, functions, constants, budget - 1))
         return FunApp(name, tuple(args))
-    return Const(constants[below(len(constants))])
+    return constants[below(len(constants))]
 
 
 def _formula(below, predicates: tuple, functions: tuple, constants: tuple, budget: int) -> Term:
@@ -150,7 +149,7 @@ def _formula(below, predicates: tuple, functions: tuple, constants: tuple, budge
 
 def random_entity_term(rng: Draws, sig: Signature, budget: int) -> Term:
     """Closed entity-typed term of nesting depth at most budget."""
-    functions, constants = _terms_over(sig)
+    functions, _, constants = _vocabulary(sig)
     return _entity_term(rng.below, functions, constants, budget)
 
 
@@ -160,9 +159,8 @@ def random_formula(rng: Draws, sig: Signature, budget: int) -> Term:
         raise ValueError("a formula needs depth budget of at least 1")
     if not sig.predicates:
         raise ValueError("signature has no predicates to build formulas from")
-    functions, constants = _terms_over(sig)
-    return _formula(rng.below, tuple(sorted(sig.predicates.items())), functions, constants,
-                    budget)
+    functions, predicates, constants = _vocabulary(sig)
+    return _formula(rng.below, predicates, functions, constants, budget)
 
 
 def random_function_table(rng: Draws, src: Sequence, tgt: Sequence) -> dict:

@@ -84,6 +84,10 @@ class ConnectiveKind(Enum):
         self.keyword = keyword
         self.arity = arity
 
+    # each member is a singleton, so it hashes by identity: Enum.__hash__ is a
+    # Python-level call on every lookup of a kind in a dict
+    __hash__ = object.__hash__
+
 
 CONNECTIVE_BY_KEYWORD = {k.keyword: k for k in ConnectiveKind}
 RESERVED = frozenset(CONNECTIVE_BY_KEYWORD)
@@ -179,13 +183,23 @@ class Signature:
         return Signature, (self.constants, dict(self.functions), dict(self.predicates))
 
     @cached_property
-    def _symbols(self) -> dict[str, tuple[str, int]]:
-        """Each name's (space, arity), connective keywords included, for the
-        parser to resolve a name with one lookup; a constant's arity is 0."""
-        table = {k.keyword: ("connective", k.arity) for k in ConnectiveKind}
-        table.update((name, ("constant", 0)) for name in self.constants)
-        table.update((name, ("function", n)) for name, n in self.functions.items())
-        table.update((name, ("predicate", n)) for name, n in self.predicates.items())
+    def _vocabulary(self) -> tuple[tuple, tuple, tuple]:
+        """The samplers' vocabulary: the functions and the predicates as
+        sorted (name, arity) pairs, and one Const node per constant, sorted by
+        name.  A node is immutable, so every term drawn or parsed over the
+        signature shares its constant's node."""
+        return (tuple(sorted(self.functions.items())), tuple(sorted(self.predicates.items())),
+                tuple(Const(name) for name in sorted(self.constants)))
+
+    @cached_property
+    def _symbols(self) -> dict[str, tuple[str, int, "Const | None"]]:
+        """Each name's (space, arity, node), connective keywords included, for
+        the parser to resolve a name with one lookup; a constant's arity is 0
+        and its node is the one in _vocabulary, every other name's node None."""
+        table = {k.keyword: ("connective", k.arity, None) for k in ConnectiveKind}
+        table.update((c.name, ("constant", 0, c)) for c in self._vocabulary[2])
+        table.update((name, ("function", n, None)) for name, n in self.functions.items())
+        table.update((name, ("predicate", n, None)) for name, n in self.predicates.items())
         return table
 
 
@@ -224,7 +238,7 @@ class _Parser:
             if entry is None:
                 return Var(name)
             if entry[0] == "constant":
-                return Const(name)
+                return entry[2]
             if entry[0] == "connective":
                 raise ParseError(f"connective {name!r} requires arguments", self.offset(at))
             raise ArityMismatchError(f"symbol {name!r} expects arguments", self.offset(at))
@@ -240,13 +254,13 @@ class _Parser:
         self.i += 1
         return self.apply(name, entry, tuple(args), at)
 
-    def apply(self, name: str, entry: tuple[str, int] | None, args: tuple[Term, ...],
-              at: int) -> Term:
+    def apply(self, name: str, entry: "tuple[str, int, Const | None] | None",
+              args: tuple[Term, ...], at: int) -> Term:
         """Resolve the symbol at token at from its entry in the signature's
         table, then check its arity, then its arguments' sorts."""
         if entry is None:
             raise UnknownIdentifierError(f"unknown identifier {name!r}", self.offset(at))
-        space, want = entry
+        space, want, _ = entry
         if space == "constant":
             raise ArityMismatchError(f"constant {name!r} cannot take arguments", self.offset(at))
         if len(args) != want:

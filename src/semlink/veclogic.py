@@ -205,13 +205,15 @@ class DomainMap:
     dim: int = field(init=False, repr=False, compare=False)  # len(elements)
     # basis_matrix of this map, made on first use: a relation-only map never pays dim^2
     basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
+    # the read-only map_element of each element asked for, by element
+    vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
             raise ValueError("domain must be nonempty")
         object.__setattr__(self, "dim", len(self.elements))
 
-    def __reduce__(self):  # a copy is rebuilt, so the columns and basis it caches are its own
+    def __reduce__(self):  # a copy is rebuilt, so the arrays it caches are its own
         return build_domain_map, (self.elements, self.tag)
 
 

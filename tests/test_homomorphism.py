@@ -620,6 +620,24 @@ def test_vector_denote_maps_each_entity_once(monkeypatch):
     assert sorted(calls) == ["e1", "e2"]
 
 
+def test_families_over_one_map_share_its_entity_vectors(monkeypatch):
+    calls = []
+
+    def counting(m, a, real=hm.map_element):
+        calls.append(a)
+        return real(m, a)
+
+    monkeypatch.setattr(hm, "map_element", counting)
+    m = hm.entity_map(MODEL)
+    first, second = hm.LiftFamily(MODEL, m), hm.LiftFamily(MODEL, m)
+    assert first.leaf("e1") is second.leaf("e1") is m.vectors["e1"]
+    assert calls == ["e1"]
+    assert not hm.LiftFamily.for_model(MODEL).leaf("e1").flags.writeable  # a new map makes its own
+    assert calls == ["e1", "e1"]
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin.vectors == {}
+
+
 def test_function_node_checks_the_vector_its_lift_gives(monkeypatch):
     # each value is checked where it is made: a lift whose image is not an
     # entity vector is refused at its own node, named by its symbol

@@ -9,6 +9,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from semlink.model import (
 )
 from semlink.sampling import Draws, random_formula, random_model
 from semlink.terms import (
+    SignatureError,
     complexity_depth,
     parse_term,
     ParseError,
@@ -79,6 +81,70 @@ def test_signature_derived_from_model():
     assert sig.functions == {"f": 1, "g": 2}
     assert sig.predicates == {"P": 1, "R": 2}
     assert set(sig.constants) == {"a", "b"}
+
+
+def _unary_model(constants=("a",), f_arity=1, p_arity=1) -> Model:
+    """One entity, the constants naming it, and f and P of the given arities."""
+    return Model(("e1",), dict.fromkeys(constants, "e1"),
+                 {"f": FunctionInterp(f_arity, {("e1",) * int(f_arity): "e1"})},
+                 {"P": RelationInterp(p_arity, frozenset())})
+
+
+def test_models_of_one_vocabulary_share_one_signature():
+    assert good_model().signature() is good_model().signature()
+    one = _unary_model(("a", "b"))
+    assert _unary_model(("a", "b")).signature() is one.signature()
+    for other in (_unary_model(("b", "a")), _unary_model(("a", "b"), f_arity=2),
+                  _unary_model(("a", "b"), p_arity=2), _unary_model(("a", "c"))):
+        assert other.signature() is not one.signature()
+    assert _unary_model(("a", "b"), f_arity=2).signature().functions == {"f": 2}
+
+
+@pytest.mark.parametrize("arity", [1.0, np.int64(1), np.array(1)], ids=["float", "int64", "array"])
+@pytest.mark.parametrize("symbol", ["f", "P"])
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_an_arity_that_is_not_an_int_is_refused_whatever_the_table_holds(arity, symbol, twin_first):
+    model_module._interned_signature.cache_clear()
+    if twin_first:
+        _unary_model()  # the vocabulary with int arities is in the table
+    with pytest.raises(SignatureError) as exc:
+        _unary_model(**{f"{symbol.lower()}_arity": arity})
+    assert str(exc.value) == f"symbol {symbol!r} has arity {arity!r}, expected an int >= 1"
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_a_bool_arity_is_accepted_and_kept_apart_from_its_int_twin(twin_first):
+    model_module._interned_signature.cache_clear()
+    if twin_first:
+        _unary_model()
+    sig = _unary_model(f_arity=True).signature()
+    assert sig.functions["f"] is True
+    assert type(_unary_model().signature().functions["f"]) is int
+
+
+def test_a_bad_name_is_named_before_a_bad_arity_whatever_the_table_holds():
+    for _ in range(2):
+        with pytest.raises(SignatureError, match="constant name 'not' is a reserved"):
+            _unary_model(("not",), f_arity=1.0)
+
+
+def test_the_signature_table_stays_within_its_size():
+    table = model_module._interned_signature
+    assert table.cache_info().maxsize == model_module._SIGNATURES
+    for i in range(model_module._SIGNATURES + 10):
+        assert _unary_model((f"c{i}",)).signature().constants == {f"c{i}"}
+        assert table.cache_info().currsize <= model_module._SIGNATURES
+    assert table.cache_info().currsize == model_module._SIGNATURES
+
+
+def test_the_signature_table_holds_every_vocabulary_of_the_formula_law():
+    # random_model makes 16 vocabularies per entity count, for 2 to 4 entities
+    vocabularies = set()
+    for k in range(300):
+        sig = random_model(Draws(k), n_entities=2 + k % 3).signature()
+        vocabularies.add((sig.constants, tuple(sig.functions.items()),
+                          tuple(sig.predicates.items())))
+    assert len(vocabularies) == 48 <= model_module._SIGNATURES
 
 
 def _broken(mutate):

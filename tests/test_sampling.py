@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from semlink import laws
 from semlink import sampling as sp
-from semlink.terms import Signature, pretty
+from semlink.terms import Signature, children, pretty, subterms
 
 FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
 
@@ -125,11 +125,29 @@ class _NoDraws:
 @pytest.mark.parametrize("sig,message", [
     (Signature([], {"f": 1}, {"P": 1}), "signature has no constants to build terms from"),
     (Signature(["a"], {"f": 1}, {}), "signature has no predicates to build formulas from"),
+    # the predicates are asked for first
+    (Signature([], {"f": 1}, {}), "signature has no predicates to build formulas from"),
 ])
-def test_samplers_refuse_a_signature_before_drawing(sig, message):
+@pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "vocabulary-read"])
+def test_samplers_refuse_a_signature_before_drawing(sig, message, read_first):
+    if read_first:
+        assert sig._vocabulary[0] == (("f", 1),)  # the samplers' vocabulary is already kept
     with pytest.raises(ValueError) as exc:
         sp.random_formula(_NoDraws(), sig, budget=3)
     assert str(exc.value) == message
     if not sig.constants:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as exc:
             sp.random_entity_term(_NoDraws(), sig, budget=3)
+        assert str(exc.value) == "signature has no constants to build terms from"
+    else:
+        assert sp.random_entity_term(sp.Draws(0), sig, budget=0) is sig._vocabulary[2][0]
+
+
+def test_drawn_terms_share_the_signature_nodes():
+    sig = Signature(["a", "b"], {"f": 2}, {"P": 1})
+    nodes = set(map(id, sig._vocabulary[2]))
+    for seed in range(20):
+        for term in (sp.random_formula(sp.Draws(seed), sig, budget=4),
+                     sp.random_entity_term(sp.Draws(seed), sig, budget=3)):
+            leaves = [t for _, t in subterms(term) if not children(t)]
+            assert leaves and all(id(leaf) in nodes for leaf in leaves)

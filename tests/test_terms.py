@@ -415,6 +415,22 @@ def test_subterms_and_replace():
     assert t == parse_term("f(g(a),b)", SIG)  # original untouched
 
 
+def test_a_parsed_constant_is_the_signature_node():
+    nodes = {c.name: c for c in SIG._vocabulary[2]}
+    assert parse_term("a", SIG) is nodes["a"]
+    assert parse_term("f(g(a),b)", SIG).args[1] is nodes["b"]
+    assert parse_term("P(x)", SIG).args[0] == Var("x")  # a variable is not a constant
+
+
+def test_replace_at_leaves_a_term_sharing_the_leaf_unchanged():
+    t, other = parse_term("f(g(a),b)", SIG), parse_term("g(a)", SIG)
+    assert t.args[0].args[0] is other.args[0]
+    assert replace_at(t, (0, 0), Const("c")) == parse_term("f(g(c),b)", SIG)
+    assert replace_at(other, (0,), Var("y")) == parse_term("g(y)", SIG)
+    assert other == parse_term("g(a)", SIG) and t == parse_term("f(g(a),b)", SIG)
+    assert other.args[0] is t.args[0].args[0] == Const("a")
+
+
 def test_replace_bad_path():
     t = parse_term("f(a,b)", SIG)
     with pytest.raises(IndexError):
