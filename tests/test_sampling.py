@@ -122,14 +122,15 @@ class _NoDraws:
         raise AssertionError("drew before refusing the signature")
 
 
-@pytest.mark.parametrize("sig,message", [
-    (Signature([], {"f": 1}, {"P": 1}), "signature has no constants to build terms from"),
-    (Signature(["a"], {"f": 1}, {}), "signature has no predicates to build formulas from"),
+@pytest.mark.parametrize("constants,predicates,message", [
+    ([], {"P": 1}, "signature has no constants to build terms from"),
+    (["a"], {}, "signature has no predicates to build formulas from"),
     # the predicates are asked for first
-    (Signature([], {"f": 1}, {}), "signature has no predicates to build formulas from"),
+    ([], {}, "signature has no predicates to build formulas from"),
 ])
 @pytest.mark.parametrize("read_first", [False, True], ids=["fresh", "vocabulary-read"])
-def test_samplers_refuse_a_signature_before_drawing(sig, message, read_first):
+def test_samplers_refuse_a_signature_before_drawing(constants, predicates, message, read_first):
+    sig = Signature(constants, {"f": 1}, predicates)
     if read_first:
         assert sig._vocabulary[0] == (("f", 1),)  # the samplers' vocabulary is already kept
     with pytest.raises(ValueError) as exc:
