@@ -37,7 +37,9 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
                   m_tgt: DomainMap, arity: int = 1) -> LiftMatrix:
     """Lift a total function so that lift(map(a1), ..., map(an)) =
     map(f(a1, ..., an)).  The table is keyed by elements of m_src when the
-    arity is 1 and by arity-tuples of them otherwise."""
+    arity is 1 and by arity-tuples of them otherwise.  Over a kept map
+    (veclogic.kept_map), an equal table into the same target map gets back
+    the lift kept there, as lift_relation does for equal members."""
     index, rows = m_tgt.index, []
     for a in m_src.elements if arity == 1 else iproduct(m_src.elements, repeat=arity):
         try:
@@ -47,8 +49,14 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
                 raise LiftError(f"function is not total: no value for {a!r}") from None
             raise LiftError(f"function value {table[a]!r} is outside target domain "
                             f"{m_tgt.tag!r}") from None
+    lifts = m_src.lifts
+    if lifts is not None:  # a kept map: the kept lift holds m_tgt, so its id stays unique
+        key = (arity, id(m_tgt), tuple(rows))
+        if (kept := vl.kept_lift(lifts, key)) is not None:
+            return kept
     # column j is basis vector rows[j] of the target
-    return LiftMatrix(m_src, arity, m_tgt, basis_matrix(m_tgt).take(rows, axis=1))
+    lift = LiftMatrix(m_src, arity, m_tgt, basis_matrix(m_tgt).take(rows, axis=1))
+    return lift if lifts is None else vl.keep_lift(lifts, key, lift)
 
 
 def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
@@ -94,7 +102,13 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
     """Lift of the relation's characteristic function into TRUTH: column j
     is TRUE_VEC exactly when the j-th tuple is a member."""
     bits = _member_bits(tuples, m, arity)
-    return LiftMatrix(m, arity, TRUTH, _EMBEDDED.take(np.frombuffer(bits, dtype=np.uint8), axis=1))
+    lifts = m.lifts
+    if lifts is not None:  # a kept map
+        key = (arity, bytes(bits))
+        if (kept := vl.kept_lift(lifts, key)) is not None:
+            return kept
+    lift = LiftMatrix(m, arity, TRUTH, _EMBEDDED.take(np.frombuffer(bits, dtype=np.uint8), axis=1))
+    return lift if lifts is None else vl.keep_lift(lifts, key, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +206,9 @@ class LiftFamily:
     Each function and relation lift is built the first time it is asked
     for, then kept by the family.  A symbol's image depends on the model
     alone, not on the term, so every evaluation over the model shares one
-    family.  An entity vector depends on the entity map alone, so the map
+    family.  Over a kept entity map (veclogic.kept_map) the builders return
+    the lift the map keeps for an equal table, so the families of the formula
+    law's random models share their lifts across models and runs.  An entity vector depends on the entity map alone, so the map
     keeps it, and every family over one map shares it.  The model cannot
     change after it is validated, so a kept lift never goes stale; each kept
     array is read-only, so no caller can corrupt a later evaluation by

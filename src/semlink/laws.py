@@ -368,12 +368,12 @@ def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
             raise ValueError("model declares no relations, cannot build formulas")
         # a fixed model shares one family of lifts and one signature across trials
         fam, sig = hm.LiftFamily.for_model(model), model.signature()
-    # random models have few entity tuples: one entity map per tuple per run
-    entity = cache(lambda entities: hm.build_domain_map(entities, tag="entity"))
     for t in range(trials):
         if model is None:  # a fresh model each trial needs a fresh family
+            # random models have three entity tuples: each has one kept map for
+            # the process, and their lifts repeat across trials and runs
             m = sp.random_model(rng, n_entities=2 + rng.below(3))
-            fam, sig = hm.LiftFamily(m, entity(m.entities)), m.signature()
+            fam, sig = hm.LiftFamily(m, vl.kept_map(m.entities, "entity")), m.signature()
         m = fam.model
         formula = sp.random_formula(rng, sig, budget=6)
         bit = denote(formula, m, {}).bit

@@ -106,7 +106,12 @@ class Model:
                 raise ModelError(f"constant {name!r} maps to unknown entity {ent!r}")
         for kind, symbols in (("function", self.functions), ("relation", self.relations)):
             for name, interp in symbols.items():
-                if interp.arity < 1:
+                try:  # a str, None or an array cannot say whether it is below 1
+                    below_one = bool(interp.arity < 1)
+                except (TypeError, ValueError):
+                    raise ModelError(f"{kind} {name!r} has arity {interp.arity!r}, "
+                                     f"expected an int >= 1") from None
+                if below_one:
                     raise ModelError(f"{kind} {name!r} has arity {interp.arity}, expected at least 1")
         for name, fn in self.functions.items():
             for args, out in fn.table.items():

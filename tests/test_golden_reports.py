@@ -9,10 +9,14 @@ tests/data/law_reports_fixed_model_20_trials.txt pins the `--model` branch
 of every law: for each seed k in 0-9, the model random_model(Draws(k), 4),
 then run_law(law, k, 20, model).render() for every law, or "error: " and the
 message of a law that refuses the model.
+
+Both are also read after veclogic.kept_map's cache is cleared and again
+once the formula law has filled the lift tables of its kept maps.
 """
 
 from pathlib import Path
 
+from semlink import veclogic as vl
 from semlink.laws import LAWS, run_law
 from semlink.sampling import Draws, random_model
 
@@ -21,9 +25,12 @@ GOLDEN = DATA / "law_reports_20_trials.txt"
 GOLDEN_FIXED_MODEL = DATA / "law_reports_fixed_model_20_trials.txt"
 
 
+def law_reports() -> str:
+    return "".join(run_law(law, seed, 20).render() for law in LAWS for seed in range(10))
+
+
 def test_law_reports_match_golden_file():
-    got = "".join(run_law(law, seed, 20).render() for law in LAWS for seed in range(10))
-    assert got == GOLDEN.read_text()
+    assert law_reports() == GOLDEN.read_text()
 
 
 def fixed_model_reports() -> str:
@@ -40,3 +47,13 @@ def fixed_model_reports() -> str:
 
 def test_fixed_model_law_reports_match_golden_file():
     assert fixed_model_reports() == GOLDEN_FIXED_MODEL.read_text()
+
+
+def test_golden_files_match_from_empty_and_full_lift_tables():
+    # the formula law's kept entity maps keep their lifts for the process, so
+    # every report must read the same whether the tables start empty or full
+    vl.kept_map.cache_clear()
+    for tables in ("empty", "full"):
+        assert law_reports() == GOLDEN.read_text(), tables
+        assert fixed_model_reports() == GOLDEN_FIXED_MODEL.read_text(), tables
+        assert run_law("formula", 10, 200).ok  # other seeds' lifts join the tables

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 from functools import reduce
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -488,17 +489,26 @@ def test_vector_denote_with_variables():
 # the vector route reaches the leaves: broken lifts must show
 
 
-def _shifted_function_lift(model, name, fam, real=hm.lifted_model_function):
+def _rolled(lf):
     # every column's basis vector moved one row down: one-hot, but wrong
-    lf = real(model, name, fam)
     return hm.LiftMatrix(lf.source, lf.arity, lf.target, np.roll(lf.mat, 1, axis=0))
+
+
+def _shifted_function_lift(model, name, fam, real=hm.lifted_model_function):
+    return _rolled(real(model, name, fam))
+
+
+def _shifted_lift_function(table, m_src, m_tgt, arity=1, real=hm.lift_function):
+    return _rolled(real(table, m_src, m_tgt, arity))
 
 
 def _empty_relation_lift(tuples, m, arity, real=hm.lift_relation):
     return real((), m, arity)
 
 
+# each acts after the real builder, so on a kept map it breaks the kept lift it is given
 BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
+                "lift_function": _shifted_lift_function,
                 "lift_relation": _empty_relation_lift}
 
 
@@ -876,3 +886,134 @@ def test_a_wrong_vector_union_fails_the_sets_law(monkeypatch):
     report = laws.run_law("sets", 0, 50)
     assert not report.ok
     assert all(" union of " in f for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# kept maps keep their lifts
+
+
+def _kept(n, tag):
+    """A kept map over n elements whose tag no law uses, with an empty table."""
+    m = vl.kept_map(tuple(f"k{i}" for i in range(n)), tag)
+    m.lifts.clear()
+    return m
+
+
+def test_a_kept_map_gives_one_lift_per_table():
+    m = _kept(3, "kept-one-per-table")
+    f = {"k0": "k1", "k1": "k2", "k2": "k0"}
+    assert hm.lift_function(f, m, m) is hm.lift_function(dict(reversed(f.items())), m, m)
+    r = [("k0", "k1"), ("k2", "k2")]
+    assert hm.lift_relation(r, m, 2) is hm.lift_relation(set(reversed(r)), m, 2)
+    assert hm.lift_subset(["k2", "k0"], m) is hm.lift_subset({"k0", "k2"}, m)
+    assert hm.lift_subset(["k1"], m) is hm.lift_relation([("k1",)], m, 1)
+    assert len(m.lifts) == 4
+
+
+def test_a_kept_lift_is_told_apart_by_arity_table_and_maps():
+    one = _kept(1, "kept-one")
+    # over one element every table has one row, so only the arity tells them apart
+    unary, binary = hm.lift_function({"k0": "k0"}, one, one), hm.lift_function(
+        {("k0", "k0"): "k0"}, one, one, 2)
+    assert unary is not binary and (unary.arity, binary.arity) == (1, 2)
+    p, r = hm.lift_relation([("k0",)], one, 1), hm.lift_relation([("k0", "k0")], one, 2)
+    assert p is not r and (p.arity, r.arity) == (1, 2)
+    m = _kept(3, "kept-apart")
+    f = {"k0": "k1", "k1": "k2", "k2": "k0"}
+    lf = hm.lift_function(f, m, m)
+    assert hm.lift_function({**f, "k2": "k1"}, m, m) is not lf
+    assert hm.lift_relation([("k0",)], m, 1) is not hm.lift_relation([("k1",)], m, 1)
+    twin = hm.build_domain_map(m.elements, tag=m.tag)  # equal, but another map
+    assert twin == m
+    into_twin = hm.lift_function(f, m, twin)
+    assert into_twin is not lf and into_twin.target is twin
+    assert hm.lift_function(f, m, twin) is into_twin  # kept under the twin's own key
+    assert hm.lift_function(f, m, _kept(3, "kept-other")) is not lf
+    from_twin = hm.lift_function(f, twin, m)
+    assert from_twin is not lf and from_twin.source is twin
+    assert hm.lift_function(f, twin, m) is not from_twin  # a plain map keeps nothing
+
+
+def test_a_kept_lift_equals_a_fresh_one_and_is_read_only():
+    m = _kept(3, "kept-fresh")
+    plain = hm.build_domain_map(m.elements, tag="plain")
+    table = {(a, b): b for a in m.elements for b in m.elements}
+    for build in (lambda d: hm.lift_function(table, d, d, 2),
+                  lambda d: hm.lift_relation([("k0", "k1"), ("k1", "k1")], d, 2),
+                  lambda d: hm.lift_subset(["k2"], d)):
+        kept = build(m)
+        assert kept is build(m)
+        assert np.array_equal(kept.mat, build(plain).mat)
+        assert not kept.mat.flags.writeable and not kept.ten.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept.mat[0, 0] = 1 - kept.mat[0, 0]
+
+
+def test_only_a_kept_map_has_a_lift_table():
+    assert dmap(3).lifts is None and hm.entity_map(MODEL).lifts is None
+    assert hm.LiftFamily.for_model(MODEL).entity.lifts is None
+    m = _kept(3, "kept-copies")
+    hm.lift_relation([("k0",)], m, 1)
+    assert len(m.lifts) == 1
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and twin is not m and twin.lifts is None
+
+
+def test_a_kept_maps_lift_table_stays_within_its_bound():
+    m = _kept(3, "kept-bound")
+    tuples = list(iproduct(m.elements, repeat=2))
+
+    def relation(i):  # the binary relation whose members are the bits of i
+        return hm.lift_relation([t for k, t in enumerate(tuples) if i >> k & 1], m, 2)
+
+    first = [relation(i) for i in range(vl.KEPT_LIFTS)]
+    assert len(m.lifts) == vl.KEPT_LIFTS
+    assert relation(0) is first[0]  # now the most recently used
+    for i in range(vl.KEPT_LIFTS, vl.KEPT_LIFTS + 10):
+        relation(i)
+        assert len(m.lifts) == vl.KEPT_LIFTS
+    assert relation(0) is first[0]  # kept
+    assert relation(1) is not first[1]  # the least recently used went first
+
+
+def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
+    vl.kept_map.cache_clear()
+    built = []
+
+    def spy(real):
+        def wrapped(*args):
+            built.append(real(*args))
+            return built[-1]
+        return wrapped
+
+    monkeypatch.setattr(hm, "lift_function", spy(hm.lift_function))
+    monkeypatch.setattr(hm, "lift_relation", spy(hm.lift_relation))
+    first = laws.run_law("formula", 0, 20).render()
+    runs = [built[:]]
+    built.clear()
+    assert laws.run_law("formula", 0, 20).render() == first
+    runs.append(built)
+    assert vl.kept_map.cache_info().misses == 3  # 2 to 4 entities, one kept map each
+    maps = {lf.source.elements: lf.source for lf in runs[0]}
+    assert len(maps) == 3 and all(m.lifts is not None for m in maps.values())
+    # the second run's lifts, over the same maps, are the first run's
+    assert len(runs[1]) == len(runs[0]) and all(a is b for a, b in zip(*runs))
+    assert all(lf.source is maps[lf.source.elements] for lf in runs[1])
+    vl.kept_map.cache_clear()
+    for elements, m in maps.items():
+        fresh = vl.kept_map(elements, "entity")
+        assert fresh is not m and fresh == m and len(fresh.lifts) == 0
+
+
+@pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
+def test_a_warm_lift_table_hides_no_broken_lift(monkeypatch, target):
+    # each kept map already holds the lifts this run asks for, so the real
+    # builder behind each broken one returns kept lifts: the fault acts after
+    # it, and must still show
+    assert laws.run_law("formula", 0, 200).ok
+    warm = [vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity") for n in (2, 3, 4)]
+    assert all(m.lifts for m in warm)
+    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
+    report = laws.run_law("formula", 0, 200)
+    assert not report.ok
+    assert report.render().endswith("result: FAIL\n")

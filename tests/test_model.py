@@ -128,6 +128,40 @@ def test_a_bad_name_is_named_before_a_bad_arity_whatever_the_table_holds():
             _unary_model(("not",), f_arity=1.0)
 
 
+_BY_NAME = "{kind} {name!r} has arity {arity!r}, expected an int >= 1"
+_BY_SIGNATURE = "symbol {name!r} has arity {arity!r}, expected an int >= 1"
+
+
+@pytest.mark.parametrize("arity,error,message", [
+    ("1", ModelError, _BY_NAME),
+    (None, ModelError, _BY_NAME),
+    (np.array([1, 1]), ModelError, _BY_NAME),
+    (0, ModelError, "{kind} {name!r} has arity 0, expected at least 1"),
+    (1.0, SignatureError, _BY_SIGNATURE),
+    (np.int64(1), SignatureError, _BY_SIGNATURE),
+    (np.array(1), SignatureError, _BY_SIGNATURE),
+    (True, None, None),
+], ids=["str", "none", "pair-array", "zero", "float", "int64", "0d-array", "bool"])
+@pytest.mark.parametrize("kind,name", [("function", "f"), ("relation", "P")])
+def test_every_arity_a_library_caller_can_give_is_refused_by_name_or_accepted(
+        arity, error, message, kind, name):
+    # built without model_from_dict, which refuses a non-int arity first
+    f_arity, p_arity = (arity, 1) if kind == "function" else (1, arity)
+
+    def build():
+        return Model(("e1",), {"a": "e1"}, {"f": FunctionInterp(f_arity, {("e1",): "e1"})},
+                     {"P": RelationInterp(p_arity, frozenset())})
+
+    if error is None:
+        sig = build().signature()
+        assert (sig.functions if kind == "function" else sig.predicates)[name] is True
+        return
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(kind=kind, name=name, arity=arity)
+
+
 def test_the_signature_table_stays_within_its_size():
     table = model_module._interned_signature
     assert table.cache_info().maxsize == model_module._SIGNATURES

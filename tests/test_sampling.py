@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from semlink import laws
 from semlink import sampling as sp
+from semlink import veclogic as vl
 from semlink.terms import Signature, children, pretty, subterms
 
 FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
@@ -64,6 +65,16 @@ def formula_stream(monkeypatch, seeds=range(10), trials=20) -> str:
 
 
 def test_formula_stream_matches_pinned_file(monkeypatch):
+    assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
+
+
+def test_formula_stream_matches_pinned_file_from_empty_and_full_lift_tables(monkeypatch):
+    # the formula law's kept entity maps keep their lifts for the process
+    vl.kept_map.cache_clear()
+    assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
+    assert all(vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity").lifts
+               for n in (2, 3, 4))
+    assert formula_stream(monkeypatch, seeds=range(10, 20), trials=50)  # more lifts join
     assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
 
 
