@@ -236,12 +236,10 @@ def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> Domai
 
 # The formula law draws 2 to 4 entities, so it asks for three kept maps.
 KEPT_MAPS = 16
-# Lifts kept per kept map.  Replaying the formula law's lifts, an LRU table
-# reuses 58% of them at 128 entries, 62% at 256 and 65% at 512, and each
-# kept lift costs about 1.5 KB of RSS.  In 20-s formula-random runs, peak
-# RSS rose 0.4-0.5 MB at 128 per map, 0.6-0.7 MB at 192 and 1.0 MB at 256
-# (2.1 MB at 1,024 in a 10-s run), against a budget of 1 MB, while
-# us_per_check did not tell the three apart.
+# Lifts kept per kept map.  Replaying the formula law, an LRU table reuses
+# 58% of its lifts at 128 entries and 62% at 256, and a kept lift costs
+# about 1.5 KB: formula-random's peak RSS rose 0.4-0.5 MB at 128 per map and
+# 1.0 MB at 256, against a budget of 1 MB, for no us_per_check it could see.
 KEPT_LIFTS = 128
 
 
