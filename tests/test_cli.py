@@ -90,6 +90,8 @@ def test_synth_bad_bitstring(capsys):
 def test_synth_bad_length(capsys):
     code, _, err = run_cli(capsys, "synth", "--table", "100")
     assert code == 2
+    # one output is a table of arity 0
+    assert run_cli(capsys, "synth", "--table", "1") == (2, "", "error: arity must be >= 1, got 0\n")
 
 
 def test_synth_arity_16(capsys):
@@ -403,6 +405,8 @@ def test_lift_unknown_symbol(capsys, model_file):
     code, _, err = run_cli(capsys, "lift", "--model", model_file,
                            "--function", "zz")
     assert code == 2
+    assert run_cli(capsys, "lift", "--model", model_file, "--relation", "Q") == (
+        2, "", "error: model does not interpret relation 'Q'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +493,10 @@ def test_check_rejects_unknown_law(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--law", "nonsense"])
     assert exc.value.code == 2
+    # a library caller gets past the CLI's choices; the law is checked before the seed
+    with pytest.raises(ValueError, match="^unknown law 'nope', expected one of "
+                                         "function, relation, sets, chain, formula$"):
+        laws.run_law("nope", -1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,10 @@ def test_lift_relation_validation():
     lifted = hm.lift_relation({(0,)}, m, 1)
     with pytest.raises(hm.LiftError):
         lifted([hm.map_element(m, 0), hm.map_element(m, 1)])
+    # a Model refuses such a relation first, so only a library caller gets here
+    with pytest.raises(hm.LiftError, match="^a relation of arity 21 over 2 elements is past "
+                                           "the caps of arity 20 and 2\\^20 tuples$"):
+        hm.lift_relation({(0,) * 21}, m, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +347,9 @@ def test_compose_lifted_rejects_mismatched_maps():
         hm.compose_lifted(g, f)
     with pytest.raises(hm.LiftError, match="^compose_lifted needs at least one lift$"):
         hm.compose_lifted()
+    first = hm.lift_function({(x, y): x for x in range(2) for y in range(2)}, a, a, 2)
+    with pytest.raises(hm.LiftError, match="^cannot compose after a lift of arity 2$"):
+        hm.compose_lifted(first, f)
 
 
 @settings(deadline=None, max_examples=40)
@@ -506,6 +513,10 @@ def _empty_relation_lift(tuples, m, arity, real=hm.lift_relation):
     return real((), m, arity)
 
 
+def _member_dropped_relation_lift(tuples, m, arity, real=hm.lift_relation):
+    return real(sorted(tuples)[1:], m, arity)
+
+
 # each acts after the real builder, so on a kept map it breaks the kept lift it is given
 BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
                 "lift_function": _shifted_lift_function,
@@ -549,14 +560,60 @@ def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsy
     # subsets are lifted as unary relations, so the sets law checks lift_relation
     argv = ["check", "--law", "sets", "--trials", "20"]
     assert cli.main(argv) == 0
-    real = hm.lift_relation
-    monkeypatch.setattr(hm, "lift_relation",
-                        lambda tuples, m, arity: real(sorted(tuples)[1:], m, arity))
+    monkeypatch.setattr(hm, "lift_relation", _member_dropped_relation_lift)
     capsys.readouterr()
     assert cli.main(argv) == 1
     out = capsys.readouterr().out
     assert "counterexample: trial 0: characteristic of" in out
     assert out.endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("law,target,broken,want", [
+    ("function", "lift_function", _shifted_lift_function,
+     "law: function\nseed: 0\ntrials: 10\nchecks: 72\nfailures: 71\n"
+     + "".join(f"counterexample: trial 0: element {a}: lifted {got} expected {want}\n"
+               for a, got, want in [(0, [0, 0, 0, 1], [0, 0, 1, 0]),
+                                    (1, [0, 0, 1, 0], [0, 1, 0, 0]),
+                                    (2, [0, 0, 1, 0], [0, 1, 0, 0]),
+                                    (3, [0, 1, 0, 0], [1, 0, 0, 0]),
+                                    (4, [0, 1, 0, 0], [1, 0, 0, 0])])
+     + "result: FAIL\n"),
+    ("chain", "lift_function", _shifted_lift_function,
+     "law: chain\nseed: 0\ntrials: 10\nchecks: 17\nfailures: 8\n"
+     "counterexample: trial 1: chain of length 4 at 0: lifted [1, 0, 0, 0, 0] "
+     "expected [0, 1, 0, 0, 0]\n"
+     "counterexample: trial 2: chain of length 3 at 0: lifted [0, 1, 0] expected [1, 0, 0]\n"
+     "counterexample: trial 3: chain of length 3 at 0: lifted [0, 0, 0, 1] "
+     "expected [1, 0, 0, 0]\n"
+     "counterexample: trial 4: chain of length 4 at 0: lifted [0, 0, 1] expected [0, 1, 0]\n"
+     "counterexample: trial 5: chain of length 4 at 0: lifted [1, 0] expected [0, 1]\n"
+     "result: FAIL\n"),
+    ("sets", "lift_relation", _member_dropped_relation_lift,
+     "law: sets\nseed: 0\ntrials: 10\nchecks: 100\nfailures: 30\n"
+     "counterexample: trial 0: union of ['x0', 'x1', 'x2'] and ['x3', 'x4', 'x5'] "
+     "does not commute\n"
+     "counterexample: trial 0: difference of ['x0', 'x1', 'x2'] and ['x3', 'x4', 'x5'] "
+     "does not commute\n"
+     "counterexample: trial 0: characteristic of 'x0' in ['x0', 'x1', 'x2']: 1 vs 0\n"
+     "counterexample: trial 0: indicator of ['x0', 'x1', 'x2'] is [0, 1, 1, 0, 0, 0], "
+     "expected [1, 1, 1, 0, 0, 0]\n"
+     "counterexample: trial 1: intersection of ['x0', 'x1', 'x2', 'x3', 'x4', 'x5'] "
+     "and ['x0', 'x1', 'x3', 'x4'] does not commute\n"
+     "result: FAIL\n"),
+])
+def test_a_broken_builder_fails_the_law_with_these_lines(monkeypatch, law, target, broken, want):
+    # every golden report is a PASS: these pin the failing lines, and the
+    # counts of checks and failures they come with
+    monkeypatch.setattr(hm, target, broken)
+    assert laws.run_law(law, 0, 10).render() == want
+
+
+def test_a_rolled_function_lift_fails_the_unary_sweep_at_its_first_point(monkeypatch):
+    assert laws.sweep_unary_function_lifts(2) == (13, [])
+    monkeypatch.setattr(hm, "lift_function", _shifted_lift_function)
+    checks, failures = laws.sweep_unary_function_lifts(2)
+    assert (checks, len(failures)) == (13, 10)
+    assert failures[0] == "table (0,) from 1 to 2 at 0: lifted [0, 1] expected [1, 0]"
 
 
 def test_vector_denote_lifts_each_symbol_once(monkeypatch):
@@ -725,10 +782,8 @@ def test_a_fixed_models_function_law_reads_each_lift_once(monkeypatch, broken, w
 ], ids=["real", "member-dropped", "off-image-true"])
 def test_a_fixed_models_relation_law_reads_each_lift_once(monkeypatch, broken, failure):
     model = random_model(Draws(3), n_entities=4)  # two unary relations, P1 and P2
-    if broken == "lift_relation":  # drops the first member
-        real = hm.lift_relation
-        monkeypatch.setattr(hm, "lift_relation",
-                            lambda tuples, m, arity: real(sorted(tuples)[1:], m, arity))
+    if broken == "lift_relation":
+        monkeypatch.setattr(hm, "lift_relation", _member_dropped_relation_lift)
     elif broken == "__call__":
         monkeypatch.setattr(hm.LiftMatrix, "__call__", lambda self, vecs: vl.TRUE_VEC)
     read = []

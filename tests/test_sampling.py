@@ -155,6 +155,11 @@ def test_samplers_refuse_a_signature_before_drawing(constants, predicates, messa
         assert sp.random_entity_term(sp.Draws(0), sig, budget=0) is sig._vocabulary[2][0]
 
 
+def test_random_formula_refuses_a_budget_below_1_before_drawing():
+    with pytest.raises(ValueError, match="^a formula needs depth budget of at least 1$"):
+        sp.random_formula(_NoDraws(), Signature(["a"], {}, {"P": 1}), budget=0)
+
+
 def test_drawn_terms_share_the_signature_nodes():
     sig = Signature(["a", "b"], {"f": 2}, {"P": 1})
     nodes = set(map(id, sig._vocabulary[2]))
