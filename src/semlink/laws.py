@@ -1,16 +1,18 @@
 """Commutation law suites with deterministic, seed-reproducible reports.
 
 Each suite draws its structures from a seeded PCG64 stream through
-sampling.Draws (or from a user-supplied model), runs the relevant two-path
-checks, and renders a plain-text report that is byte-identical for
-identical seeds.
+sampling.Draws (or from a user-supplied model) and runs the relevant two-path
+checks.  It yields one outcome per check, None where the check holds or the
+counterexample where it fails, and _tally counts them into a plain-text
+report that is byte-identical for identical seeds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, product as iproduct
+from itertools import chain, compress, product as iproduct, repeat
 
 import numpy as np
 
@@ -21,8 +23,6 @@ from .model import Model, denote
 from .terms import pretty
 
 MAX_SHOWN_FAILURES = 5
-
-LAWS = ("function", "relation", "sets", "chain", "formula")
 
 
 @dataclass
@@ -54,16 +54,19 @@ class LawReport:
 def run_law(law: str, seed: int, trials: int, model: "Model | None" = None) -> LawReport:
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}, expected one of {', '.join(LAWS)}")
-    rng = sp.Draws(seed)
-    runner = {
-        "function": _law_function,
-        "relation": _law_relation,
-        "sets": _law_sets,
-        "chain": _law_chain,
-        "formula": _law_formula,
-    }[law]
-    checks, failures = runner(rng, trials, model)
+    checks, failures = _tally(_RUNNERS[law](sp.Draws(seed), trials, model))
     return LawReport(law, seed, trials, checks, failures)
+
+
+def _tally(outcomes: Iterable["str | None"]) -> tuple[int, list[str]]:
+    """The count of outcomes, one per check, and the counterexamples among
+    them in order; None is a check that holds."""
+    checks, failures = 0, []
+    for bad in outcomes:
+        checks += 1
+        if bad is not None:
+            failures.append(bad)
+    return checks, failures
 
 
 def _run_maps():
@@ -85,20 +88,16 @@ def _lift_mismatch(tgt: hm.DomainMap, got, want) -> "str | None":
     return None
 
 
-def _function_lift_failures(label: str, table, src: hm.DomainMap, tgt: hm.DomainMap,
-                            arity: int = 1) -> tuple[int, list[str]]:
+def _function_lift_outcomes(label: str, table, src: hm.DomainMap, tgt: hm.DomainMap,
+                            arity: int = 1) -> Iterator["str | None"]:
     """lift_function's lift of table, asked about every point of its domain."""
-    checks, failures = 0, []
     for tup, got in hm.lift_function(table, src, tgt, arity).table():
         a = tup[0] if arity == 1 else tup
-        checks += 1
-        if bad := _lift_mismatch(tgt, got, table[a]):
-            failures.append(f"{label} {a!r}: {bad}")
-    return checks, failures
+        bad = _lift_mismatch(tgt, got, table[a])
+        yield f"{label} {a!r}: {bad}" if bad else None
 
 
-def _law_function(rng, trials, model) -> tuple[int, list[str]]:
-    checks, failures = 0, []
+def _law_function(rng, trials, model) -> Iterator["str | None"]:
     if model is not None:
         if not model.functions:
             raise ValueError("model declares no functions, cannot check function lifts")
@@ -110,10 +109,9 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
             name = names[t % len(names)]
             fn, lifted = model.functions[name], values(name)
             for args in sorted(fn.table):
-                checks += 1
-                if bad := _lift_mismatch(fam.entity, lifted[args], fn.table[args]):
-                    failures.append(f"trial {t}: function {name} at {list(args)}: {bad}")
-        return checks, failures
+                bad = _lift_mismatch(fam.entity, lifted[args], fn.table[args])
+                yield f"trial {t}: function {name} at {list(args)}: {bad}" if bad else None
+        return
     domain = _run_maps()
     for t in range(trials):
         ds = 1 + rng.below(5)
@@ -122,27 +120,20 @@ def _law_function(rng, trials, model) -> tuple[int, list[str]]:
         arity = 2 if t % 3 == 2 else 1
         keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
         table = sp.random_function_table(rng, keys, tgt.elements)
-        c, f = _function_lift_failures(f"trial {t}: element", table, src, tgt, arity)
-        checks += c
-        failures += f
-    return checks, failures
+        yield from _function_lift_outcomes(f"trial {t}: element", table, src, tgt, arity)
 
 
 def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
     """Every total unary function between every pair of domain sizes up to
     max_dim, lifted through lift_function and checked at every point of its
     source domain, as the function law checks one lift."""
-    checks, failures = 0, []
-    for ds in range(1, max_dim + 1):
-        src = hm.build_domain_map(range(ds), tag=f"src{ds}")
-        for dt in range(1, max_dim + 1):
-            tgt = hm.build_domain_map(range(dt), tag=f"tgt{dt}")
-            for combo in iproduct(range(dt), repeat=ds):
-                c, f = _function_lift_failures(f"table {combo} from {ds} to {dt} at",
-                                               dict(enumerate(combo)), src, tgt)
-                checks += c
-                failures += f
-    return checks, failures
+    sizes = range(1, max_dim + 1)
+    src = {d: hm.build_domain_map(range(d), tag=f"src{d}") for d in sizes}
+    tgt = {d: hm.build_domain_map(range(d), tag=f"tgt{d}") for d in sizes}
+    return _tally(chain.from_iterable(
+        _function_lift_outcomes(f"table {combo} from {ds} to {dt} at",
+                                dict(enumerate(combo)), src[ds], tgt[dt])
+        for ds, dt in iproduct(sizes, repeat=2) for combo in iproduct(range(dt), repeat=ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +147,17 @@ def _off_image_is_false(lifted: hm.LiftMatrix) -> bool:
     return lifted(off).tolist() == vl.FALSE_VEC.tolist()
 
 
-def _relation_instance_failures(label: str, values, off_false: bool,
-                                members) -> tuple[int, list[str]]:
+def _relation_instance_outcomes(label: str, values, off_false: bool,
+                                members) -> Iterator["str | None"]:
     """A relation lift's (tuple, truth value) pairs, in the order of its
-    table, and its _off_image_is_false, against the relation's members."""
-    checks, failures = 1, []
+    table, then its _off_image_is_false, against the relation's members."""
     for tup, got in values:
-        checks += 1
-        if got != (tup in members):
-            failures.append(f"{label}: tuple {list(tup)}: lifted {got} "
-                            f"extensional {int(tup in members)}")
-    if not off_false:
-        failures.append(f"{label}: off-image argument did not evaluate to 0")
-    return checks, failures
+        yield None if got == (tup in members) else (
+            f"{label}: tuple {list(tup)}: lifted {got} extensional {int(tup in members)}")
+    yield None if off_false else f"{label}: off-image argument did not evaluate to 0"
 
 
-def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
-    checks, failures = 0, []
+def _law_relation(rng, trials, model) -> Iterator["str | None"]:
     if model is not None:
         if not model.relations:
             raise ValueError("model declares no relations, cannot check relation lifts")
@@ -188,11 +173,9 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
             name = names[t % len(names)]
             rel, (truth, off_false) = model.relations[name], read(name)
             values = zip(iproduct(fam.entity.elements, repeat=rel.arity), truth)
-            c, f = _relation_instance_failures(f"trial {t}: relation {name}", values,
-                                               off_false, rel.tuples)
-            checks += c
-            failures += f
-        return checks, failures
+            yield from _relation_instance_outcomes(f"trial {t}: relation {name}", values,
+                                                   off_false, rel.tuples)
+        return
     domain = _run_maps()
     for t in range(trials):
         d = 1 + rng.below(4)
@@ -200,11 +183,8 @@ def _law_relation(rng, trials, model) -> tuple[int, list[str]]:
         m = domain("dom", d)
         tuples = {args for args in iproduct(m.elements, repeat=arity) if rng.below(2)}
         lifted = hm.lift_relation(tuples, m, arity)
-        c, f = _relation_instance_failures(f"trial {t}", lifted.table(),
-                                           _off_image_is_false(lifted), tuples)
-        checks += c
-        failures += f
-    return checks, failures
+        yield from _relation_instance_outcomes(f"trial {t}", lifted.table(),
+                                               _off_image_is_false(lifted), tuples)
 
 
 def all_relation_masks(d: int, arity: int) -> np.ndarray:
@@ -237,8 +217,8 @@ def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
             continue
         members = set(compress(tuples, mask))
         lifted = hm.lift_relation(members, m, arity)
-        failures += _relation_instance_failures(f"relation {r}", lifted.table(),
-                                                _off_image_is_false(lifted), members)[1]
+        failures += _tally(_relation_instance_outcomes(f"relation {r}", lifted.table(),
+                                                       _off_image_is_false(lifted), members))[1]
     return len(mk) * (len(tuples) + 1), failures
 
 
@@ -292,42 +272,32 @@ def sweep_majority(n: int) -> tuple[int, list[str]]:
 # set operations
 
 
-def _law_sets(rng, trials, model) -> tuple[int, list[str]]:
+def _law_sets(rng, trials, model) -> Iterator["str | None"]:
     elements = model.entities if model is not None else tuple(f"x{i}" for i in range(6))
     m = hm.build_domain_map(elements, tag="set-domain")
-    checks, failures = 0, []
     for t in range(trials):
         e1 = sp.random_subset(rng, elements)
         e2 = sp.random_subset(rng, elements)
         lifted = hm.lift_subset(e1, m)
-        report = hm.check_set_ops(e1, e2, m, lifted)
-        checks += len(report)
-        for label, ok in report.items():
-            if not ok:
-                failures.append(
-                    f"trial {t}: {label} of {sorted(e1)} and {sorted(e2)} does not commute")
+        for label, ok in hm.check_set_ops(e1, e2, m, lifted).items():
+            yield None if ok else (
+                f"trial {t}: {label} of {sorted(e1)} and {sorted(e2)} does not commute")
         # e1's lift at each element's image is its characteristic function
         for (a,), chi_lifted in lifted.table():
-            checks += 1
             chi = 1 if a in e1 else 0
-            if chi != chi_lifted:
-                failures.append(
-                    f"trial {t}: characteristic of {a!r} in {sorted(e1)}: "
-                    f"{chi} vs {chi_lifted}")
+            yield None if chi == chi_lifted else (
+                f"trial {t}: characteristic of {a!r} in {sorted(e1)}: {chi} vs {chi_lifted}")
         ind = lifted.mat[0].tolist()
         want = [1 if a in e1 else 0 for a in elements]
-        checks += 1
-        if ind != want:
-            failures.append(f"trial {t}: indicator of {sorted(e1)} is {ind}, expected {want}")
-    return checks, failures
+        yield None if ind == want else (
+            f"trial {t}: indicator of {sorted(e1)} is {ind}, expected {want}")
 
 
 # ---------------------------------------------------------------------------
 # composition chains
 
 
-def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
-    checks, failures = 0, []
+def _law_chain(rng, trials, model) -> Iterator["str | None"]:
     unary = sorted(n for n, fn in (model.functions.items() if model else ())
                    if fn.arity == 1)
     if model is not None and not unary:
@@ -348,21 +318,20 @@ def _law_chain(rng, trials, model) -> tuple[int, list[str]]:
                                                maps[i + 1].elements)
                       for i in range(length)]
         report = hm.check_composition_chain(tables, maps)
-        checks += report.checks
-        if not report.ok:
+        # a report's checks all hold but its last, which holds if the report is ok
+        yield from repeat(None, report.checks - 1)
+        if report.ok:
+            yield None
+        else:
             a, got, want = report.counterexample
-            failures.append(
-                f"trial {t}: chain of length {length} at {a!r}: "
-                f"lifted {got} expected {want}")
-    return checks, failures
+            yield f"trial {t}: chain of length {length} at {a!r}: lifted {got} expected {want}"
 
 
 # ---------------------------------------------------------------------------
 # dual-route formula evaluation
 
 
-def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
-    checks, failures = 0, []
+def _law_formula(rng, trials, model) -> Iterator["str | None"]:
     if model is not None:
         if not model.relations:
             raise ValueError("model declares no relations, cannot build formulas")
@@ -378,9 +347,11 @@ def _law_formula(rng, trials, model) -> tuple[int, list[str]]:
         formula = sp.random_formula(rng, sig, budget=6)
         bit = denote(formula, m, {}).bit
         vec = hm.lift_logical_connective(formula, m, {}, fam)
-        checks += 1
-        if vec.tolist() != vl.embed_truth(bit).tolist():
-            failures.append(
-                f"trial {t}: {pretty(formula)}: extensional {bit} "
-                f"vector route {vec.tolist()}")
-    return checks, failures
+        yield None if vec.tolist() == vl.embed_truth(bit).tolist() else (
+            f"trial {t}: {pretty(formula)}: extensional {bit} vector route {vec.tolist()}")
+
+
+# each law's runner, in the order that reports and `semlink check --law` list them
+_RUNNERS = {"function": _law_function, "relation": _law_relation, "sets": _law_sets,
+            "chain": _law_chain, "formula": _law_formula}
+LAWS = tuple(_RUNNERS)
