@@ -21,7 +21,7 @@ from . import veclogic as vl
 from .model import Assignment, Model, denote, evaluate  # noqa: F401 (denote is re-exported)
 from .terms import FORMULA_NODES, ConnectiveKind, Term
 from .veclogic import (  # noqa: F401 (re-exported)
-    _EMBEDDED, TRUTH, DomainMap, LiftError, LiftMatrix, OffImageError, argument_columns,
+    TRUTH, DomainMap, LiftError, LiftMatrix, OffImageError, argument_columns,
     basis_matrix, build_domain_map, map_element, unmap_element)
 
 
@@ -37,9 +37,9 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
                   m_tgt: DomainMap, arity: int = 1) -> LiftMatrix:
     """Lift a total function so that lift(map(a1), ..., map(an)) =
     map(f(a1, ..., an)).  The table is keyed by elements of m_src when the
-    arity is 1 and by arity-tuples of them otherwise.  Over a kept map
-    (veclogic.kept_map), an equal table into the same target map gets back
-    the lift kept there, as lift_relation does for equal members."""
+    arity is 1 and by arity-tuples of them otherwise.  Column j is basis
+    vector rows[j] of m_tgt, built (and kept, over a kept map) by
+    veclogic.lift_by_rows."""
     index, rows = m_tgt.index, []
     for a in m_src.elements if arity == 1 else iproduct(m_src.elements, repeat=arity):
         try:
@@ -49,14 +49,7 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
                 raise LiftError(f"function is not total: no value for {a!r}") from None
             raise LiftError(f"function value {table[a]!r} is outside target domain "
                             f"{m_tgt.tag!r}") from None
-    lifts = m_src.lifts
-    if lifts is not None:  # a kept map: the kept lift holds m_tgt, so its id stays unique
-        key = (arity, id(m_tgt), tuple(rows))
-        if (kept := vl.kept_lift(lifts, key)) is not None:
-            return kept
-    # column j is basis vector rows[j] of the target
-    lift = LiftMatrix(m_src, arity, m_tgt, basis_matrix(m_tgt).take(rows, axis=1))
-    return lift if lifts is None else vl.keep_lift(lifts, key, lift)
+    return vl.lift_by_rows(m_src, arity, m_tgt, rows)
 
 
 def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
@@ -77,14 +70,15 @@ def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
 
 
 def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
-                 arity: int) -> bytearray:
-    """One byte per arity-tuple over m, in lexicographic order: 1 exactly
-    when the tuple is a member.  Every relation and subset is read here."""
+                 arity: int, member: int = 1) -> bytearray:
+    """One byte per arity-tuple over m, in lexicographic order: member
+    exactly when the tuple is a member, else 1 - member.  Every relation and
+    subset is read here."""
     if not 1 <= arity <= vl.ARITY_CAP or m.dim ** arity > 1 << vl.ARITY_CAP:
         raise LiftError(f"a relation of arity {arity} over {m.dim} elements is past the caps "
                         f"of arity {vl.ARITY_CAP} and 2^{vl.ARITY_CAP} tuples")
     d, index = m.dim, m.index
-    bits = bytearray(d ** arity)
+    bits = bytearray([1 - member]) * d ** arity
     for tup in tuples:
         if len(tup) != arity:
             raise LiftError(f"tuple {tup!r} does not have arity {arity}")
@@ -93,22 +87,16 @@ def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
             if (i := index.get(a)) is None:
                 raise LiftError(f"tuple {tup!r} mentions {a!r}, outside domain {m.tag!r}")
             j = j * d + i
-        bits[j] = 1
+        bits[j] = member
     return bits
 
 
 def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
                   arity: int) -> LiftMatrix:
     """Lift of the relation's characteristic function into TRUTH: column j
-    is TRUE_VEC exactly when the j-th tuple is a member."""
-    bits = _member_bits(tuples, m, arity)
-    lifts = m.lifts
-    if lifts is not None:  # a kept map
-        key = (arity, bytes(bits))
-        if (kept := vl.kept_lift(lifts, key)) is not None:
-            return kept
-    lift = LiftMatrix(m, arity, TRUTH, _EMBEDDED.take(np.frombuffer(bits, dtype=np.uint8), axis=1))
-    return lift if lifts is None else vl.keep_lift(lifts, key, lift)
+    is TRUE_VEC exactly when the j-th tuple is a member, its TRUTH row
+    TRUTH.index[1] (the row of bit b is 1 - b)."""
+    return vl.lift_by_rows(m, arity, TRUTH, _member_bits(tuples, m, arity, TRUTH.index[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +195,10 @@ class LiftFamily:
     for, then kept by the family.  A symbol's image depends on the model
     alone, not on the term, so every evaluation over the model shares one
     family.  Over a kept entity map (veclogic.kept_map) the builders return
-    the lift the map keeps for an equal table, so the families of the formula
-    law's random models share their lifts across models and runs.  An entity vector depends on the entity map alone, so the map
-    keeps it, and every family over one map shares it.  The model cannot
+    the lift the map keeps for an equal table of a kind with few tables, so
+    the families of the formula law's random models share those lifts across
+    models and runs.  An entity vector depends on the entity map alone, so
+    the map keeps it, and every family over one map shares it.  The model cannot
     change after it is validated, so a kept lift never goes stale; each kept
     array is read-only, so no caller can corrupt a later evaluation by
     writing into one.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, product as iproduct, repeat
+from itertools import chain, compress, product as iproduct, repeat, starmap
 
 import numpy as np
 
@@ -202,24 +202,25 @@ def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
     """Every relation given by a row of masks, a membership mask over the
     d**arity tuples of range(d) in lexicographic order: lifted through
     lift_relation, then checked as the relation law checks one lift.  A row
-    with an entry other than 0 or 1 is no mask, and is reported as that
-    relation's failure."""
+    with an entry other than 0 or 1 is no mask: it is one check, reported as
+    that relation's failure, and is never lifted."""
     mk = np.asarray(masks)
     if mk.ndim != 2 or mk.shape[1] != d ** arity:
         raise ValueError(
             f"expected (m, {d ** arity}) masks for arity {arity} over {d} elements")
     m = hm.build_domain_map(range(d), tag=f"d{d}")
     tuples = list(iproduct(m.elements, repeat=arity))
-    failures = []
-    for r, mask in enumerate(mk.tolist()):
+
+    def outcomes(r, mask) -> Iterator["str | None"]:
         if not set(mask) <= {0, 1}:
-            failures.append(f"relation {r}: mask entries must be 0 or 1, got {mask}")
-            continue
+            yield f"relation {r}: mask entries must be 0 or 1, got {mask}"
+            return
         members = set(compress(tuples, mask))
         lifted = hm.lift_relation(members, m, arity)
-        failures += _tally(_relation_instance_outcomes(f"relation {r}", lifted.table(),
-                                                       _off_image_is_false(lifted), members))[1]
-    return len(mk) * (len(tuples) + 1), failures
+        yield from _relation_instance_outcomes(f"relation {r}", lifted.table(),
+                                               _off_image_is_false(lifted), members)
+
+    return _tally(chain.from_iterable(starmap(outcomes, enumerate(mk.tolist()))))
 
 
 # ---------------------------------------------------------------------------

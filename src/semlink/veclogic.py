@@ -21,7 +21,6 @@ Everything here is exact int64 arithmetic; no floats.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice, product as iproduct
@@ -201,8 +200,8 @@ class DomainMap:
 
     It keeps what it derives from its elements: argument columns, its basis
     matrix and element vectors.  A kept map (kept_map) also keeps the lifts
-    built over it; every other map, copies of a kept one included, keeps
-    none, so no lift outlives the run that built it."""
+    of few-table kinds built over it (KEPT_LIFTS); every other map, copies
+    of a kept one included, keeps none, so no lift outlives its run."""
 
     tag: str
     elements: tuple[Hashable, ...]
@@ -214,9 +213,9 @@ class DomainMap:
     basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
     # the read-only map_element of each element asked for, by element
     vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the lifts built over a kept map (kept_map), by what determines each;
+    # the lifts kept over a kept map (kept_map), by what determines each;
     # None on every other map, which keeps no lifts
-    lifts: "OrderedDict | None" = field(default=None, init=False, repr=False, compare=False)
+    lifts: "dict | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -236,38 +235,22 @@ def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> Domai
 
 # The formula law draws 2 to 4 entities, so it asks for three kept maps.
 KEPT_MAPS = 16
-# Lifts kept per kept map.  Replaying the formula law, an LRU table reuses
-# 58% of its lifts at 128 entries and 62% at 256, and a kept lift costs
-# about 1.5 KB: formula-random's peak RSS rose 0.4-0.5 MB at 128 per map and
-# 1.0 MB at 256, against a budget of 1 MB, for no us_per_check it could see.
+# A kept map keeps a lift only when its kind (arity, target and source size)
+# has at most this many tables; larger kinds rarely repeat a table.  So each
+# table is bounded by what it admits and never evicts: over the formula
+# law's 2, 3 and 4 entities it fills to 40, 35 and 16 lifts.
 KEPT_LIFTS = 128
 
 
 @lru_cache(maxsize=KEPT_MAPS)
 def kept_map(elements: tuple[Hashable, ...], tag: str) -> DomainMap:
     """The map of elements under tag kept for the whole process, with an
-    empty table of at most KEPT_LIFTS lifts: lift_function and lift_relation
-    return the lift kept over it for an equal table, so a later run over the
+    empty table of lifts: lift_by_rows returns the lift kept over it for an
+    equal table of an admitted kind (KEPT_LIFTS), so a later run over the
     same elements reuses the lifts an earlier one built and validated."""
     m = build_domain_map(elements, tag)
-    object.__setattr__(m, "lifts", OrderedDict())
+    object.__setattr__(m, "lifts", {})
     return m
-
-
-def kept_lift(lifts: OrderedDict, key: Hashable) -> "LiftMatrix | None":
-    """The lift kept under key, now the most recently used, or None."""
-    lift = lifts.get(key)
-    if lift is not None:
-        lifts.move_to_end(key)
-    return lift
-
-
-def keep_lift(lifts: OrderedDict, key: Hashable, lift: "LiftMatrix") -> "LiftMatrix":
-    """Keep lift under key, dropping the least recently used past KEPT_LIFTS."""
-    lifts[key] = lift
-    if len(lifts) > KEPT_LIFTS:
-        lifts.popitem(last=False)
-    return lift
 
 
 def map_element(m: DomainMap, a: Hashable) -> np.ndarray:
@@ -291,12 +274,6 @@ def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
     return m.elements[int(np.argmax(v))]
 
 
-# the two truth values, mapped onto their embeddings: 1 to TRUE_VEC, 0 to FALSE_VEC
-TRUTH = build_domain_map((1, 0), tag="truth")
-# column b is the embedded bit b
-_EMBEDDED = _frozen(np.column_stack([embed_truth(0), embed_truth(1)]))
-
-
 def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
     """For every arity-tuple over m, in lexicographic order, the column that
     mat @ kron_fold picks out of a lift's matrix on the tuple's mapped
@@ -317,6 +294,12 @@ def basis_matrix(m: DomainMap) -> np.ndarray:
     if m.basis is None:
         object.__setattr__(m, "basis", _frozen(np.eye(m.dim, dtype=np.int64)))
     return m.basis
+
+
+# the two truth values, mapped onto their embeddings: 1 to TRUE_VEC, 0 to
+# FALSE_VEC; every relation lift and operator takes its columns from its basis
+TRUTH = build_domain_map((1, 0), tag="truth")
+basis_matrix(TRUTH)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +367,36 @@ class LiftMatrix:
             yield from zip(islice(tuples, len(vals)), [out[v] for v in vals.tolist()])
 
 
+def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]) -> LiftMatrix:
+    """The lift of arity over src whose column j is basis vector rows[j] of
+    tgt.  take gives a row-major matrix, whose column sums numpy reduces
+    about 6x faster at ARITY_CAP than those of basis[:, rows].  Over a kept
+    map, a lift into a kept map or TRUTH whose kind has at most KEPT_LIFTS
+    tables (tgt.dim ** len(rows)) is kept: each admitted row is below
+    KEPT_LIFTS, so bytes(rows) keys it, and the lift holds tgt, so its id
+    stays unique."""
+    lifts = src.lifts
+    keep = (lifts is not None and (tgt.lifts is not None or tgt is TRUTH)
+            and len(rows) < KEPT_LIFTS.bit_length() and tgt.dim ** len(rows) <= KEPT_LIFTS)
+    if keep:
+        key = (arity, id(tgt), bytes(rows))
+        if (kept := lifts.get(key)) is not None:
+            return kept
+    lift = LiftMatrix(src, arity, tgt, basis_matrix(tgt).take(rows, axis=1))
+    if keep:
+        lifts[key] = lift
+    return lift
+
+
 # ---------------------------------------------------------------------------
 # operator matrices
 
 
 def synth_operator(table: TruthTable) -> LiftMatrix:
     """Lift of a truth table over TRUTH: column j is the embedded output for
-    column j, picked from the two embedded truth values, in O(2^n).  take
-    gives a row-major matrix, whose column sums numpy reduces about 6x faster
-    at ARITY_CAP than those of the column-major result of _EMBEDDED[:, idx]."""
+    column j, in O(2^n).  The TRUTH row of bit b is TRUTH.index[b], 1 - b."""
     _check_arity(table.arity)
-    return LiftMatrix(TRUTH, table.arity, TRUTH, _EMBEDDED.take(table.outputs, axis=1))
+    return lift_by_rows(TRUTH, table.arity, TRUTH, 1 - table.outputs)
 
 
 def apply_operator(op: LiftMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:

@@ -955,14 +955,18 @@ def _kept(n, tag):
 
 
 def test_a_kept_map_gives_one_lift_per_table():
-    m = _kept(3, "kept-one-per-table")
-    f = {"k0": "k1", "k1": "k2", "k2": "k0"}
+    # every kind here has at most KEPT_LIFTS tables, so each is admitted
+    m, two = _kept(3, "kept-one-per-table"), _kept(2, "kept-one-per-table-2")
+    f = {"k0": "k1", "k1": "k2", "k2": "k0"}  # 3^3 unary tables
     assert hm.lift_function(f, m, m) is hm.lift_function(dict(reversed(f.items())), m, m)
-    r = [("k0", "k1"), ("k2", "k2")]
-    assert hm.lift_relation(r, m, 2) is hm.lift_relation(set(reversed(r)), m, 2)
+    g = {(a, b): b for a in two.elements for b in two.elements}  # 2^4 binary tables
+    assert hm.lift_function(g, two, two, 2) is hm.lift_function(dict(reversed(g.items())), two,
+                                                                 two, 2)
+    r = [("k0", "k1"), ("k1", "k1")]  # 2^4 binary relations
+    assert hm.lift_relation(r, two, 2) is hm.lift_relation(set(reversed(r)), two, 2)
     assert hm.lift_subset(["k2", "k0"], m) is hm.lift_subset({"k0", "k2"}, m)
     assert hm.lift_subset(["k1"], m) is hm.lift_relation([("k1",)], m, 1)
-    assert len(m.lifts) == 4
+    assert len(m.lifts) == 3 and len(two.lifts) == 2
 
 
 def test_a_kept_lift_is_told_apart_by_arity_table_and_maps():
@@ -973,35 +977,48 @@ def test_a_kept_lift_is_told_apart_by_arity_table_and_maps():
     assert unary is not binary and (unary.arity, binary.arity) == (1, 2)
     p, r = hm.lift_relation([("k0",)], one, 1), hm.lift_relation([("k0", "k0")], one, 2)
     assert p is not r and (p.arity, r.arity) == (1, 2)
+    assert len(one.lifts) == 4
     m = _kept(3, "kept-apart")
     f = {"k0": "k1", "k1": "k2", "k2": "k0"}
     lf = hm.lift_function(f, m, m)
     assert hm.lift_function({**f, "k2": "k1"}, m, m) is not lf
     assert hm.lift_relation([("k0",)], m, 1) is not hm.lift_relation([("k1",)], m, 1)
-    twin = hm.build_domain_map(m.elements, tag=m.tag)  # equal, but another map
-    assert twin == m
+    twin = vl.kept_map.__wrapped__(m.elements, m.tag)  # equal, but another kept map
+    assert twin == m and twin is not m and twin.lifts == {}
     into_twin = hm.lift_function(f, m, twin)
     assert into_twin is not lf and into_twin.target is twin
     assert hm.lift_function(f, m, twin) is into_twin  # kept under the twin's own key
     assert hm.lift_function(f, m, _kept(3, "kept-other")) is not lf
     from_twin = hm.lift_function(f, twin, m)
     assert from_twin is not lf and from_twin.source is twin
-    assert hm.lift_function(f, twin, m) is not from_twin  # a plain map keeps nothing
+    assert hm.lift_function(f, twin, m) is from_twin  # kept by the twin, not by m
+    plain = hm.build_domain_map(m.elements, tag=m.tag)
+    from_plain = hm.lift_function(f, plain, m)
+    assert hm.lift_function(f, plain, m) is not from_plain  # a plain map keeps nothing
 
 
 def test_a_kept_lift_equals_a_fresh_one_and_is_read_only():
     m = _kept(3, "kept-fresh")
     plain = hm.build_domain_map(m.elements, tag="plain")
+    # a 3^3 unary function table and a unary relation are admitted; a binary
+    # relation over 3 elements (2^9 tables), a binary function (3^9) and any
+    # lift into a plain map are rebuilt on every call, and never kept
     table = {(a, b): b for a in m.elements for b in m.elements}
-    for build in (lambda d: hm.lift_function(table, d, d, 2),
-                  lambda d: hm.lift_relation([("k0", "k1"), ("k1", "k1")], d, 2),
-                  lambda d: hm.lift_subset(["k2"], d)):
+    f = {"k0": "k1", "k1": "k2", "k2": "k0"}
+    builds = [(True, lambda d: hm.lift_function(f, d, d)),
+              (True, lambda d: hm.lift_subset(["k2"], d)),
+              (False, lambda d: hm.lift_relation([("k0", "k1"), ("k1", "k1")], d, 2)),
+              (False, lambda d: hm.lift_function(table, d, d, 2)),
+              (False, lambda d: hm.lift_function(f, d, plain))]
+    for admitted, build in builds:
         kept = build(m)
-        assert kept is build(m)
+        assert (kept is build(m)) == admitted
+        assert np.array_equal(kept.mat, build(m).mat)
         assert np.array_equal(kept.mat, build(plain).mat)
         assert not kept.mat.flags.writeable and not kept.ten.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kept.mat[0, 0] = 1 - kept.mat[0, 0]
+    assert len(m.lifts) == 2
 
 
 def test_only_a_kept_map_has_a_lift_table():
@@ -1015,20 +1032,27 @@ def test_only_a_kept_map_has_a_lift_table():
 
 
 def test_a_kept_maps_lift_table_stays_within_its_bound():
-    m = _kept(3, "kept-bound")
-    tuples = list(iproduct(m.elements, repeat=2))
+    # the unary relations over 7 elements are 2^7 = KEPT_LIFTS tables, so
+    # all are kept and none is ever evicted; over 8 elements (2^8) none is
+    assert vl.KEPT_LIFTS == 1 << 7
+    seven, eight = _kept(7, "kept-bound-7"), _kept(8, "kept-bound-8")
 
-    def relation(i):  # the binary relation whose members are the bits of i
-        return hm.lift_relation([t for k, t in enumerate(tuples) if i >> k & 1], m, 2)
+    def subset(m, i):  # the subset whose members are the bits of i
+        return hm.lift_subset([a for k, a in enumerate(m.elements) if i >> k & 1], m)
 
-    first = [relation(i) for i in range(vl.KEPT_LIFTS)]
-    assert len(m.lifts) == vl.KEPT_LIFTS
-    assert relation(0) is first[0]  # now the most recently used
-    for i in range(vl.KEPT_LIFTS, vl.KEPT_LIFTS + 10):
-        relation(i)
-        assert len(m.lifts) == vl.KEPT_LIFTS
-    assert relation(0) is first[0]  # kept
-    assert relation(1) is not first[1]  # the least recently used went first
+    first = [subset(seven, i) for i in range(1 << 7)]
+    assert len(seven.lifts) == vl.KEPT_LIFTS
+    assert all(subset(seven, i) is lf for i, lf in enumerate(first))
+    assert len(seven.lifts) == vl.KEPT_LIFTS
+    assert subset(eight, 5) is not subset(eight, 5) and eight.lifts == {}
+    # a function from one element into a kept map has dim tables: 128 are
+    # admitted, 129 are not
+    one = _kept(1, "kept-bound-1")
+    for dim, admitted in ((vl.KEPT_LIFTS, True), (vl.KEPT_LIFTS + 1, False)):
+        tgt = vl.kept_map(tuple(range(dim)), "kept-bound-target")
+        assert (hm.lift_function({"k0": 3}, one, tgt) is
+                hm.lift_function({"k0": 3}, one, tgt)) == admitted
+    assert len(one.lifts) == 1
 
 
 def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
@@ -1048,16 +1072,29 @@ def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
     built.clear()
     assert laws.run_law("formula", 0, 20).render() == first
     runs.append(built)
+    monkeypatch.undo()
     assert vl.kept_map.cache_info().misses == 3  # 2 to 4 entities, one kept map each
     maps = {lf.source.elements: lf.source for lf in runs[0]}
     assert len(maps) == 3 and all(m.lifts is not None for m in maps.values())
-    # the second run's lifts, over the same maps, are the first run's
-    assert len(runs[1]) == len(runs[0]) and all(a is b for a, b in zip(*runs))
-    assert all(lf.source is maps[lf.source.elements] for lf in runs[1])
+    kept = {id(lf) for m in maps.values() for lf in m.lifts.values()}
+    # the second run's lifts, over the same maps, are the first run's where
+    # their kind is admitted, and equal rebuilt ones elsewhere
+    assert len(runs[1]) == len(runs[0])
+    assert 0 < sum(id(a) in kept for a in runs[0]) < len(runs[0])
+    for a, b in zip(*runs):
+        assert b.source is maps[b.source.elements]
+        assert (a is b) == (id(a) in kept) and np.array_equal(a.mat, b.mat)
     vl.kept_map.cache_clear()
     for elements, m in maps.items():
         fresh = vl.kept_map(elements, "entity")
         assert fresh is not m and fresh == m and len(fresh.lifts) == 0
+    # every admitted kind over 2 to 4 entities, once the law has drawn it:
+    # 2 entities keep 4 + 16 function and 4 + 16 relation tables, 3 keep 27
+    # unary functions and 8 unary relations, and 4 keep 16 unary relations
+    for s in range(200):
+        laws.run_law("formula", s, 20)
+    sizes = {len(elements): len(vl.kept_map(elements, "entity").lifts) for elements in maps}
+    assert sizes == {2: 40, 3: 35, 4: 16}
 
 
 @pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))

@@ -250,6 +250,14 @@ def test_wrong_row_width_rejected():
         model_from_dict(data)
 
 
+def test_a_library_models_row_of_the_wrong_length_is_named():
+    # model_from_dict refuses a short row first; Model's own check names it
+    # for a library caller
+    with pytest.raises(ModelError) as exc:
+        Model(("e1",), {"a": "e1"}, {"f": FunctionInterp(2, {("e1",): "e1"})}, {})
+    assert str(exc.value) == "function 'f' row ['e1']: expected 2 arguments"
+
+
 def test_relation_tuple_errors():
     data = _broken(lambda d: d["relations"]["P"]["tuples"].append(["e9"]))
     with pytest.raises(ModelError, match="e9"):

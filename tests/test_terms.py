@@ -442,6 +442,15 @@ def test_replace_bad_path():
         replace_at(t, (0, 0), Const("a"))
 
 
+@pytest.mark.parametrize("walk", [pretty, children, lambda t: infer_type(t, SIG)],
+                         ids=["pretty", "children", "infer_type"])
+@pytest.mark.parametrize("junk", [5, "a", ("P", "a")])
+def test_a_non_term_is_refused_by_name(walk, junk):
+    with pytest.raises(TypeError) as exc:
+        walk(junk)
+    assert str(exc.value) == f"not a term: {junk!r}"
+
+
 def test_children_of_leaves():
     assert children(Const("a")) == ()
     assert children(Var("x")) == ()

@@ -140,6 +140,21 @@ def test_column_order_descends_lexicographically():
     assert order == [(1, 1), (1, 0), (0, 1), (0, 0)]
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: column_index([1, 2]), "input bits must be 0 or 1, got 2"),
+    (lambda: column_index([True, 0.5]), "input bits must be 0 or 1, got 0.5"),
+    (lambda: column_bits(4, 2), "column 4 out of range for arity 2"),
+    (lambda: column_bits(-1, 2), "column -1 out of range for arity 2"),
+    (lambda: TruthTable.from_bits("1000")((1,)), "expected 2 bits, got 1"),
+    (lambda: TruthTable.from_bits("10")((1, 0)), "expected 1 bits, got 2"),
+], ids=["index-bit", "index-fraction", "bits-past-end", "bits-negative", "table-short",
+        "table-long"])
+def test_column_and_table_refusals_name_the_value(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_kron_fold_rejects_empty():
     with pytest.raises(ValueError):
         kron_fold([])
