@@ -4,7 +4,6 @@ import copy
 import json
 import pickle
 from functools import reduce
-from itertools import product as iproduct
 
 import numpy as np
 import pytest
