@@ -204,9 +204,11 @@ class LiftFamily:
     writing into one.
 
     Each value is checked once, where it is made: an entity vector is a
-    basis vector, a function or predicate node gives a column of a lift
+    basis vector, and every node, connectives included, contracts a lift
     checked when it was built (a function node checks the column's length,
-    all a wrong target could change), and apply_operator checks its inputs.
+    all a wrong target could change).  Lift columns sum to 1, so a node's
+    value sums to the product of its arguments' sums: a 0/1 vector that is
+    no basis vector anywhere in a formula makes a root that is none either.
     """
 
     __slots__ = ("model", "entity", "_functions", "_relations")
@@ -221,17 +223,17 @@ class LiftFamily:
         return cls(model, entity_map(model))
 
     def fun(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        out = vl.contract(self.function(name).ten, args)
+        out = vl.contract((self._functions.get(name) or self.function(name)).ten, args)
         if out.shape != (self.entity.dim,):
             raise OffImageError(f"lift of function {name!r} gave {out.tolist()!r}, "
                                 f"off the image of {self.entity.tag!r}")
         return out
 
     def pred(self, name: str, args: list[np.ndarray]) -> np.ndarray:
-        return vl.contract(self.relation(name).ten, args)
+        return vl.contract((self._relations.get(name) or self.relation(name)).ten, args)
 
     def conn(self, kind: ConnectiveKind, args: list[np.ndarray]) -> np.ndarray:
-        return vl.apply_operator(vl.named_operator(kind), args)
+        return vl.contract(vl.named_operator(kind).ten, args)
 
     # lifts come from the module-level functions, looked up at call time, so
     # a traced or patched one sees every lift

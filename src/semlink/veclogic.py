@@ -235,10 +235,10 @@ def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> Domai
 
 # The formula law draws 2 to 4 entities, so it asks for three kept maps.
 KEPT_MAPS = 16
-# A kept map keeps a lift only when its kind (arity, target and source size)
-# has at most this many tables; larger kinds rarely repeat a table.  So each
-# table is bounded by what it admits and never evicts: over the formula
-# law's 2, 3 and 4 entities it fills to 40, 35 and 16 lifts.
+# A kept map keeps a lift into itself or TRUTH, the vector route's targets,
+# only when its kind has at most this many tables; larger kinds rarely repeat
+# a table.  So each table is bounded by what it admits and never evicts: over
+# the formula law's 2, 3 and 4 entities it fills to 40, 35 and 16 lifts.
 KEPT_LIFTS = 128
 
 
@@ -369,20 +369,31 @@ class LiftMatrix:
 
 def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]) -> LiftMatrix:
     """The lift of arity over src whose column j is basis vector rows[j] of
-    tgt.  take gives a row-major matrix, whose column sums numpy reduces
-    about 6x faster at ARITY_CAP than those of basis[:, rows].  Over a kept
-    map, a lift into a kept map or TRUTH whose kind has at most KEPT_LIFTS
-    tables (tgt.dim ** len(rows)) is kept: each admitted row is below
-    KEPT_LIFTS, so bytes(rows) keys it, and the lift holds tgt, so its id
-    stays unique."""
-    lifts = src.lifts
-    keep = (lifts is not None and (tgt.lifts is not None or tgt is TRUTH)
-            and len(rows) < KEPT_LIFTS.bit_length() and tgt.dim ** len(rows) <= KEPT_LIFTS)
+    tgt.  The rows are checked, not the columns: there are src.dim ** arity
+    of them, each in range(tgt.dim), so each column of the identity they
+    pick is a basis vector.  take gives a C-contiguous matrix, so ten is a
+    view of it.  Over a kept map, a lift into that map or TRUTH whose kind
+    has at most KEPT_LIFTS tables (tgt.dim ** len(rows)) is kept: each of
+    its rows is below KEPT_LIFTS, so bytes(rows) keys it."""
+    lifts, d, t = src.lifts, src.dim, tgt.dim
+    # the arity is bounded first, so d**arity is computed only when it is small
+    if not 1 <= arity <= ARITY_CAP or len(rows) != d ** arity:
+        raise LiftError(f"lift of arity {arity} from dim {d} to dim {t} "
+                        f"must be {t} x {d}^{arity}, got {(t, len(rows))}")
+    # numpy reduces an array, or a long bytes-like viewed as one, without boxing each entry
+    r = np.frombuffer(rows, np.uint8) if isinstance(rows, (bytes, bytearray)) and len(rows) > 256 else rows
+    if (r.min() < 0 or r.max() >= t) if isinstance(r, np.ndarray) else (min(r) < 0 or max(r) >= t):
+        bad = next(x for x in rows if not 0 <= x < t)
+        raise LiftError(f"row {bad} of a lift into {tgt.tag!r} is outside range({t})")
+    keep = (lifts is not None and (tgt is src or tgt is TRUTH)
+            and len(rows) < KEPT_LIFTS.bit_length() and t ** len(rows) <= KEPT_LIFTS)
     if keep:
-        key = (arity, id(tgt), bytes(rows))
+        key = (arity, tgt is TRUTH, bytes(rows))
         if (kept := lifts.get(key)) is not None:
             return kept
-    lift = LiftMatrix(src, arity, tgt, basis_matrix(tgt).take(rows, axis=1))
+    mat = _frozen(basis_matrix(tgt).take(rows, axis=1))
+    lift = object.__new__(LiftMatrix)  # made without LiftMatrix's check of every column
+    vars(lift).update(source=src, arity=arity, target=tgt, mat=mat, ten=mat.reshape((t,) + (d,) * arity))
     if keep:
         lifts[key] = lift
     return lift

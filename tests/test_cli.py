@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import semlink
 from semlink import cli, laws
+from semlink import homomorphism as hm
 from semlink import veclogic as vl
 from semlink.cli import _parse_args, format_matrix, main
 from semlink.terms import MAX_NESTING
@@ -584,10 +585,27 @@ def test_internal_error_is_exit_3_not_a_disagreement(capsys, monkeypatch):
 def test_formula_law_disagreement_is_exit_1_not_malformed_input(capsys, monkeypatch):
     # the law used to project the vector route's result, and a result that is
     # no truth vector at all ended in exit 2, "error: not a truth vector"
-    monkeypatch.setattr(vl, "apply_operator", lambda op, args: np.zeros(2, dtype=np.int64))
+    monkeypatch.setattr(hm.LiftFamily, "conn", lambda self, kind, args: np.zeros(2, dtype=np.int64))
     code, out, err = run_cli(capsys, "check", "--law", "formula", "--trials", "20")
     assert (code, err) == (1, "")
     assert "\ncounterexample: trial " in out and "vector route [0, 0]" in out
+    assert out.endswith("result: FAIL\n")
+
+
+def test_a_predicate_lift_giving_no_truth_vector_is_exit_1_not_malformed_input(capsys,
+                                                                                monkeypatch):
+    # a connective over the faulty [1, 1] used to refuse it as malformed input
+    # (exit 2, "error: operator input is not a truth vector"); the routes disagree
+    real = hm.LiftFamily.pred
+
+    def pred(self, name, args):
+        out = real(self, name, args)
+        return np.array([1, 1]) if out.tolist() == [1, 0] else out
+
+    monkeypatch.setattr(hm.LiftFamily, "pred", pred)
+    code, out, err = run_cli(capsys, "check", "--law", "formula", "--trials", "20")
+    assert (code, err) == (1, "")
+    assert "\ncounterexample: trial " in out and "vector route [1, 1]" in out
     assert out.endswith("result: FAIL\n")
 
 

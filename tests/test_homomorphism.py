@@ -982,18 +982,30 @@ def test_a_kept_lift_is_told_apart_by_arity_table_and_maps():
     lf = hm.lift_function(f, m, m)
     assert hm.lift_function({**f, "k2": "k1"}, m, m) is not lf
     assert hm.lift_relation([("k0",)], m, 1) is not hm.lift_relation([("k1",)], m, 1)
+    # a function into a map of two elements and a subset can have equal rows:
+    # the target, the map itself or TRUTH, tells them apart
+    two = _kept(2, "kept-apart-2")
+    same = hm.lift_function({"k0": "k0", "k1": "k1"}, two, two)
+    subset = hm.lift_subset(["k0"], two)
+    assert same.mat.tolist() == subset.mat.tolist() == [[1, 0], [0, 1]]
+    assert same is not subset and (same.target, subset.target) == (two, hm.TRUTH)
+    assert hm.lift_function({"k0": "k0", "k1": "k1"}, two, two) is same
+    assert hm.lift_subset(["k0"], two) is subset and len(two.lifts) == 2
     twin = vl.kept_map.__wrapped__(m.elements, m.tag)  # equal, but another kept map
     assert twin == m and twin is not m and twin.lifts == {}
+    # a lift into another map, kept or not, is rebuilt on every call and kept by neither
     into_twin = hm.lift_function(f, m, twin)
     assert into_twin is not lf and into_twin.target is twin
-    assert hm.lift_function(f, m, twin) is into_twin  # kept under the twin's own key
+    assert hm.lift_function(f, m, twin) is not into_twin
+    assert hm.lift_function(f, twin, m) is not hm.lift_function(f, twin, m)
     assert hm.lift_function(f, m, _kept(3, "kept-other")) is not lf
-    from_twin = hm.lift_function(f, twin, m)
+    assert twin.lifts == {} and len(m.lifts) == 4
+    from_twin = hm.lift_function(f, twin, twin)
     assert from_twin is not lf and from_twin.source is twin
-    assert hm.lift_function(f, twin, m) is from_twin  # kept by the twin, not by m
+    assert hm.lift_function(f, twin, twin) is from_twin  # kept by the twin, not by m
     plain = hm.build_domain_map(m.elements, tag=m.tag)
-    from_plain = hm.lift_function(f, plain, m)
-    assert hm.lift_function(f, plain, m) is not from_plain  # a plain map keeps nothing
+    from_plain = hm.lift_function(f, plain, plain)
+    assert hm.lift_function(f, plain, plain) is not from_plain  # a plain map keeps nothing
 
 
 def test_a_kept_lift_equals_a_fresh_one_and_is_read_only():
@@ -1044,14 +1056,26 @@ def test_a_kept_maps_lift_table_stays_within_its_bound():
     assert all(subset(seven, i) is lf for i, lf in enumerate(first))
     assert len(seven.lifts) == vl.KEPT_LIFTS
     assert subset(eight, 5) is not subset(eight, 5) and eight.lifts == {}
-    # a function from one element into a kept map has dim tables: 128 are
-    # admitted, 129 are not
-    one = _kept(1, "kept-bound-1")
-    for dim, admitted in ((vl.KEPT_LIFTS, True), (vl.KEPT_LIFTS + 1, False)):
-        tgt = vl.kept_map(tuple(range(dim)), "kept-bound-target")
-        assert (hm.lift_function({"k0": 3}, one, tgt) is
-                hm.lift_function({"k0": 3}, one, tgt)) == admitted
-    assert len(one.lifts) == 1
+    # a unary function over 3 elements has 3^3 tables and is kept; over 4,
+    # 4^4 = 256, and it is not
+    for n, admitted in ((3, True), (4, False)):
+        m = _kept(n, f"kept-bound-fn-{n}")
+        f = {a: m.elements[0] for a in m.elements}
+        assert (hm.lift_function(f, m, m) is hm.lift_function(f, m, m)) == admitted
+        assert len(m.lifts) == admitted
+
+
+def test_a_kept_map_keeps_no_lift_into_another_kept_map():
+    # the kept maps' cache holds KEPT_MAPS of them, so 20 targets evict each
+    # other, and each pass makes 20 new ones: a table that kept a lift per
+    # target would grow by 20 on every pass
+    src = vl.kept_map(("a",), "kept-src")
+    src.lifts.clear()
+    for _ in range(3):
+        for i in range(20):
+            tgt = vl.kept_map((0, 1), f"kept-tgt{i}")
+            assert hm.lift_function({"a": 0}, src, tgt).mat.tolist() == [[1], [0]]
+        assert src.lifts == {}
 
 
 def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):

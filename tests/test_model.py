@@ -226,6 +226,17 @@ def test_function_matrix_above_the_cap_is_refused(n, arity, message):
         model_from_dict(_identity(n, arity))
 
 
+@pytest.mark.parametrize("n,arity,message", [
+    (1, 21, "relation 'P' has arity 21, above the cap of 20"),
+    (7, 8, "relation 'P' has 7^8 tuples, above the cap of 2^20"),
+])
+def test_relation_above_the_cap_is_refused(n, arity, message):
+    data = {"entities": [f"e{i}" for i in range(n)],
+            "relations": {"P": {"arity": arity, "tuples": []}}}
+    with pytest.raises(ModelError, match=re.escape(message)):
+        model_from_dict(data)
+
+
 def test_unknown_entity_in_row_named():
     data = _broken(lambda d: d["functions"]["f"]["table"].append(["e9", "e1"]))
     with pytest.raises(ModelError, match=r"e9"):

@@ -4,6 +4,7 @@ Expected matrices are frozen from hand-checked sources; the operator
 faithfulness law is cross-checked against classical evaluation.
 """
 
+import re
 from itertools import product
 
 import numpy as np
@@ -21,14 +22,17 @@ from semlink.veclogic import (
     LiftMatrix,
     TRUTH,
     apply_operator,
+    build_domain_map,
     column_bits,
     column_index,
     columns_one_hot,
     contract,
     embed_truth,
     is_one_hot,
+    kept_map,
     kron,
     kron_fold,
+    lift_by_rows,
     majority_bit,
     majority_matrix,
     majority_polynomial,
@@ -230,6 +234,11 @@ def test_table_rejects_non_bits():
         TruthTable(0, np.array([1], dtype=np.int8))
 
 
+def test_table_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match=re.escape("table for arity 2 needs 2^2 outputs, got (3,)")):
+        TruthTable(2, np.array([1, 0, 1], dtype=np.int8))
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -273,6 +282,42 @@ def test_operator_validation():
         LiftMatrix(TRUTH, 2, TRUTH, np.array([[1, 0], [0, 1]]))  # wrong width for arity
     with pytest.raises(LiftError):
         LiftMatrix(TRUTH, 1, TRUTH, np.array([[2, 0], [-1, 1]]))
+
+
+ABC = build_domain_map(("a", "b", "c"), tag="abc")
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([-1, 0, 0], "row -1 of a lift into 'abc' is outside range(3)"),  # take would wrap it to c
+    ([0, 3, 0], "row 3 of a lift into 'abc' is outside range(3)"),  # take would raise IndexError
+    (np.array([0, 2, -1], dtype=np.int8), "row -1 of a lift into 'abc' is outside range(3)"),
+    (bytearray([0, 1, 3]), "row 3 of a lift into 'abc' is outside range(3)"),
+    ([0, 1], "lift of arity 1 from dim 3 to dim 3 must be 3 x 3^1, got (3, 2)"),
+])
+def test_lift_by_rows_refuses_rows_that_pick_no_basis_vector(rows, message):
+    kept = kept_map(ABC.elements, "abc")  # rows are checked before a kept lift is looked up
+    for m in (ABC, kept):
+        with pytest.raises(LiftError, match=re.escape(message)):
+            lift_by_rows(m, 1, m, rows)
+    assert kept.lifts == {}
+
+
+def test_lift_by_rows_checks_a_long_bytes_row_as_an_array():
+    # past 256 rows a bytes-like is viewed by numpy, not reduced by the builtins
+    ten = build_domain_map(range(10), tag="ten")
+    rows = bytearray(1000)
+    assert lift_by_rows(ten, 3, TRUTH, rows).mat[0].tolist() == [1] * 1000
+    rows[999] = 2
+    with pytest.raises(LiftError, match=re.escape("row 2 of a lift into 'truth' is outside range(2)")):
+        lift_by_rows(ten, 3, TRUTH, rows)
+
+
+def test_a_lift_built_from_rows_equals_the_checked_constructors():
+    lift = lift_by_rows(ABC, 2, ABC, [2, 1, 0] * 3)
+    same = LiftMatrix(ABC, 2, ABC, lift.mat)
+    assert type(lift) is LiftMatrix and lift.mat.tolist() == same.mat.tolist()
+    assert lift.ten.shape == same.ten.shape == (3, 3, 3) and lift.ten.base is lift.mat
+    assert not lift.mat.flags.writeable and not lift.ten.flags.writeable
 
 
 @st.composite
