@@ -381,7 +381,8 @@ def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]
         raise LiftError(f"lift of arity {arity} from dim {d} to dim {t} "
                         f"must be {t} x {d}^{arity}, got {(t, len(rows))}")
     # numpy reduces an array, or a long bytes-like viewed as one, without boxing each entry
-    r = np.frombuffer(rows, np.uint8) if isinstance(rows, (bytes, bytearray)) and len(rows) > 256 else rows
+    long_bytes = isinstance(rows, (bytes, bytearray)) and len(rows) > 256
+    r = np.frombuffer(rows, np.uint8) if long_bytes else rows
     if (r.min() < 0 or r.max() >= t) if isinstance(r, np.ndarray) else (min(r) < 0 or max(r) >= t):
         bad = next(x for x in rows if not 0 <= x < t)
         raise LiftError(f"row {bad} of a lift into {tgt.tag!r} is outside range({t})")
@@ -393,7 +394,8 @@ def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]
             return kept
     mat = _frozen(basis_matrix(tgt).take(rows, axis=1))
     lift = object.__new__(LiftMatrix)  # made without LiftMatrix's check of every column
-    vars(lift).update(source=src, arity=arity, target=tgt, mat=mat, ten=mat.reshape((t,) + (d,) * arity))
+    vars(lift).update(source=src, arity=arity, target=tgt, mat=mat,
+                      ten=mat.reshape((t,) + (d,) * arity))
     if keep:
         lifts[key] = lift
     return lift
