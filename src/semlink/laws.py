@@ -228,45 +228,47 @@ def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
 
 
 def sweep_operator_faithfulness(tables, arity: int) -> tuple[int, list[str]]:
-    """Every table (a row of 0/1 outputs in column order) through
-    synth_operator, then apply_operator on every embedded input tuple.  Each
-    result must be the embedded output bit of its column; a table fails at
-    its first column that is not."""
+    """Every table (a row of 0/1 outputs in the lexicographic order over
+    TRUTH) through synth_operator, then apply_operator on every embedded
+    input tuple.  Each result must be the embedded output bit of its column;
+    a table fails at its first column that is not, and a table that
+    TruthTable refuses is one check, reported as that table's failure."""
     rows = np.asarray(tables)
     ncols = 1 << arity
     if rows.ndim != 2 or rows.shape[1] != ncols:
         raise ValueError(f"expected (m, {ncols}) tables for arity {arity}")
-    inputs = [[vl.embed_truth(b) for b in vl.column_bits(j, arity)] for j in range(ncols)]
-    failures = []
-    for i, row in enumerate(rows):
+    inputs = [[vl.embed_truth(b) for b in bits]
+              for bits in iproduct(vl.TRUTH.elements, repeat=arity)]
+
+    def outcomes(i, row) -> Iterator["str | None"]:
         try:
             op = vl.synth_operator(vl.TruthTable(arity, row))
         except ValueError as exc:
-            failures.append(f"table {i}: {exc}")
-            continue
+            yield f"table {i}: {exc}"
+            return
         for j, out in enumerate(row.tolist()):
             got = vl.apply_operator(op, inputs[j]).tolist()
             if got != vl.embed_truth(out).tolist():
-                failures.append(f"table {i}: column {j}: operator gave {got} for output {out}")
-                break
-    return len(rows) * ncols, failures
+                yield f"table {i}: column {j}: operator gave {got} for output {out}"
+                return
+            yield None
+
+    return _tally(chain.from_iterable(starmap(outcomes, enumerate(rows))))
 
 
 def sweep_majority(n: int) -> tuple[int, list[str]]:
     """Strict n-ary majority by its definition, its polynomial and its
     operator matrix, compared on every input tuple."""
     op = vl.majority_matrix(n)
-    failures = []
-    for j in range(1 << n):
-        bits = vl.column_bits(j, n)
+
+    def outcome(bits) -> "str | None":
         direct = vl.majority_bit(bits)
         poly = vl.majority_polynomial(n, bits)
-        routed = vl.project_truth(
-            vl.apply_operator(op, [vl.embed_truth(b) for b in bits]))
-        if not direct == poly == routed:
-            failures.append(f"majority of {list(bits)}: definition {direct} "
-                            f"polynomial {poly} operator {routed}")
-    return 1 << n, failures
+        routed = vl.project_truth(vl.apply_operator(op, [vl.embed_truth(b) for b in bits]))
+        return None if direct == poly == routed else (
+            f"majority of {list(bits)}: definition {direct} polynomial {poly} operator {routed}")
+
+    return _tally(map(outcome, iproduct(vl.TRUTH.elements, repeat=n)))
 
 
 # ---------------------------------------------------------------------------

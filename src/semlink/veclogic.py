@@ -8,13 +8,10 @@ mapped arguments by contraction with one at a time.
 
 Truth values embed as orthonormal one-hot 2-vectors, true = [1,0] and
 false = [0,1]: the map TRUTH of the domain (1, 0).  An n-ary operator is the
-lift of its truth function over TRUTH, a 2 x 2^n integer matrix.
-
-Column convention: column 0 corresponds to the all-true input tuple and the
-tuples descend lexicographically with 1 ordered before 0, the lexicographic
-order over TRUTH.  Equivalently the binary digits of the column index are
-the complemented input bits, so the Kronecker product of the embedded
-inputs is exactly the standard basis vector of that column.
+lift of its truth function over TRUTH, a 2 x 2^n integer matrix, applied
+and checked like every other lift.  Its columns follow the lexicographic
+order over TRUTH, iproduct(TRUTH.elements, repeat=n): column 0 is the
+all-true input tuple, and 1 comes before 0.
 
 Everything here is exact int64 arithmetic; no floats.
 """
@@ -52,27 +49,6 @@ def _is_2_to_the(size: int, n: int) -> bool:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-TRUE_VEC = _frozen(np.array([1, 0], dtype=np.int64))
-FALSE_VEC = _frozen(np.array([0, 1], dtype=np.int64))
-
-
-def embed_truth(bit: int) -> np.ndarray:
-    """Map a classical bit to its one-hot 2-vector."""
-    if bit == 1:
-        return TRUE_VEC
-    if bit == 0:
-        return FALSE_VEC
-    raise ValueError(f"truth value must be 0 or 1, got {bit!r}")
-
-
-def project_truth(vec: np.ndarray) -> int:
-    """Inverse of embed_truth; rejects anything that is not exactly one-hot."""
-    v = np.asarray(vec)
-    if v.shape != (2,) or not is_one_hot(v):
-        raise ValueError(f"not a truth vector: {vec!r}")
-    return int(v[0])
 
 
 def is_one_hot(v: np.ndarray) -> bool:
@@ -116,30 +92,14 @@ def contract(ten: np.ndarray, vecs: Sequence[np.ndarray]) -> np.ndarray:
     return ten
 
 
-def column_index(bits: Sequence[int]) -> int:
-    """Column of the input tuple: binary digits are the complemented bits."""
-    j = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"input bits must be 0 or 1, got {b!r}")
-        j = (j << 1) | (1 - b)
-    return j
-
-
-def column_bits(j: int, n: int) -> tuple[int, ...]:
-    """Input tuple of a column; inverse of column_index."""
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"column {j} out of range for arity {n}")
-    return tuple(1 - ((j >> (n - 1 - i)) & 1) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # truth tables
 
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Total map from n-tuples of bits to a bit, stored in column order."""
+    """Total map from n-tuples of bits to a bit, its outputs in the
+    lexicographic order over TRUTH."""
 
     arity: int
     outputs: np.ndarray  # shape (2**arity,), int8
@@ -170,13 +130,8 @@ class TruthTable:
 
     @classmethod
     def from_function(cls, fn: Callable[..., int], arity: int) -> "TruthTable":
-        outs = [fn(*column_bits(j, arity)) for j in range(1 << arity)]
+        outs = [fn(*bits) for bits in iproduct(TRUTH.elements, repeat=arity)]
         return cls(arity, np.array(outs, dtype=np.int8))
-
-    def __call__(self, bits: Sequence[int]) -> int:
-        if len(bits) != self.arity:
-            raise ValueError(f"expected {self.arity} bits, got {len(bits)}")
-        return int(self.outputs[column_index(bits)])
 
     def bitstring(self) -> str:
         return "".join(str(int(b)) for b in self.outputs)
@@ -271,7 +226,7 @@ def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
             f"vector of shape {v.shape} is off the image of {m.tag!r} (dim {m.dim})")
     if not is_one_hot(v):
         raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
-    return m.elements[int(np.argmax(v))]
+    return m.elements[v.tolist().index(1)]
 
 
 def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
@@ -299,7 +254,21 @@ def basis_matrix(m: DomainMap) -> np.ndarray:
 # the two truth values, mapped onto their embeddings: 1 to TRUE_VEC, 0 to
 # FALSE_VEC; every relation lift and operator takes its columns from its basis
 TRUTH = build_domain_map((1, 0), tag="truth")
-basis_matrix(TRUTH)
+TRUE_VEC, FALSE_VEC = basis_matrix(TRUTH)
+
+
+def embed_truth(bit: int) -> np.ndarray:
+    """Map a classical bit to its one-hot 2-vector."""
+    if bit == 1:
+        return TRUE_VEC
+    if bit == 0:
+        return FALSE_VEC
+    raise ValueError(f"truth value must be 0 or 1, got {bit!r}")
+
+
+def project_truth(vec: np.ndarray) -> int:
+    """Inverse of embed_truth: unmap_element over TRUTH."""
+    return unmap_element(TRUTH, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +285,11 @@ class LiftMatrix:
     a target.dim x source.dim**arity int64 matrix whose column j is the
     basis vector of the value at the j-th tuple in lexicographic order.  The
     Kronecker fold of that tuple's basis vectors is basis vector j, so
-    mat @ kron_fold(args) is column j.  A lift into TRUTH lifts a relation,
-    and an off-image argument makes it false; any other lift refuses one.
+    mat @ kron_fold(args) is column j.  Calling it is the one checked way
+    to apply a lift, operators included.  A lift into TRUTH from any other
+    map lifts a relation, and an off-image argument makes it false; every
+    other lift, an operator over TRUTH among them, refuses one with
+    OffImageError.
     """
 
     source: DomainMap
@@ -350,7 +322,7 @@ class LiftMatrix:
             for v in vecs:
                 unmap_element(self.source, v)
         except OffImageError:
-            if self.target.elements != TRUTH.elements:
+            if self.target.elements != TRUTH.elements or self.source.elements == TRUTH.elements:
                 raise
             return FALSE_VEC
         return contract(self.ten, vecs)
@@ -413,14 +385,9 @@ def synth_operator(table: TruthTable) -> LiftMatrix:
 
 
 def apply_operator(op: LiftMatrix, inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract the operator with its inputs, each first checked to be a truth vector."""
-    if len(inputs) != op.arity:
-        raise ValueError(f"operator of arity {op.arity} got {len(inputs)} inputs")
-    for v in inputs:
-        w = np.asarray(v)
-        if w.shape != (2,) or w.tolist() not in ([1, 0], [0, 1]):  # is_one_hot, in one step
-            raise ValueError(f"operator input is not a truth vector: {v!r}")
-    return contract(op.ten, inputs)
+    """The operator applied to its inputs: LiftMatrix.__call__, which refuses
+    an input that is not a truth vector."""
+    return op(inputs)
 
 
 # ---------------------------------------------------------------------------

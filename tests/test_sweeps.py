@@ -54,9 +54,11 @@ def test_faithfulness_random_wide_tables(container):
 @pytest.mark.parametrize("container", CONTAINERS)
 def test_faithfulness_flags_non_boolean_garbage(container):
     # a 2 in the table is not a truth table at all; the sweep reports it at
-    # exactly its index and keeps checking the others
+    # exactly its index, as one check that synthesizes nothing, and keeps
+    # checking the others
     tables = np.vstack([all_tables(2), np.array([[1, 0, 2, 0]], dtype=np.int8)])
-    _, failures = laws.sweep_operator_faithfulness(as_container(tables, container), 2)
+    checks, failures = laws.sweep_operator_faithfulness(as_container(tables, container), 2)
+    assert checks == 16 * 4 + 1
     assert len(failures) == 1
     assert failures[0].startswith(f"table {len(tables) - 1}: ")
 
@@ -82,7 +84,8 @@ def test_faithfulness_sweep_catches_broken_synth(monkeypatch):
 
     monkeypatch.setattr(vl, "synth_operator", negated_column_zero)
     checks, failures = laws.sweep_operator_faithfulness(all_tables(2), 2)
-    assert checks == 64
+    # each table fails at its first column, the one check it counts
+    assert checks == 16
     assert len(failures) == 16
     assert failures[0].startswith("table 0: column 0: operator gave [1, 0] for output 0")
 
@@ -95,21 +98,24 @@ def _reversed_contract(ten, vecs):
     return ten
 
 
-@pytest.mark.parametrize("name,fault,n,failed", [
+@pytest.mark.parametrize("name,fault,n,checks,failed", [
     # the asymmetric tables, each at its first column: 8 of 16, then the
-    # 256 - 64 tables of arity 3 that change when inputs 1 and 3 swap
-    ("contract", _reversed_contract, 2, 8),
-    ("contract", _reversed_contract, 3, 192),
-    # every table but the constant true one
-    ("apply_operator", lambda op, inputs: vl.TRUE_VEC, 2, 15),
+    # 256 - 64 tables of arity 3 that change when inputs 1 and 3 swap.  A
+    # failing table counts the columns up to the one it fails at, so the
+    # 8 of arity 2 count 2 each, beside the 4 of each table that holds
+    ("contract", _reversed_contract, 2, 8 * 4 + 8 * 2, 8),
+    ("contract", _reversed_contract, 3, 1024, 192),
+    # every table but the constant true one, each at its first false column
+    ("apply_operator", lambda op, inputs: vl.TRUE_VEC, 2, 30, 15),
 ], ids=["reversed-contract-2", "reversed-contract-3", "constant-apply-2"])
-def test_faithfulness_sweep_catches_broken_application(monkeypatch, name, fault, n, failed):
-    # the sweep applies each operator as the vector route does, so a fault
-    # in apply_operator or in the contraction it runs shows
+def test_faithfulness_sweep_catches_broken_application(monkeypatch, name, fault, n, checks,
+                                                       failed):
+    # the sweep applies each operator through apply_operator, that is
+    # LiftMatrix.__call__, so a fault in apply_operator or in the
+    # contraction that __call__ runs shows
     monkeypatch.setattr(vl, name, fault)
-    tables = all_tables(n)
-    checks, failures = laws.sweep_operator_faithfulness(tables, n)
-    assert checks == len(tables) << n
+    counted, failures = laws.sweep_operator_faithfulness(all_tables(n), n)
+    assert counted == checks
     assert len(failures) == failed
 
 
@@ -121,8 +127,7 @@ def test_faithfulness_sweep_catches_broken_application(monkeypatch, name, fault,
 @pytest.mark.parametrize("n", range(1, 8))
 def test_majority_polynomial_matches_api(container, n):
     assert laws.sweep_majority(n) == (1 << n, [])
-    for j in range(1 << n):
-        bits = vl.column_bits(j, n)
+    for bits in itertools.product(vl.TRUTH.elements, repeat=n):
         assert vl.majority_polynomial(n, as_container(bits, container)) \
             == vl.majority_bit(bits)
 

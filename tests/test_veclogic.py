@@ -5,7 +5,7 @@ faithfulness law is cross-checked against classical evaluation.
 """
 
 import re
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -20,11 +20,10 @@ from semlink.veclogic import (
     ARITY_CAP,
     LiftError,
     LiftMatrix,
+    OffImageError,
     TRUTH,
     apply_operator,
     build_domain_map,
-    column_bits,
-    column_index,
     columns_one_hot,
     contract,
     embed_truth,
@@ -64,6 +63,11 @@ CLASSICAL = {
 }
 
 
+def columns(n):
+    """Every n-tuple of bits in column order, the lexicographic order over TRUTH."""
+    return product(TRUTH.elements, repeat=n)
+
+
 # ---------------------------------------------------------------------------
 # embedding and projection
 
@@ -83,7 +87,7 @@ def test_project_inverts_embed():
 @pytest.mark.parametrize("bad", [
     [0.5, 0.5], [1, 1], [0, 0], [2, -1], [1, 0, 0], [1]])
 def test_project_rejects_non_truth_vectors(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(OffImageError):
         project_truth(np.array(bad))
 
 
@@ -126,37 +130,17 @@ def test_kron_matches_numpy():
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=8))
 def test_fold_of_embedded_bits_is_basis_vector_of_column(bits):
     v = kron_fold([embed_truth(b) for b in bits])
-    j = column_index(bits)
+    j = list(columns(len(bits))).index(tuple(bits))
     expected = np.zeros(1 << len(bits), dtype=np.int64)
     expected[j] = 1
     assert np.array_equal(v, expected)
 
 
-@given(st.integers(1, 10))
-def test_column_bits_inverts_column_index(n):
-    for j in range(1 << n):
-        assert column_index(column_bits(j, n)) == j
-    assert column_bits(0, n) == (1,) * n  # first column is all-true
-
-
 def test_column_order_descends_lexicographically():
-    order = [column_bits(j, 2) for j in range(4)]
-    assert order == [(1, 1), (1, 0), (0, 1), (0, 0)]
-
-
-@pytest.mark.parametrize("call,message", [
-    (lambda: column_index([1, 2]), "input bits must be 0 or 1, got 2"),
-    (lambda: column_index([True, 0.5]), "input bits must be 0 or 1, got 0.5"),
-    (lambda: column_bits(4, 2), "column 4 out of range for arity 2"),
-    (lambda: column_bits(-1, 2), "column -1 out of range for arity 2"),
-    (lambda: TruthTable.from_bits("1000")((1,)), "expected 2 bits, got 1"),
-    (lambda: TruthTable.from_bits("10")((1, 0)), "expected 1 bits, got 2"),
-], ids=["index-bit", "index-fraction", "bits-past-end", "bits-negative", "table-short",
-        "table-long"])
-def test_column_and_table_refusals_name_the_value(call, message):
-    with pytest.raises(ValueError) as exc:
-        call()
-    assert str(exc.value) == message
+    order = [(1, 1), (1, 0), (0, 1), (0, 0)]
+    assert list(columns(2)) == order
+    assert [bits for bits, _ in named_operator("and").table()] == order
+    assert TruthTable.from_function(lambda a, b: a, 2).bitstring() == "1100"
 
 
 def test_kron_fold_rejects_empty():
@@ -199,14 +183,14 @@ def test_tensor_view_is_read_only_and_shares_the_matrix():
 def test_table_from_bits():
     t = TruthTable.from_bits("1000")
     assert t.arity == 2
-    assert t((1, 1)) == 1
-    assert t((1, 0)) == 0 and t((0, 1)) == 0 and t((0, 0)) == 0
+    assert t.outputs[0] == 1
+    assert t.outputs[1] == 0 and t.outputs[2] == 0 and t.outputs[3] == 0
     assert t.bitstring() == "1000"
 
 
 def test_table_from_bits_with_explicit_arity():
     t = TruthTable.from_bits("10", arity=1)
-    assert t((1,)) == 1 and t((0,)) == 0
+    assert t.outputs[0] == 1 and t.outputs[1] == 0
 
 
 def test_table_from_bits_validation():
@@ -264,8 +248,8 @@ def test_operator_faithful_to_table(n, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
     table = TruthTable(n, np.array(bits, dtype=np.int8))
     op = synth_operator(table)
-    for j in range(1 << n):
-        ins = [embed_truth(b) for b in column_bits(j, n)]
+    for j, tup in enumerate(columns(n)):
+        ins = [embed_truth(b) for b in tup]
         assert project_truth(apply_operator(op, ins)) == bits[j]
 
 
@@ -351,10 +335,11 @@ def test_columns_one_hot_is_every_column_one_hot(m):
 
 def test_apply_operator_validates_inputs():
     op = named_operator(ConnectiveKind.AND)
-    with pytest.raises(ValueError):
+    with pytest.raises(LiftError, match=re.escape("lift of arity 2 got 1 arguments")):
         apply_operator(op, [embed_truth(1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(OffImageError, match=re.escape("vector [1, 1] is off the image of 'truth'")):
         apply_operator(op, [embed_truth(1), np.array([1, 1])])
+
 
 
 _ENTRIES = (-1, 0, 1, 2, 0.5, float("nan"))
@@ -370,10 +355,13 @@ def test_apply_operator_accepts_exactly_the_one_hot_pairs(dtype, shape, data):
     v = np.array(entries, dtype=dtype).reshape(shape)
     want = v.shape == (2,) and is_one_hot(v)
     op = named_operator(ConnectiveKind.AND)
-    for inputs in ([v, embed_truth(1)], [embed_truth(0), v]):  # each input is checked
+    # each input is checked, whether the operator is called or applied, and
+    # one that is off the image raises where a relation's lift would be false
+    for inputs, apply in product(([v, embed_truth(1)], [embed_truth(0), v]),
+                                 (op, lambda ins: apply_operator(op, ins))):
         try:
-            apply_operator(op, inputs)
-        except ValueError:
+            apply(inputs)
+        except OffImageError:
             accepted = False
         else:
             accepted = True
@@ -415,8 +403,7 @@ def test_named_operator_accepts_keyword_strings():
 def test_named_operator_agrees_with_classical_function(kind):
     op = named_operator(kind)
     fn = CLASSICAL[kind]
-    for j in range(1 << kind.arity):
-        bits = column_bits(j, kind.arity)
+    for bits in columns(kind.arity):
         out = apply_operator(op, [embed_truth(b) for b in bits])
         assert project_truth(out) == fn(*bits)
 
@@ -434,7 +421,7 @@ def test_an_operator_is_the_lift_of_its_truth_function_over_truth(n):
     # relation and as a function alike
     for outputs in product((0, 1), repeat=1 << n):
         table = TruthTable(n, np.array(outputs, dtype=np.int8))
-        fn = {bits: table(bits) for bits in product((0, 1), repeat=n)}
+        fn = {bits: int(table.outputs[j]) for j, bits in enumerate(columns(n))}
         op = synth_operator(table)
         as_relation = hm.lift_relation([bits for bits, out in fn.items() if out], TRUTH, n)
         as_function = hm.lift_function(fn if n > 1 else {bits[0]: out for bits, out in fn.items()},
@@ -447,8 +434,7 @@ def test_an_operator_is_the_lift_of_its_truth_function_over_truth(n):
 def test_named_operator_table_is_the_classical_function(kind):
     op, fn = named_operator(kind), CLASSICAL[kind]
     assert op.source is op.target is TRUTH
-    assert list(op.table()) == [
-        (bits, fn(*bits)) for bits in product((1, 0), repeat=kind.arity)]
+    assert list(op.table()) == [(bits, fn(*bits)) for bits in columns(kind.arity)]
 
 
 def test_implication_is_disjunction_of_negated_antecedent():
@@ -485,16 +471,14 @@ def test_majority_polynomial_three_input_expansion():
     def explicit(t1, t2, t3):
         return (t1 * t2 * (1 - t3) + t1 * t3 * (1 - t2)
                 + t2 * t3 * (1 - t1) + t1 * t2 * t3)
-    for j in range(8):
-        bits = column_bits(j, 3)
+    for bits in columns(3):
         assert majority_polynomial(3, bits) == explicit(*bits)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_majority_three_routes_agree(n):
     op = majority_matrix(n)
-    for j in range(1 << n):
-        bits = column_bits(j, n)
+    for bits in columns(n):
         direct = majority_bit(bits)
         poly = majority_polynomial(n, bits)
         mat = project_truth(apply_operator(op, [embed_truth(b) for b in bits]))
@@ -528,8 +512,9 @@ def test_operator_at_the_cap_applies_by_contraction():
     table = TruthTable(20, np.random.default_rng(20).integers(0, 2, 1 << 20))
     op = synth_operator(table)
     assert op.ten.ndim == 21
-    for bits in [(1,) * 20, (0,) * 20, tuple(int(j % 3 == 0) for j in range(20))]:
-        assert project_truth(apply_operator(op, [embed_truth(b) for b in bits])) == table(bits)
+    for j in (0, (1 << 20) - 1, 0b01101101101101101101):
+        bits = next(islice(columns(20), j, None))
+        assert project_truth(apply_operator(op, [embed_truth(b) for b in bits])) == table.outputs[j]
 
 
 def test_cap_blocks_synthesis():
