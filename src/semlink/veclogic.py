@@ -286,10 +286,10 @@ class LiftMatrix:
     basis vector of the value at the j-th tuple in lexicographic order.  The
     Kronecker fold of that tuple's basis vectors is basis vector j, so
     mat @ kron_fold(args) is column j.  Calling it is the one checked way
-    to apply a lift, operators included.  A lift into TRUTH from any other
-    map lifts a relation, and an off-image argument makes it false; every
-    other lift, an operator over TRUTH among them, refuses one with
-    OffImageError.
+    to apply a lift, operators included.  A lift into TRUTH from a map
+    other than TRUTH (or a copy of it) lifts a relation, and an off-image
+    argument makes it false; every other lift, an operator over TRUTH among
+    them, refuses one with OffImageError.
     """
 
     source: DomainMap
@@ -322,7 +322,7 @@ class LiftMatrix:
             for v in vecs:
                 unmap_element(self.source, v)
         except OffImageError:
-            if self.target.elements != TRUTH.elements or self.source.elements == TRUTH.elements:
+            if self.target.elements != TRUTH.elements or self.source == TRUTH:
                 raise
             return FALSE_VEC
         return contract(self.ten, vecs)

@@ -184,12 +184,15 @@ def test_lift_relation_off_image_is_false_not_error():
     assert lifted([np.zeros(3, dtype=np.int64)]) is vl.FALSE_VEC
     assert lifted([np.array([1, 1, 0])]) is vl.FALSE_VEC
     assert lifted([np.array([1, 0, 0])]).tolist() == vl.TRUE_VEC.tolist()
-    # over two elements too: what makes a lift into TRUTH a relation's is a
-    # source map other than TRUTH, whose operators refuse the same vector
-    pair = hm.lift_relation({(0,)}, dmap(2), 1)
-    assert pair([np.array([1, 1])]) is vl.FALSE_VEC
-    with pytest.raises(hm.OffImageError):
-        vl.named_operator("not")([np.array([1, 1])])
+    # what makes a lift into TRUTH a relation's is a source map other than
+    # TRUTH, even one with TRUTH's elements; an operator, or a copy of one,
+    # refuses the same vector
+    bits = hm.lift_relation({(1,)}, hm.build_domain_map((1, 0), tag="bits"), 1)
+    assert bits([np.array([1, 1])]) is vl.FALSE_VEC
+    op = vl.named_operator("not")
+    for twin in (op, pickle.loads(pickle.dumps(op))):
+        with pytest.raises(hm.OffImageError, match="off the image of 'truth'"):
+            twin([np.array([1, 1])])
 
 
 def test_lift_relation_table_matches_single_calls():

@@ -341,7 +341,6 @@ def test_apply_operator_validates_inputs():
         apply_operator(op, [embed_truth(1), np.array([1, 1])])
 
 
-
 _ENTRIES = (-1, 0, 1, 2, 0.5, float("nan"))
 
 
@@ -512,6 +511,7 @@ def test_operator_at_the_cap_applies_by_contraction():
     table = TruthTable(20, np.random.default_rng(20).integers(0, 2, 1 << 20))
     op = synth_operator(table)
     assert op.ten.ndim == 21
+    # the all-true tuple, the all-false one, and true at every third input
     for j in (0, (1 << 20) - 1, 0b01101101101101101101):
         bits = next(islice(columns(20), j, None))
         assert project_truth(apply_operator(op, [embed_truth(b) for b in bits])) == table.outputs[j]
