@@ -184,6 +184,9 @@ def test_lift_relation_off_image_is_false_not_error():
     assert lifted([np.zeros(3, dtype=np.int64)]) is vl.FALSE_VEC
     assert lifted([np.array([1, 1, 0])]) is vl.FALSE_VEC
     assert lifted([np.array([1, 0, 0])]).tolist() == vl.TRUE_VEC.tolist()
+
+
+def test_lift_relation_over_truths_elements_is_false_off_image():
     # what makes a lift into TRUTH a relation's is a source map other than
     # TRUTH, even one with TRUTH's elements; an operator, or a copy of one,
     # refuses the same vector

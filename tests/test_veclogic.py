@@ -143,6 +143,34 @@ def test_column_order_descends_lexicographically():
     assert TruthTable.from_function(lambda a, b: a, 2).bitstring() == "1100"
 
 
+AND = named_operator("and")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # an operator is a lift over TRUTH, so an input off TRUTH's image is
+    # refused, whether the operator is called or applied
+    (lambda: named_operator("not")([np.array([1, 1])]), OffImageError,
+     "vector [1, 1] is off the image of 'truth'"),
+    (lambda: apply_operator(AND, [embed_truth(1), np.array([1, 1])]), OffImageError,
+     "vector [1, 1] is off the image of 'truth'"),
+    (lambda: AND([embed_truth(1), np.array([1, 0, 0])]), OffImageError,
+     "vector of shape (3,) is off the image of 'truth' (dim 2)"),
+    (lambda: AND([embed_truth(1)]), LiftError, "lift of arity 2 got 1 arguments"),
+    (lambda: apply_operator(AND, [embed_truth(1)]), LiftError,
+     "lift of arity 2 got 1 arguments"),
+    (lambda: AND([embed_truth(1)] * 3), LiftError, "lift of arity 2 got 3 arguments"),
+    (lambda: project_truth(np.array([1, 1])), OffImageError,
+     "vector [1, 1] is off the image of 'truth'"),
+    (lambda: project_truth(np.array([1, 0, 0])), OffImageError,
+     "vector of shape (3,) is off the image of 'truth' (dim 2)"),
+], ids=["call-off-image", "apply-off-image", "call-wrong-shape", "call-too-few",
+        "apply-too-few", "call-too-many", "project-off-image", "project-wrong-shape"])
+def test_operator_refusals_name_the_value(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_kron_fold_rejects_empty():
     with pytest.raises(ValueError):
         kron_fold([])
