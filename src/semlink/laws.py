@@ -69,11 +69,10 @@ def _tally(outcomes: Iterable["str | None"]) -> tuple[int, list[str]]:
     return checks, failures
 
 
-def _run_maps():
-    """One run's domain maps over range(d), by tag and size: each is built
-    the first time the run asks for it, then kept, so each element is mapped
-    and checked (argument_columns) once per run, not once per trial."""
-    return cache(lambda tag, d: hm.build_domain_map(range(d), tag=tag))
+def _range_map(d: int) -> hm.DomainMap:
+    """The kept map over range(d) that the function, relation and chain laws
+    share, so its columns and admitted lifts are built once per process."""
+    return vl.kept_map(tuple(range(d)), f"range{d}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +111,8 @@ def _law_function(rng, trials, model) -> Iterator["str | None"]:
                 bad = _lift_mismatch(fam.entity, lifted[args], fn.table[args])
                 yield f"trial {t}: function {name} at {list(args)}: {bad}" if bad else None
         return
-    domain = _run_maps()
     for t in range(trials):
-        ds = 1 + rng.below(5)
-        dt = 1 + rng.below(5)
-        src, tgt = domain("src", ds), domain("tgt", dt)
+        src, tgt = _range_map(1 + rng.below(5)), _range_map(1 + rng.below(5))
         arity = 2 if t % 3 == 2 else 1
         keys = src.elements if arity == 1 else tuple(iproduct(src.elements, repeat=2))
         table = sp.random_function_table(rng, keys, tgt.elements)
@@ -176,11 +172,9 @@ def _law_relation(rng, trials, model) -> Iterator["str | None"]:
             yield from _relation_instance_outcomes(f"trial {t}: relation {name}", values,
                                                    off_false, rel.tuples)
         return
-    domain = _run_maps()
     for t in range(trials):
-        d = 1 + rng.below(4)
+        m = _range_map(1 + rng.below(4))
         arity = 1 + rng.below(3)
-        m = domain("dom", d)
         tuples = {args for args in iproduct(m.elements, repeat=arity) if rng.below(2)}
         lifted = hm.lift_relation(tuples, m, arity)
         yield from _relation_instance_outcomes(f"trial {t}", lifted.table(),
@@ -277,7 +271,7 @@ def sweep_majority(n: int) -> tuple[int, list[str]]:
 
 def _law_sets(rng, trials, model) -> Iterator["str | None"]:
     elements = model.entities if model is not None else tuple(f"x{i}" for i in range(6))
-    m = hm.build_domain_map(elements, tag="set-domain")
+    m = vl.kept_map(tuple(elements), "set-domain")
     for t in range(trials):
         e1 = sp.random_subset(rng, elements)
         e2 = sp.random_subset(rng, elements)
@@ -306,7 +300,6 @@ def _law_chain(rng, trials, model) -> Iterator["str | None"]:
     if model is not None and not unary:
         raise ValueError("model declares no unary functions, cannot build chains")
     entity = hm.entity_map(model) if model is not None else None
-    domain = _run_maps()
     for t in range(trials):
         length = 1 + rng.below(5)
         if model is not None:
@@ -315,8 +308,7 @@ def _law_chain(rng, trials, model) -> Iterator["str | None"]:
             tables = [{a: model.functions[n].table[(a,)] for a in model.entities}
                       for n in names]
         else:
-            sizes = sp.random_chain_sizes(rng, length)
-            maps = [domain(f"d{i}", s) for i, s in enumerate(sizes)]
+            maps = [_range_map(s) for s in sp.random_chain_sizes(rng, length)]
             tables = [sp.random_function_table(rng, maps[i].elements,
                                                maps[i + 1].elements)
                       for i in range(length)]

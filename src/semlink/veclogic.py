@@ -51,10 +51,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def one_hot_index(entries: list) -> "int | None":
+    """The position of the single 1 in entries if all the others are 0, else None."""
+    return entries.index(1) if entries.count(0) == len(entries) - 1 and 1 in entries else None
+
+
 def is_one_hot(v: np.ndarray) -> bool:
     """Whether v has exactly one entry equal to 1 and every other entry equal to 0."""
-    entries = np.asarray(v).ravel().tolist()
-    return entries.count(1) == 1 and entries.count(0) == len(entries) - 1
+    return one_hot_index(np.asarray(v).ravel().tolist()) is not None
 
 
 _INT64_ONE = np.int64(1).tobytes()
@@ -188,7 +192,8 @@ def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> Domai
     return DomainMap(tag, elems, {e: i for i, e in enumerate(elems)})
 
 
-# The formula law draws 2 to 4 entities, so it asks for three kept maps.
+# The laws ask for nine kept maps: five over range(d), d = 1..5, for the
+# function, relation and chain laws, the sets law's, and the formula law's three.
 KEPT_MAPS = 16
 # A kept map keeps a lift into itself or TRUTH, the vector route's targets,
 # only when its kind has at most this many tables; larger kinds rarely repeat
@@ -224,9 +229,9 @@ def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
     if v.shape != (m.dim,):
         raise OffImageError(
             f"vector of shape {v.shape} is off the image of {m.tag!r} (dim {m.dim})")
-    if not is_one_hot(v):
+    if (i := one_hot_index(v.tolist())) is None:
         raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
-    return m.elements[v.tolist().index(1)]
+    return m.elements[i]
 
 
 def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
@@ -345,25 +350,28 @@ def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]
     of them, each in range(tgt.dim), so each column of the identity they
     pick is a basis vector.  take gives a C-contiguous matrix, so ten is a
     view of it.  Over a kept map, a lift into that map or TRUTH whose kind
-    has at most KEPT_LIFTS tables (tgt.dim ** len(rows)) is kept: each of
-    its rows is below KEPT_LIFTS, so bytes(rows) keys it."""
+    has at most KEPT_LIFTS tables (tgt.dim ** len(rows)) is kept by
+    bytes(rows), looked up before the rows are checked: a key is stored only
+    once its rows pass the check, so a hit needs none."""
     lifts, d, t = src.lifts, src.dim, tgt.dim
     # the arity is bounded first, so d**arity is computed only when it is small
     if not 1 <= arity <= ARITY_CAP or len(rows) != d ** arity:
         raise LiftError(f"lift of arity {arity} from dim {d} to dim {t} "
                         f"must be {t} x {d}^{arity}, got {(t, len(rows))}")
+    keep = (lifts is not None and (tgt is src or tgt is TRUTH)
+            and len(rows) < KEPT_LIFTS.bit_length() and t ** len(rows) <= KEPT_LIFTS)
+    try:  # a row below 0 or past 255 has no byte, and the check below refuses it
+        key = keep and (arity, tgt is TRUTH, bytes(rows))
+    except ValueError:
+        keep = False
+    if keep and (kept := lifts.get(key)) is not None:
+        return kept
     # numpy reduces an array, or a long bytes-like viewed as one, without boxing each entry
     long_bytes = isinstance(rows, (bytes, bytearray)) and len(rows) > 256
     r = np.frombuffer(rows, np.uint8) if long_bytes else rows
     if (r.min() < 0 or r.max() >= t) if isinstance(r, np.ndarray) else (min(r) < 0 or max(r) >= t):
         bad = next(x for x in rows if not 0 <= x < t)
         raise LiftError(f"row {bad} of a lift into {tgt.tag!r} is outside range({t})")
-    keep = (lifts is not None and (tgt is src or tgt is TRUTH)
-            and len(rows) < KEPT_LIFTS.bit_length() and t ** len(rows) <= KEPT_LIFTS)
-    if keep:
-        key = (arity, tgt is TRUTH, bytes(rows))
-        if (kept := lifts.get(key)) is not None:
-            return kept
     mat = _frozen(basis_matrix(tgt).take(rows, axis=1))
     lift = object.__new__(LiftMatrix)  # made without LiftMatrix's check of every column
     vars(lift).update(source=src, arity=arity, target=tgt, mat=mat,

@@ -11,7 +11,7 @@ then run_law(law, k, 20, model).render() for every law, or "error: " and the
 message of a law that refuses the model.
 
 Both are also read after veclogic.kept_map's cache is cleared and again
-once the formula law has filled the lift tables of its kept maps.
+once every law has filled the lift tables of its kept maps.
 """
 
 from pathlib import Path
@@ -50,10 +50,11 @@ def test_fixed_model_law_reports_match_golden_file():
 
 
 def test_golden_files_match_from_empty_and_full_lift_tables():
-    # the formula law's kept entity maps keep their lifts for the process, so
-    # every report must read the same whether the tables start empty or full
+    # every law's kept maps keep their lifts for the process, so every report
+    # must read the same whether the tables start empty or full
     vl.kept_map.cache_clear()
     for tables in ("empty", "full"):
         assert law_reports() == GOLDEN.read_text(), tables
         assert fixed_model_reports() == GOLDEN_FIXED_MODEL.read_text(), tables
-        assert run_law("formula", 10, 200).ok  # other seeds' lifts join the tables
+        for law in LAWS:  # other seeds' lifts join the tables
+            assert run_law(law, 10, 200).ok, law

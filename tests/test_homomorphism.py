@@ -817,26 +817,25 @@ def test_a_fixed_models_relation_law_reads_each_lift_once(monkeypatch, broken, f
 
 @pytest.mark.parametrize("law", ["function", "relation", "chain"])
 def test_a_law_run_builds_each_domain_map_once(monkeypatch, law):
-    built, lifts = [], []
+    # the law's maps are kept for the process, one per size: after the first
+    # run, a second asks for no map that is not kept, and lifts over them
+    assert laws.run_law(law, 0, 200).ok
+    misses, lifts = vl.kept_map.cache_info().misses, []
 
-    def spy(fn, out):
+    def spy(fn):
         def wrapped(*args, **kwargs):
-            out.append(fn(*args, **kwargs))
-            return out[-1]
+            lifts.append(fn(*args, **kwargs))
+            return lifts[-1]
         return wrapped
 
-    monkeypatch.setattr(hm, "build_domain_map", spy(hm.build_domain_map, built))
-    monkeypatch.setattr(hm, "lift_function", spy(hm.lift_function, lifts))
-    monkeypatch.setattr(hm, "lift_relation", spy(hm.lift_relation, lifts))
+    monkeypatch.setattr(hm, "lift_function", spy(hm.lift_function))
+    monkeypatch.setattr(hm, "lift_relation", spy(hm.lift_relation))
     assert laws.run_law(law, 0, 200).ok
-    keys = [(m.tag, m.dim) for m in built]
-    assert built and len(keys) == len(set(keys))
-    sources: dict = {}
+    assert vl.kept_map.cache_info().misses == misses
+    assert len({lf.source.dim for lf in lifts}) > 1
     for lf in lifts:
-        sources.setdefault((lf.source.tag, lf.source.dim), []).append(lf.source)
-    assert any(len(srcs) > 1 for srcs in sources.values())
-    for srcs in sources.values():
-        assert all(src is srcs[0] for src in srcs)
+        assert lf.source is laws._range_map(lf.source.dim)
+        assert lf.target is vl.TRUTH or lf.target is laws._range_map(lf.target.dim)
 
 
 # two unary functions that do not commute: f is a cycle, h is not onto
@@ -1142,5 +1141,21 @@ def test_a_warm_lift_table_hides_no_broken_lift(monkeypatch, target):
     assert all(m.lifts for m in warm)
     monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
     report = laws.run_law("formula", 0, 200)
+    assert not report.ok
+    assert report.render().endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("law,target", [("function", "lift_function"),
+                                        ("relation", "lift_relation"),
+                                        ("sets", "lift_relation"), ("chain", "lift_function")])
+def test_a_warm_lift_table_hides_no_broken_lift_from_the_lift_laws(monkeypatch, law, target):
+    # as above, over the sets law's kept map or the kept maps over range(d)
+    # whose kinds are admitted: a unary function over 4 elements has 4^4 tables
+    assert laws.run_law(law, 0, 200).ok
+    warm = ([vl.kept_map(tuple(f"x{i}" for i in range(6)), "set-domain")] if law == "sets"
+            else [laws._range_map(d) for d in (1, 2, 3)])
+    assert all(m.lifts for m in warm)
+    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
+    report = laws.run_law(law, 0, 200)
     assert not report.ok
     assert report.render().endswith("result: FAIL\n")

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from semlink import homomorphism as hm
+from semlink import veclogic
 from semlink.terms import ConnectiveKind
 from semlink.veclogic import (
     ArityCapError,
@@ -307,11 +308,31 @@ ABC = build_domain_map(("a", "b", "c"), tag="abc")
     ([0, 1], "lift of arity 1 from dim 3 to dim 3 must be 3 x 3^1, got (3, 2)"),
 ])
 def test_lift_by_rows_refuses_rows_that_pick_no_basis_vector(rows, message):
-    kept = kept_map(ABC.elements, "abc")  # rows are checked before a kept lift is looked up
+    # a kept lift is looked up before the rows are checked, so the refusal
+    # must hold with a valid lift of the same kind already kept
+    kept = kept_map(ABC.elements, "abc")
+    kept.lifts.clear()
+    valid = lift_by_rows(kept, 1, kept, [2, 1, 0])
     for m in (ABC, kept):
         with pytest.raises(LiftError, match=re.escape(message)):
             lift_by_rows(m, 1, m, rows)
-    assert kept.lifts == {}
+    assert list(kept.lifts.values()) == [valid]
+
+
+def test_a_kept_hit_returns_the_stored_lift_without_building_one(monkeypatch):
+    kept = kept_map(ABC.elements, "abc")
+    kept.lifts.clear()
+    lift = lift_by_rows(kept, 1, kept, [2, 1, 0])
+    taken = []
+
+    class Basis:
+        def take(self, *args, **kwargs):
+            taken.append(args)
+
+    monkeypatch.setattr(veclogic, "basis_matrix", lambda m: Basis())
+    for rows in ([2, 1, 0], bytearray([2, 1, 0]), np.array([2, 1, 0], dtype=np.uint8)):
+        assert lift_by_rows(kept, 1, kept, rows) is lift
+    assert taken == []
 
 
 def test_lift_by_rows_checks_a_long_bytes_row_as_an_array():
