@@ -817,8 +817,8 @@ def test_a_fixed_models_relation_law_reads_each_lift_once(monkeypatch, broken, f
 
 @pytest.mark.parametrize("law", ["function", "relation", "chain"])
 def test_a_law_run_builds_each_domain_map_once(monkeypatch, law):
-    # the law's maps are kept for the process, one per size: after the first
-    # run, a second asks for no map that is not kept, and lifts over them
+    # the law's maps are kept for the process, one per size: after a first
+    # run, a second makes no kept_map miss, and every lift is over those maps
     assert laws.run_law(law, 0, 200).ok
     misses, lifts = vl.kept_map.cache_info().misses, []
 
