@@ -103,16 +103,24 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
 # lifted subsets
 
 
+def _unary(subset: Iterable[Hashable], m: DomainMap) -> list[tuple[Hashable]]:
+    """The subset's unary relation; an element outside m is refused by name."""
+    for a in (members := list(subset)):
+        if a not in m.index:
+            raise LiftError(f"element {a!r} is outside domain {m.tag!r}")
+    return [(a,) for a in members]
+
+
 def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftMatrix:
     """Image of a subset: the lift of the unary relation of its members."""
-    return lift_relation([(a,) for a in subset], m, 1)
+    return lift_relation(_unary(subset, m), m, 1)
 
 
 def indicator_vector(subset: Iterable[Hashable], m: DomainMap) -> np.ndarray:
     """The top row of the subset's lift, read-only: component i marks element
     i.  It is read from the membership bits the lift is built from, so no
     lift is built."""
-    bits = _member_bits([(a,) for a in subset], m, 1)
+    bits = _member_bits(_unary(subset, m), m, 1)
     return vl._frozen(np.frombuffer(bits, dtype=np.uint8).astype(np.int64))
 
 
@@ -126,9 +134,9 @@ SET_OPS = {
 
 def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable], m: DomainMap,
                   lifted1: "LiftMatrix | None" = None) -> dict[str, bool]:
-    """Whether each of SET_OPS commutes with the subset lift, by name:
-    e1's lift (lifted1, if built) against the indicator vectors of e2 and
-    of each result, which are read without a lift."""
+    """Whether each of SET_OPS commutes with the subset lift, by name: its
+    arithmetic on e1's lift (lifted1, if built) and e2's indicator vector
+    against each result's membership bits, which are read without a lift."""
     s1, s2 = set(e1), set(e2)
     if lifted1 is None:
         lifted1 = lift_subset(s1, m)
@@ -139,7 +147,7 @@ def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable], m: DomainMap,
                         f"{TRUTH.tag!r}, got arity {lifted1.arity} over {src.tag!r} "
                         f"(dim {src.dim}) into {tgt.tag!r}")
     x, y = lifted1.mat[0], indicator_vector(s2, m)
-    return {name: indicator_vector(on_sets(s1, s2), m).tolist() == on_vectors(x, y).tolist()
+    return {name: list(_member_bits(_unary(on_sets(s1, s2), m), m, 1)) == on_vectors(x, y).tolist()
             for name, (on_sets, on_vectors) in SET_OPS.items()}
 
 
@@ -160,7 +168,8 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
                             maps: Sequence[DomainMap]) -> ChainReport:
     """Check, at every point of the first domain, that the lifted links
     applied in turn give the mapped composite, and that the product of the
-    link matrices agrees there with the lift of the composite table."""
+    link matrices agrees there with the lift of the composite table: each
+    route as one matrix, walked only to name the first point it fails at."""
     if not tables or len(maps) != len(tables) + 1:
         raise LiftError(f"a chain of n >= 1 functions needs n + 1 maps: got {len(tables)} "
                         f"functions and {len(maps)} maps")
@@ -168,17 +177,18 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
     product = compose_lifted(*reversed(lifts))
     composite = {a: reduce(lambda val, t: t[val], tables, a) for a in maps[0].elements}
     direct = lift_function(composite, maps[0], maps[-1])
-    # the links applied in turn to every mapped point at once, column k to element k
-    along = np.array([map_element(maps[0], a) for a in maps[0].elements]).T
+    # every mapped point at once, read from the maps' bases, not the lifts
+    along = basis_matrix(maps[0])
     for lf in lifts:
         along = lf.mat @ along
-    mapped = np.array([map_element(maps[-1], composite[a]) for a in maps[0].elements]).T
-    routes = [(along.T.tolist(), mapped.T.tolist()),
-              (product.mat.T.tolist(), direct.mat.T.tolist())]
+    mapped = basis_matrix(maps[-1])[:, [maps[-1].index[v] for v in composite.values()]]
+    routes = [(along, mapped), (product.mat, direct.mat)]
+    if all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in routes):
+        return ChainReport(len(tables), maps[0].dim, True)
     for k, a in enumerate(maps[0].elements):
         for got, want in routes:
-            if got[k] != want[k]:
-                return ChainReport(len(tables), k + 1, False, (a, got[k], want[k]))
+            if (g := got[:, k].tolist()) != (w := want[:, k].tolist()):
+                return ChainReport(len(tables), k + 1, False, (a, g, w))
     return ChainReport(len(tables), maps[0].dim, True)
 
 

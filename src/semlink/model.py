@@ -27,7 +27,7 @@ from .terms import (
     Term,
     Var,
 )
-from .veclogic import ARITY_CAP
+from .veclogic import ARITY_CAP, TRUTH, kept_map
 
 
 class ModelError(ValueError):
@@ -191,6 +191,16 @@ def _signature_of(constants: tuple, functions: tuple, predicates: tuple) -> Sign
         if type(arity) is not int:
             return _interned_signature.__wrapped__(constants, functions, predicates)
     return _interned_signature(constants, functions, predicates)
+
+
+def reset_tables() -> None:
+    """Empty every process-wide table a later call can read: the interned
+    signatures, the kept maps (with the lifts, columns, basis and vectors
+    each keeps), and the argument columns and element vectors of TRUTH."""
+    _interned_signature.cache_clear()
+    kept_map.cache_clear()
+    TRUTH.columns.clear()
+    TRUTH.vectors.clear()
 
 
 # ---------------------------------------------------------------------------

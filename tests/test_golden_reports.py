@@ -10,14 +10,14 @@ of every law: for each seed k in 0-9, the model random_model(Draws(k), 4),
 then run_law(law, k, 20, model).render() for every law, or "error: " and the
 message of a law that refuses the model.
 
-Both are also read after veclogic.kept_map's cache is cleared and again
-once every law has filled the lift tables of its kept maps.
+Both are also read after model.reset_tables() empties the process-wide
+tables and again once every law has filled the lift tables of its kept maps.
 """
 
 from pathlib import Path
 
-from semlink import veclogic as vl
 from semlink.laws import LAWS, run_law
+from semlink.model import reset_tables
 from semlink.sampling import Draws, random_model
 
 DATA = Path(__file__).parent / "data"
@@ -52,7 +52,7 @@ def test_fixed_model_law_reports_match_golden_file():
 def test_golden_files_match_from_empty_and_full_lift_tables():
     # every law's kept maps keep their lifts for the process, so every report
     # must read the same whether the tables start empty or full
-    vl.kept_map.cache_clear()
+    reset_tables()
     for tables in ("empty", "full"):
         assert law_reports() == GOLDEN.read_text(), tables
         assert fixed_model_reports() == GOLDEN_FIXED_MODEL.read_text(), tables

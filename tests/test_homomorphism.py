@@ -13,7 +13,7 @@ from semlink import cli
 from semlink import homomorphism as hm
 from semlink import laws
 from semlink import veclogic as vl
-from semlink.model import Model, denote, model_from_dict
+from semlink.model import Model, denote, model_from_dict, reset_tables
 from semlink.sampling import Draws, random_formula, random_model
 from semlink.terms import parse_term
 
@@ -320,6 +320,27 @@ def test_check_set_ops_refuses_a_lift_that_is_no_subset_lift_over_the_map(lifted
                               f"'truth', {shown}")
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda m: hm.lift_subset({0, "x"}, m),
+    lambda m: hm.indicator_vector(iter([1, "x"]), m),
+    lambda m: hm.check_set_ops({"x"}, {0}, m),
+    lambda m: hm.check_set_ops({0}, ["x"], m),
+    lambda m: hm.check_set_ops({"x"}, {0}, m, hm.lift_subset({0}, m)),
+], ids=["lift_subset", "indicator_vector", "check_set_ops-e1", "check_set_ops-e2",
+        "check_set_ops-e1-lifted"])
+def test_a_subset_is_refused_by_the_element_outside_the_map(refuse):
+    with pytest.raises(hm.LiftError) as err:
+        refuse(dmap(3))
+    assert str(err.value) == "element 'x' is outside domain 'd'"
+
+
+def test_a_relation_is_refused_by_the_tuple_that_mentions_the_outside_element():
+    for arity, tup in [(1, ("x",)), (2, (0, "x"))]:
+        with pytest.raises(hm.LiftError) as err:
+            hm.lift_relation([tup], dmap(3), arity)
+        assert str(err.value) == f"tuple {tup!r} mentions 'x', outside domain 'd'"
+
+
 def test_a_sets_trial_builds_one_lift(monkeypatch):
     calls = []
     real = hm.lift_relation
@@ -377,29 +398,70 @@ def test_composition_chain_commutes(length, seed):
     assert report.length == length
 
 
-def test_corrupted_chain_is_caught_with_counterexample():
-    maps = [dmap(3, f"d{i}") for i in range(4)]
-    tables = [{0: 1, 1: 2, 2: 0} for _ in range(3)]
-    good = hm.check_composition_chain(tables, maps)
-    assert good.ok
-    # lifts built from a tampered middle table must disagree somewhere with
-    # the composite of the original tables
-    bad_tables = [dict(t) for t in tables]
-    bad_tables[1][1] = 1
-    lifts = [hm.lift_function(t, maps[i], maps[i + 1])
-             for i, t in enumerate(bad_tables)]
-    mismatch = None
-    for a in maps[0].elements:
-        vec = hm.map_element(maps[0], a)
-        for lf in lifts:
-            vec = lf([vec])
-        val = a
-        for t in tables:
-            val = t[val]
-        if not np.array_equal(vec, hm.map_element(maps[-1], val)):
-            mismatch = (a, vec)
-            break
-    assert mismatch is not None
+# f cycles three points and h folds them down; neither commutes with the other
+_F, _H = {0: 1, 1: 2, 2: 0}, {0: 0, 1: 0, 2: 1}
+
+
+def _reversed_product(*lifts):
+    # the link matrices multiplied in the wrong order
+    return hm.LiftMatrix(lifts[-1].source, lifts[-1].arity, lifts[0].target,
+                         reduce(np.matmul, [lf.mat for lf in reversed(lifts)]))
+
+
+def test_shifted_links_fail_the_chain_where_they_are_applied_in_turn(monkeypatch):
+    maps = [dmap(3, f"d{i}") for i in range(3)]
+    assert hm.check_composition_chain([_H, _H], maps) == hm.ChainReport(2, 3, True)
+    monkeypatch.setattr(hm, "lift_function", _shifted_lift_function)
+    # the links in turn take 0 to [0, 1, 0], not to the mapped h(h(0)) = 0; the
+    # product route agrees at 0 with the direct lift, shifted as well
+    assert hm.check_composition_chain([_H, _H], maps) == hm.ChainReport(
+        2, 1, False, (0, [0, 1, 0], [1, 0, 0]))
+
+
+def test_a_reversed_product_fails_the_chain_on_the_product_route_alone(monkeypatch):
+    maps = [dmap(3, f"d{i}") for i in range(3)]
+    assert hm.check_composition_chain([_F, _H], maps) == hm.ChainReport(2, 3, True)
+    monkeypatch.setattr(hm, "compose_lifted", _reversed_product)
+    # the product is f after h, which takes 0 to 1; h after f takes it to 0
+    assert hm.check_composition_chain([_F, _H], maps) == hm.ChainReport(
+        2, 1, False, (0, [0, 1, 0], [1, 0, 0]))
+
+
+def test_the_chain_law_maps_no_element_one_at_a_time(monkeypatch):
+    calls = []
+
+    def counting(m, a, real=hm.map_element):
+        calls.append(a)
+        return real(m, a)
+
+    monkeypatch.setattr(hm, "map_element", counting)
+    assert laws.run_law("chain", 0, 50).ok
+    assert laws.run_law("chain", 0, 50, CHAIN_MODEL).ok
+    assert calls == []  # about 6 per chain when each point was mapped by itself
+
+
+@pytest.fixture
+def fresh_tables():
+    # a lift built under a patched basis would be kept by its map: empty
+    # every process-wide table before the test and after it
+    reset_tables()
+    yield
+    reset_tables()
+
+
+def test_a_permuted_basis_fails_the_chain_law(monkeypatch, fresh_tables):
+    # the chain reads its mapped points from the maps' bases, not from
+    # map_element, so a wrong basis on both sides must still show
+    def permuted(m, real=vl.basis_matrix):
+        return real(m)[:, np.roll(np.arange(m.dim), 1)]
+
+    assert laws.run_law("chain", 0, 50).ok
+    reset_tables()
+    monkeypatch.setattr(vl, "basis_matrix", permuted)
+    monkeypatch.setattr(hm, "basis_matrix", permuted)
+    report = laws.run_law("chain", 0, 50)
+    assert not report.ok
+    assert report.render().endswith("result: FAIL\n")
 
 
 def test_chain_arg_validation():
@@ -850,15 +912,17 @@ CHAIN_MODEL = model_from_dict({
 
 def test_a_reversed_product_in_compose_lifted_fails_the_chain_law(monkeypatch):
     assert laws.run_law("chain", 0, 50, CHAIN_MODEL).ok
-
-    def reversed_product(*lifts):
-        return hm.LiftMatrix(lifts[-1].source, lifts[-1].arity, lifts[0].target,
-                             reduce(np.matmul, [lf.mat for lf in reversed(lifts)]))
-
-    monkeypatch.setattr(hm, "compose_lifted", reversed_product)
-    report = laws.run_law("chain", 0, 50, CHAIN_MODEL)
-    assert not report.ok
-    assert report.render().endswith("result: FAIL\n")
+    monkeypatch.setattr(hm, "compose_lifted", _reversed_product)
+    assert laws.run_law("chain", 0, 50, CHAIN_MODEL).render() == (
+        "law: chain\nseed: 0\ntrials: 50\nchecks: 108\nfailures: 21\n"
+        + "".join(f"counterexample: trial {t}: chain of length {n} at 'e1': "
+                  f"lifted {got} expected {want}\n"
+                  for t, n, got, want in [(9, 5, [0, 1, 0], [1, 0, 0]),
+                                          (13, 4, [0, 0, 1], [1, 0, 0]),
+                                          (14, 5, [0, 1, 0], [1, 0, 0]),
+                                          (15, 4, [1, 0, 0], [0, 1, 0]),
+                                          (18, 3, [1, 0, 0], [0, 1, 0])])
+        + "result: FAIL\n")
 
 
 # g is the first projection, so g(a,b) is a and g(b,a) is b
@@ -1090,7 +1154,7 @@ def test_a_kept_map_keeps_no_lift_into_another_kept_map():
 
 
 def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
-    vl.kept_map.cache_clear()
+    reset_tables()
     built = []
 
     def spy(real):
@@ -1118,7 +1182,7 @@ def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
     for a, b in zip(*runs):
         assert b.source is maps[b.source.elements]
         assert (a is b) == (id(a) in kept) and np.array_equal(a.mat, b.mat)
-    vl.kept_map.cache_clear()
+    reset_tables()
     for elements, m in maps.items():
         fresh = vl.kept_map(elements, "entity")
         assert fresh is not m and fresh == m and len(fresh.lifts) == 0

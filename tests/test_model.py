@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semlink import homomorphism as hm, laws, model as model_module
+from semlink import homomorphism as hm, laws, model as model_module, veclogic as vl
 from semlink.model import (
     EntityVal,
     EvaluationError,
@@ -104,7 +104,7 @@ def test_models_of_one_vocabulary_share_one_signature():
 @pytest.mark.parametrize("symbol", ["f", "P"])
 @pytest.mark.parametrize("twin_first", [False, True])
 def test_an_arity_that_is_not_an_int_is_refused_whatever_the_table_holds(arity, symbol, twin_first):
-    model_module._interned_signature.cache_clear()
+    model_module.reset_tables()
     if twin_first:
         _unary_model()  # the vocabulary with int arities is in the table
     with pytest.raises(SignatureError) as exc:
@@ -114,7 +114,7 @@ def test_an_arity_that_is_not_an_int_is_refused_whatever_the_table_holds(arity, 
 
 @pytest.mark.parametrize("twin_first", [False, True])
 def test_a_bool_arity_is_accepted_and_kept_apart_from_its_int_twin(twin_first):
-    model_module._interned_signature.cache_clear()
+    model_module.reset_tables()
     if twin_first:
         _unary_model()
     sig = _unary_model(f_arity=True).signature()
@@ -160,6 +160,22 @@ def test_every_arity_a_library_caller_can_give_is_refused_by_name_or_accepted(
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message.format(kind=kind, name=name, arity=arity)
+
+
+def test_reset_tables_empties_every_process_wide_table():
+    for law in laws.LAWS:
+        assert laws.run_law(law, 0, 20).ok
+    vl.argument_columns(vl.TRUTH, 2)
+    vl.TRUTH.vectors[1] = vl.TRUE_VEC
+    kept = vl.kept_map(("a", "b"), "reset")
+    assert model_module._interned_signature.cache_info().currsize > 0
+    assert vl.kept_map.cache_info().currsize > 0
+    model_module.reset_tables()
+    assert model_module._interned_signature.cache_info().currsize == 0
+    assert vl.kept_map.cache_info() == (0, 0, vl.KEPT_MAPS, 0)
+    assert vl.TRUTH.columns == {} and vl.TRUTH.vectors == {}
+    assert vl.kept_map(("a", "b"), "reset") is not kept  # a fresh map, with no lifts
+    assert vl.TRUE_VEC.tolist() == [1, 0]  # TRUTH's basis, which its views read, stays
 
 
 def test_the_signature_table_stays_within_its_size():

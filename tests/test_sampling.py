@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from semlink import laws
 from semlink import sampling as sp
 from semlink import veclogic as vl
+from semlink.model import reset_tables
 from semlink.terms import Signature, children, pretty, subterms
 
 FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
@@ -70,7 +71,7 @@ def test_formula_stream_matches_pinned_file(monkeypatch):
 
 def test_formula_stream_matches_pinned_file_from_empty_and_full_lift_tables(monkeypatch):
     # the formula law's kept entity maps keep their lifts for the process
-    vl.kept_map.cache_clear()
+    reset_tables()
     assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
     assert all(vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity").lifts
                for n in (2, 3, 4))
