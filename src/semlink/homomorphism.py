@@ -105,10 +105,11 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
 
 def _unary(subset: Iterable[Hashable], m: DomainMap) -> list[tuple[Hashable]]:
     """The subset's unary relation; an element outside m is refused by name."""
-    for a in (members := list(subset)):
-        if a not in m.index:
+    index, members = m.index, [(a,) for a in subset]
+    for (a,) in members:
+        if a not in index:
             raise LiftError(f"element {a!r} is outside domain {m.tag!r}")
-    return [(a,) for a in members]
+    return members
 
 
 def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftMatrix:
@@ -167,9 +168,9 @@ class ChainReport:
 def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
                             maps: Sequence[DomainMap]) -> ChainReport:
     """Check, at every point of the first domain, that the lifted links
-    applied in turn give the mapped composite, and that the product of the
-    link matrices agrees there with the lift of the composite table: each
-    route as one matrix, walked only to name the first point it fails at."""
+    applied in turn give the mapped composite (points read from the maps'
+    bases) and that their product is the composite's lift; a route that
+    differs as a whole is walked to name the first point it fails at."""
     if not tables or len(maps) != len(tables) + 1:
         raise LiftError(f"a chain of n >= 1 functions needs n + 1 maps: got {len(tables)} "
                         f"functions and {len(maps)} maps")
@@ -177,15 +178,14 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
     product = compose_lifted(*reversed(lifts))
     composite = {a: reduce(lambda val, t: t[val], tables, a) for a in maps[0].elements}
     direct = lift_function(composite, maps[0], maps[-1])
-    # every mapped point at once, read from the maps' bases, not the lifts
     along = basis_matrix(maps[0])
     for lf in lifts:
         along = lf.mat @ along
-    mapped = basis_matrix(maps[-1])[:, [maps[-1].index[v] for v in composite.values()]]
-    routes = [(along, mapped), (product.mat, direct.mat)]
-    if all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in routes):
-        return ChainReport(len(tables), maps[0].dim, True)
-    for k, a in enumerate(maps[0].elements):
+    index = maps[-1].index
+    mapped = basis_matrix(maps[-1]).take([index[v] for v in composite.values()], axis=1)
+    routes = [(g, w) for g, w in [(along, mapped), (product.mat, direct.mat)]
+              if g.shape != w.shape or g.tobytes() != w.tobytes()]
+    for k, a in enumerate(maps[0].elements if routes else ()):
         for got, want in routes:
             if (g := got[:, k].tolist()) != (w := want[:, k].tolist()):
                 return ChainReport(len(tables), k + 1, False, (a, g, w))
