@@ -183,8 +183,8 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
         along = lf.mat @ along
     index = maps[-1].index
     mapped = basis_matrix(maps[-1]).take([index[v] for v in composite.values()], axis=1)
-    routes = [(g, w) for g, w in [(along, mapped), (product.mat, direct.mat)]
-              if g.shape != w.shape or g.tobytes() != w.tobytes()]
+    routes = [(got, want) for got, want in [(along, mapped), (product.mat, direct.mat)]
+              if got.shape != want.shape or got.tobytes() != want.tobytes()]
     for k, a in enumerate(maps[0].elements if routes else ()):
         for got, want in routes:
             if (g := got[:, k].tolist()) != (w := want[:, k].tolist()):
