@@ -21,8 +21,8 @@ from . import veclogic as vl
 from .model import Assignment, Model, denote, evaluate  # noqa: F401 (denote is re-exported)
 from .terms import FORMULA_NODES, ConnectiveKind, Term
 from .veclogic import (  # noqa: F401 (re-exported)
-    TRUTH, DomainMap, LiftError, LiftMatrix, OffImageError, argument_columns,
-    basis_matrix, build_domain_map, map_element, unmap_element)
+    TRUTH, DomainMap, LiftError, LiftMatrix, OffImageError, basis_matrix,
+    build_domain_map, map_element, unmap_element)
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +133,13 @@ SET_OPS = {
 }
 
 
-def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable], m: DomainMap,
-                  lifted1: "LiftMatrix | None" = None) -> dict[str, bool]:
+def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable],
+                  m: DomainMap) -> dict[str, bool]:
     """Whether each of SET_OPS commutes with the subset lift, by name: its
-    arithmetic on e1's lift (lifted1, if built) and e2's indicator vector
-    against each result's membership bits, which are read without a lift."""
+    arithmetic on the top row of e1's lift and e2's indicator vector against
+    each result's membership bits, which are read without a lift."""
     s1, s2 = set(e1), set(e2)
-    if lifted1 is None:
-        lifted1 = lift_subset(s1, m)
-    elif (lifted1.arity != 1 or lifted1.source.elements != m.elements
-          or lifted1.target.elements != TRUTH.elements):
-        src, tgt = lifted1.source, lifted1.target
-        raise LiftError(f"lifted1 must be a lift of arity 1 over {m.tag!r} (dim {m.dim}) into "
-                        f"{TRUTH.tag!r}, got arity {lifted1.arity} over {src.tag!r} "
-                        f"(dim {src.dim}) into {tgt.tag!r}")
-    x, y = lifted1.mat[0], indicator_vector(s2, m)
+    x, y = lift_subset(s1, m).mat[0], indicator_vector(s2, m)
     return {name: list(_member_bits(_unary(on_sets(s1, s2), m), m, 1)) == on_vectors(x, y).tolist()
             for name, (on_sets, on_vectors) in SET_OPS.items()}
 

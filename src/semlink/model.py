@@ -195,11 +195,10 @@ def _signature_of(constants: tuple, functions: tuple, predicates: tuple) -> Sign
 
 def reset_tables() -> None:
     """Empty every process-wide table a later call can read: the interned
-    signatures, the kept maps (with the lifts, columns, basis and vectors
-    each keeps), and the argument columns and element vectors of TRUTH."""
+    signatures, the kept maps (with the lifts, basis and vectors each
+    keeps), and the element vectors of TRUTH, its only mutable table."""
     _interned_signature.cache_clear()
     kept_map.cache_clear()
-    TRUTH.columns.clear()
     TRUTH.vectors.clear()
 
 

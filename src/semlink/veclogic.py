@@ -157,16 +157,14 @@ class LiftError(ValueError):
 class DomainMap:
     """Injective map from a finite domain onto the standard basis vectors.
 
-    It keeps what it derives from its elements: argument columns, its basis
-    matrix and element vectors.  A kept map (kept_map) also keeps the lifts
+    It keeps what it derives from its elements: its basis matrix and
+    element vectors.  A kept map (kept_map) also keeps the lifts
     of few-table kinds built over it (KEPT_LIFTS); every other map, copies
     of a kept one included, keeps none, so no lift outlives its run."""
 
     tag: str
     elements: tuple[Hashable, ...]
     index: Mapping[Hashable, int] = field(repr=False)
-    # argument_columns of this map, by arity
-    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)  # len(elements)
     # basis_matrix of this map, made on first use: a relation-only map never pays dim^2
     basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
@@ -232,19 +230,6 @@ def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
     if (i := one_hot_index(v.tolist())) is None:
         raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
     return m.elements[i]
-
-
-def argument_columns(m: DomainMap, arity: int) -> np.ndarray:
-    """For every arity-tuple over m, in lexicographic order, the column that
-    mat @ kron_fold picks out of a lift's matrix on the tuple's mapped
-    vectors.  Each element is mapped and checked to be on the image (or
-    OffImageError) once per map, and the map keeps the read-only result."""
-    if arity not in m.columns:
-        idx = cols = np.array([m.index[unmap_element(m, map_element(m, a))] for a in m.elements])
-        for _ in range(arity - 1):
-            cols = (cols[:, None] * m.dim + idx).ravel()
-        m.columns[arity] = _frozen(cols)
-    return m.columns[arity]
 
 
 def basis_matrix(m: DomainMap) -> np.ndarray:
@@ -335,12 +320,11 @@ class LiftMatrix:
     def table(self) -> Iterator[tuple[tuple[Hashable, ...], Hashable]]:
         """Every arity-tuple over the source, in lexicographic order, with the
         target element whose basis vector the lift gives on its mapped
-        vectors: its column, read a batch of columns at a time."""
-        cols = argument_columns(self.source, self.arity)
+        vectors: column j for the j-th tuple, read a batch at a time."""
         tuples = iproduct(self.source.elements, repeat=self.arity)
         out = self.target.elements
-        for start in range(0, len(cols), _BATCH_COLUMNS):
-            vals = self.mat[:, cols[start:start + _BATCH_COLUMNS]].argmax(axis=0)
+        for start in range(0, self.mat.shape[1], _BATCH_COLUMNS):
+            vals = self.mat[:, start:start + _BATCH_COLUMNS].argmax(axis=0)
             yield from zip(islice(tuples, len(vals)), [out[v] for v in vals.tolist()])
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 from functools import reduce
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -67,24 +68,29 @@ def test_build_rejects_duplicates_and_empty():
         hm.build_domain_map([])
 
 
-def test_argument_columns_are_the_kron_of_components():
-    # the j-th tuple in lexicographic order folds to basis vector j
-    m = dmap(3)
-    cols = hm.argument_columns(m, 2)
-    assert cols.tolist() == list(range(9))
-    for j, (a, b) in enumerate((a, b) for a in m.elements for b in m.elements):
-        folded = vl.kron(hm.map_element(m, a), hm.map_element(m, b))
-        assert int(folded.argmax()) == cols[j] and folded.sum() == 1
-    assert hm.argument_columns(dmap(4), 1).tolist() == [0, 1, 2, 3]
+@pytest.mark.parametrize("lift", [
+    hm.lift_function({(a, b): (a + 2 * b) % 3 for a in range(3) for b in range(3)},
+                     dmap(3), dmap(3), 2),
+    hm.lift_relation({(0, 1, 1), (1, 0, 0), (1, 1, 0)}, dmap(2), 3),
+    vl.named_operator("cond"),
+], ids=["binary-function", "ternary-relation", "cond"])
+def test_table_is_the_lift_applied_to_each_mapped_tuple(lift):
+    # table() reads column j for the j-th tuple; the lift applied by
+    # contraction to the tuple's mapped vectors must give the same value
+    src, tgt = lift.source, lift.target
+    rows = list(lift.table())
+    assert [tup for tup, _ in rows] == list(iproduct(src.elements, repeat=lift.arity))
+    for tup, val in rows:
+        assert val == hm.unmap_element(tgt, lift([hm.map_element(src, a) for a in tup]))
 
 
-def test_copies_of_a_domain_map_keep_read_only_columns():
-    m = hm.build_domain_map(["u", "v", "w"], tag="letters")
-    cols = hm.argument_columns(m, 2)
-    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert twin == m and twin.tag == m.tag and twin.index == m.index
-        assert np.array_equal(hm.argument_columns(twin, 2), cols)
-        assert twin.columns and not any(c.flags.writeable for c in twin.columns.values())
+@pytest.mark.parametrize("n,arity", [(3, 2), (4, 1), (2, 3)])
+def test_the_kron_fold_of_the_jth_tuple_is_basis_vector_j(n, arity):
+    m = dmap(n)
+    eye = np.eye(n ** arity, dtype=np.int64)
+    for j, tup in enumerate(iproduct(m.elements, repeat=arity)):
+        folded = vl.kron_fold([hm.map_element(m, a) for a in tup])
+        assert folded.tolist() == eye[j].tolist()
 
 
 def test_lifts_into_one_map_share_its_read_only_basis(monkeypatch):
@@ -307,27 +313,12 @@ def test_indicator_vector_is_the_top_row_of_the_subset_lift(members, kind):
         hm.indicator_vector(kind(members + [5]), m)
 
 
-@pytest.mark.parametrize("lifted,shown", [
-    (hm.lift_subset({0}, dmap(4)), "got arity 1 over 'd' (dim 4) into 'truth'"),
-    (hm.lift_relation({(0, 1)}, dmap(3), 2), "got arity 2 over 'd' (dim 3) into 'truth'"),
-    (hm.lift_function({0: 0, 1: 1, 2: 2}, dmap(3), dmap(3)),
-     "got arity 1 over 'd' (dim 3) into 'd'"),
-], ids=["subset-over-4", "binary-relation", "identity-function"])
-def test_check_set_ops_refuses_a_lift_that_is_no_subset_lift_over_the_map(lifted, shown):
-    with pytest.raises(hm.LiftError) as err:
-        hm.check_set_ops({0}, {1, 2}, dmap(3), lifted)
-    assert str(err.value) == ("lifted1 must be a lift of arity 1 over 'd' (dim 3) into "
-                              f"'truth', {shown}")
-
-
 @pytest.mark.parametrize("refuse", [
     lambda m: hm.lift_subset({0, "x"}, m),
     lambda m: hm.indicator_vector(iter([1, "x"]), m),
     lambda m: hm.check_set_ops({"x"}, {0}, m),
     lambda m: hm.check_set_ops({0}, ["x"], m),
-    lambda m: hm.check_set_ops({"x"}, {0}, m, hm.lift_subset({0}, m)),
-], ids=["lift_subset", "indicator_vector", "check_set_ops-e1", "check_set_ops-e2",
-        "check_set_ops-e1-lifted"])
+], ids=["lift_subset", "indicator_vector", "check_set_ops-e1", "check_set_ops-e2"])
 def test_a_subset_is_refused_by_the_element_outside_the_map(refuse):
     with pytest.raises(hm.LiftError) as err:
         refuse(dmap(3))
@@ -342,16 +333,20 @@ def test_a_relation_is_refused_by_the_tuple_that_mentions_the_outside_element():
 
 
 def test_a_sets_trial_builds_one_lift(monkeypatch):
-    calls = []
-    real = hm.lift_relation
+    # check_set_ops and the law's characteristic check each ask for e1's
+    # lift; over the kept 6-element map the second ask is a hit, not a build
+    lifts = []
+    real = hm.lift_subset
 
-    def counted(tuples, m, arity):
-        calls.append(arity)
-        return real(tuples, m, arity)
+    def recorded(subset, m):
+        lifts.append(real(subset, m))
+        return lifts[-1]
 
-    monkeypatch.setattr(hm, "lift_relation", counted)
+    monkeypatch.setattr(hm, "lift_subset", recorded)
     assert laws.run_law("sets", 0, 50).ok
-    assert calls == [1] * 50  # 250 when every indicator vector came from a lift
+    assert len(lifts) == 100
+    assert all(a is b for a, b in zip(lifts[::2], lifts[1::2]))
+    assert len(vl.kept_map(tuple(f"x{i}" for i in range(6)), "set-domain").lifts) <= 64
 
 
 # ---------------------------------------------------------------------------

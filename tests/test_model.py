@@ -165,7 +165,6 @@ def test_every_arity_a_library_caller_can_give_is_refused_by_name_or_accepted(
 def test_reset_tables_empties_every_process_wide_table():
     for law in laws.LAWS:
         assert laws.run_law(law, 0, 20).ok
-    vl.argument_columns(vl.TRUTH, 2)
     vl.TRUTH.vectors[1] = vl.TRUE_VEC
     kept = vl.kept_map(("a", "b"), "reset")
     assert model_module._interned_signature.cache_info().currsize > 0
@@ -173,7 +172,7 @@ def test_reset_tables_empties_every_process_wide_table():
     model_module.reset_tables()
     assert model_module._interned_signature.cache_info().currsize == 0
     assert vl.kept_map.cache_info() == (0, 0, vl.KEPT_MAPS, 0)
-    assert vl.TRUTH.columns == {} and vl.TRUTH.vectors == {}
+    assert vl.TRUTH.vectors == {}
     assert vl.kept_map(("a", "b"), "reset") is not kept  # a fresh map, with no lifts
     assert vl.TRUE_VEC.tolist() == [1, 0]  # TRUTH's basis, which its views read, stays
 

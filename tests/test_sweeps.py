@@ -187,13 +187,13 @@ def test_relation_sweep_catches_broken_lift(monkeypatch):
 
 
 def test_relation_sweep_catches_transposed_arguments(monkeypatch):
-    real = vl.argument_columns
+    real = hm._member_bits
 
-    def transposed(m, arity):
-        # each tuple reads the column of its components in reverse order
-        return real(m, arity).reshape((m.dim,) * arity).transpose().ravel()
+    def transposed(tuples, m, arity, member=1):
+        # each tuple sets the bit of its components in reverse order
+        return real([tup[::-1] for tup in tuples], m, arity, member)
 
-    monkeypatch.setattr(vl, "argument_columns", transposed)
+    monkeypatch.setattr(hm, "_member_bits", transposed)
     _, failures = laws.sweep_relations(all_relation_masks(2, 2), 2, 2)
     # 8 of the 16 relations tell (0, 1) from (1, 0), and each fails at both
     assert len(failures) == 2 * 8
