@@ -73,7 +73,7 @@ def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
                  arity: int, member: int = 1) -> bytearray:
     """One byte per arity-tuple over m, in lexicographic order: member
     exactly when the tuple is a member, else 1 - member.  Every relation and
-    subset is read here."""
+    subset lift, and every indicator vector, is read here."""
     if not 1 <= arity <= vl.ARITY_CAP or m.dim ** arity > 1 << vl.ARITY_CAP:
         raise LiftError(f"a relation of arity {arity} over {m.dim} elements is past the caps "
                         f"of arity {vl.ARITY_CAP} and 2^{vl.ARITY_CAP} tuples")
@@ -137,11 +137,17 @@ def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable],
                   m: DomainMap) -> dict[str, bool]:
     """Whether each of SET_OPS commutes with the subset lift, by name: its
     arithmetic on the top row of e1's lift and e2's indicator vector against
-    each result's membership bits, which are read without a lift."""
+    each result's membership, read from the result set in m's order; a
+    result with an element outside m is refused by name."""
     s1, s2 = set(e1), set(e2)
     x, y = lift_subset(s1, m).mat[0], indicator_vector(s2, m)
-    return {name: list(_member_bits(_unary(on_sets(s1, s2), m), m, 1)) == on_vectors(x, y).tolist()
-            for name, (on_sets, on_vectors) in SET_OPS.items()}
+    ok = {}
+    for name, (on_sets, on_vectors) in SET_OPS.items():
+        r = on_sets(s1, s2)
+        if len(r) != sum(bits := [a in r for a in m.elements]):
+            _unary(r, m)  # r has fewer members in m than in all
+        ok[name] = bits == on_vectors(x, y).tolist()
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,14 @@ def _tally(outcomes: Iterable["str | None"]) -> tuple[int, list[str]]:
     return checks, failures
 
 
+_RANGE_KEYS = {d: (tuple(range(d)), f"range{d}") for d in range(1, 6)}
+
+
 def _range_map(d: int) -> hm.DomainMap:
     """The kept map over range(d) that the function, relation and chain laws
-    share, so its basis and admitted lifts are built once per process."""
-    return vl.kept_map(tuple(range(d)), f"range{d}")
+    share, so its basis and admitted lifts are built once per process; the
+    key of each size they draw (1-5) is built once, in _RANGE_KEYS."""
+    return vl.kept_map(*(_RANGE_KEYS.get(d) or (tuple(range(d)), f"range{d}")))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ message of a law that refuses the model.
 
 Both are also read after model.reset_tables() empties the process-wide
 tables and again once every law has filled the lift tables of its kept maps.
+
+tests/data/check_reports_100_trials.txt holds the output of `semlink check
+--law L --seed S --trials 100` for every law and seeds 0-9, one process
+each; run_law renders the same reports in process, after a reset and warm.
 """
 
 from pathlib import Path
@@ -23,6 +27,7 @@ from semlink.sampling import Draws, random_model
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "law_reports_20_trials.txt"
 GOLDEN_FIXED_MODEL = DATA / "law_reports_fixed_model_20_trials.txt"
+CHECK_REPORTS = DATA / "check_reports_100_trials.txt"
 
 
 def law_reports() -> str:
@@ -58,3 +63,10 @@ def test_golden_files_match_from_empty_and_full_lift_tables():
         assert fixed_model_reports() == GOLDEN_FIXED_MODEL.read_text(), tables
         for law in LAWS:  # other seeds' lifts join the tables
             assert run_law(law, 10, 200).ok, law
+
+
+def test_check_reports_match_the_cli_file_from_empty_and_warm_tables():
+    reset_tables()
+    for tables in ("empty", "warm"):
+        reports = "".join(run_law(law, seed, 100).render() for law in LAWS for seed in range(10))
+        assert reports == CHECK_REPORTS.read_text(), tables

@@ -1012,6 +1012,39 @@ def test_a_wrong_vector_union_fails_the_sets_law(monkeypatch):
     assert all(" union of " in f for f in report.failures)
 
 
+@pytest.mark.parametrize("name", sorted(hm.SET_OPS))
+def test_a_set_result_outside_the_map_is_refused_by_the_element(monkeypatch, name):
+    # the results are read from the sets in the map's order, which never
+    # meets an element outside the map: it must still be refused by name
+    on_sets, on_vectors = hm.SET_OPS[name]
+    monkeypatch.setitem(hm.SET_OPS, name, (lambda a, b: on_sets(a, b) | {"zz"}, on_vectors))
+    m = vl.kept_map(tuple(f"x{i}" for i in range(6)), "set-domain")
+    want = "element 'zz' is outside domain 'set-domain'"
+    for e1, e2 in [({"x0", "x1"}, {"x1", "x2"}), (set(), set()), (set(m.elements), {"x3"})]:
+        with pytest.raises(hm.LiftError) as err:
+            hm.check_set_ops(e1, e2, m)
+        assert str(err.value) == want
+    with pytest.raises(hm.LiftError) as err:
+        laws.run_law("sets", 0, 20)
+    assert str(err.value) == want
+
+
+def test_union_computed_as_intersection_fails_the_sets_law(monkeypatch):
+    monkeypatch.setitem(hm.SET_OPS, "union", (set.intersection, hm.SET_OPS["union"][1]))
+    assert laws.run_law("sets", 0, 20).render() == (
+        "law: sets\nseed: 0\ntrials: 20\nchecks: 200\nfailures: 20\n"
+        "counterexample: trial 0: union of ['x0', 'x1', 'x2'] and ['x3', 'x4', 'x5'] "
+        "does not commute\n"
+        "counterexample: trial 1: union of ['x0', 'x1', 'x2', 'x3', 'x4', 'x5'] and "
+        "['x0', 'x1', 'x3', 'x4'] does not commute\n"
+        "counterexample: trial 2: union of ['x1', 'x2', 'x4', 'x5'] and ['x0', 'x3', 'x5'] "
+        "does not commute\n"
+        "counterexample: trial 3: union of [] and ['x3', 'x4', 'x5'] does not commute\n"
+        "counterexample: trial 4: union of ['x1', 'x2', 'x5'] and "
+        "['x0', 'x1', 'x3', 'x4', 'x5'] does not commute\n"
+        "result: FAIL\n")
+
+
 # ---------------------------------------------------------------------------
 # kept maps keep their lifts
 
@@ -1100,6 +1133,24 @@ def test_a_kept_lift_equals_a_fresh_one_and_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             kept.mat[0, 0] = 1 - kept.mat[0, 0]
     assert len(m.lifts) == 2
+
+
+def test_a_range_map_is_the_kept_map_of_its_size(fresh_tables):
+    # the laws' range maps live in kept_map's table alone, so a reset drops them
+    before = laws._range_map(3)
+    hm.lift_relation([(0,)], before, 1)
+    assert len(before.lifts) == 1
+    reset_tables()
+    after = laws._range_map(3)
+    assert after is not before and after.lifts == {}
+    assert after is vl.kept_map(tuple(range(3)), "range3")
+    for d in range(1, 6):  # every size the laws draw
+        m = laws._range_map(d)
+        assert m is vl.kept_map(tuple(range(d)), f"range{d}")
+        assert (m.elements, m.tag) == (tuple(range(d)), f"range{d}")
+    assert laws._range_map(7) is vl.kept_map(tuple(range(7)), "range7")
+    with pytest.raises(ValueError, match="^domain must be nonempty$"):
+        laws._range_map(0)
 
 
 def test_only_a_kept_map_has_a_lift_table():
