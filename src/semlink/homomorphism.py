@@ -54,7 +54,9 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
 
 def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
     """g after f is compose_lifted(g, f), the product of their matrices; every
-    lift but the last must be unary, and the domains that meet must agree."""
+    lift but the last must be unary, and the domains that meet must agree.
+    Column j of A @ B is A's column k when B's column j is basis vector k,
+    so a product of lifts is a lift, and no column of it is checked again."""
     if not lifts:
         raise LiftError("compose_lifted needs at least one lift")
     for g, f in zip(lifts, lifts[1:]):
@@ -65,15 +67,15 @@ def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
                 f"cannot compose: target {f.target.tag!r} differs from source {g.source.tag!r}")
     if len(lifts) == 1:
         return lifts[0]
-    return LiftMatrix(lifts[-1].source, lifts[-1].arity, lifts[0].target,
-                      reduce(np.matmul, [lf.mat for lf in lifts]))
+    return vl._lift_of(lifts[-1].source, lifts[-1].arity, lifts[0].target,
+                       reduce(np.matmul, [lf.mat for lf in lifts]))
 
 
 def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
                  arity: int, member: int = 1) -> bytearray:
     """One byte per arity-tuple over m, in lexicographic order: member
     exactly when the tuple is a member, else 1 - member.  Every relation and
-    subset lift, and every indicator vector, is read here."""
+    subset lift is read here."""
     if not 1 <= arity <= vl.ARITY_CAP or m.dim ** arity > 1 << vl.ARITY_CAP:
         raise LiftError(f"a relation of arity {arity} over {m.dim} elements is past the caps "
                         f"of arity {vl.ARITY_CAP} and 2^{vl.ARITY_CAP} tuples")
@@ -119,10 +121,11 @@ def lift_subset(subset: Iterable[Hashable], m: DomainMap) -> LiftMatrix:
 
 def indicator_vector(subset: Iterable[Hashable], m: DomainMap) -> np.ndarray:
     """The top row of the subset's lift, read-only: component i marks element
-    i.  It is read from the membership bits the lift is built from, so no
-    lift is built."""
-    bits = _member_bits(_unary(subset, m), m, 1)
-    return vl._frozen(np.frombuffer(bits, dtype=np.uint8).astype(np.int64))
+    i.  Each member's component is set in turn, so no lift is built."""
+    index, y = m.index, np.zeros(m.dim, dtype=np.int64)
+    for (a,) in _unary(subset, m):
+        y[index[a]] = 1
+    return vl._frozen(y)
 
 
 # each set operation beside its arithmetic on indicator vectors (Mizraji's vector logic)
@@ -166,9 +169,9 @@ class ChainReport:
 def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
                             maps: Sequence[DomainMap]) -> ChainReport:
     """Check, at every point of the first domain, that the lifted links
-    applied in turn give the mapped composite (points read from the maps'
-    bases) and that their product is the composite's lift; a route that
-    differs as a whole is walked to name the first point it fails at."""
+    applied in turn, from the first link's columns, give the mapped composite
+    (read from the last map's basis) and that their product is the composite's
+    lift; a route that differs as a whole is walked to name the first point it fails at."""
     if not tables or len(maps) != len(tables) + 1:
         raise LiftError(f"a chain of n >= 1 functions needs n + 1 maps: got {len(tables)} "
                         f"functions and {len(maps)} maps")
@@ -176,8 +179,8 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
     product = compose_lifted(*reversed(lifts))
     composite = {a: reduce(lambda val, t: t[val], tables, a) for a in maps[0].elements}
     direct = lift_function(composite, maps[0], maps[-1])
-    along = basis_matrix(maps[0])
-    for lf in lifts:
+    along = lifts[0].mat
+    for lf in lifts[1:]:
         along = lf.mat @ along
     index = maps[-1].index
     mapped = basis_matrix(maps[-1]).take([index[v] for v in composite.values()], axis=1)

@@ -289,7 +289,7 @@ class LiftMatrix:
     ten: np.ndarray = field(init=False, repr=False)  # mat's read-only tensor view for contract
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=np.int64)
+        m = np.array(self.mat, dtype=np.int64)  # a copy, so the caller's array is not frozen or kept
         d, n, t = self.source.dim, self.arity, self.target.dim
         # the arity is bounded first, so d**n is computed only when it is small
         if not 1 <= n <= ARITY_CAP or m.shape != (t, d ** n):
@@ -356,12 +356,18 @@ def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]
     if (r.min() < 0 or r.max() >= t) if isinstance(r, np.ndarray) else (min(r) < 0 or max(r) >= t):
         bad = next(x for x in rows if not 0 <= x < t)
         raise LiftError(f"row {bad} of a lift into {tgt.tag!r} is outside range({t})")
-    mat = _frozen(basis_matrix(tgt).take(rows, axis=1))
-    lift = object.__new__(LiftMatrix)  # made without LiftMatrix's check of every column
-    vars(lift).update(source=src, arity=arity, target=tgt, mat=mat,
-                      ten=mat.reshape((t,) + (d,) * arity))
+    lift = _lift_of(src, arity, tgt, basis_matrix(tgt).take(rows, axis=1))
     if keep:
         lifts[key] = lift
+    return lift
+
+
+def _lift_of(src: DomainMap, arity: int, tgt: DomainMap, mat: np.ndarray) -> LiftMatrix:
+    """The lift whose matrix is mat, a new C-contiguous int64 array whose columns are
+    basis vectors by construction, made without LiftMatrix's check; ten views mat."""
+    lift = object.__new__(LiftMatrix)
+    vars(lift).update(source=src, arity=arity, target=tgt, mat=_frozen(mat),
+                      ten=mat.reshape((tgt.dim,) + (src.dim,) * arity))
     return lift
 
 

@@ -435,6 +435,38 @@ def test_the_chain_law_maps_no_element_one_at_a_time(monkeypatch):
     assert calls == []  # about 6 per chain when each point was mapped by itself
 
 
+def test_the_chain_law_checks_no_column_of_a_built_lift_again(monkeypatch):
+    # every link is built from its rows, and the product of lifts is a lift
+    calls = []
+
+    def counting(m, real=vl.columns_one_hot):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(vl, "columns_one_hot", counting)
+    assert laws.run_law("chain", 0, 50).ok
+    assert laws.run_law("chain", 0, 50, CHAIN_MODEL).ok
+    assert calls == []
+    hm.LiftMatrix(vl.TRUTH, 1, vl.TRUTH, np.eye(2, dtype=np.int64))
+    assert calls == [(2, 2)]  # a hand-built lift is still checked
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=6), st.data())
+def test_compose_lifted_is_the_lift_of_the_composite_over_range_maps(sizes, data):
+    maps = [laws._range_map(s) for s in sizes]
+    tables = [{a: data.draw(st.integers(0, t - 1)) for a in range(s)}
+              for s, t in zip(sizes, sizes[1:])]
+    product = hm.compose_lifted(*reversed([hm.lift_function(t, maps[i], maps[i + 1])
+                                           for i, t in enumerate(tables)]))
+    composite = {a: reduce(lambda v, t: t[v], tables, a) for a in maps[0].elements}
+    direct = hm.lift_function(composite, maps[0], maps[-1])
+    assert (product.source, product.arity, product.target) == (maps[0], 1, maps[-1])
+    assert product.mat.tolist() == direct.mat.tolist()
+    assert product.ten.shape == product.mat.shape and np.shares_memory(product.ten, product.mat)
+    assert not product.mat.flags.writeable and not product.ten.flags.writeable
+
+
 @pytest.fixture
 def fresh_tables():
     # a lift built under a patched basis would be kept by its map: empty
@@ -896,13 +928,14 @@ def test_a_law_run_builds_each_domain_map_once(monkeypatch, law):
 
 
 # two unary functions that do not commute: f is a cycle, h is not onto
-CHAIN_MODEL = model_from_dict({
+CHAIN_MODEL_DATA = {
     "entities": ["e1", "e2", "e3"],
     "constants": {"a": "e1"},
     "functions": {"f": {"arity": 1, "table": [["e1", "e2"], ["e2", "e3"], ["e3", "e1"]]},
                   "h": {"arity": 1, "table": [["e1", "e1"], ["e2", "e1"], ["e3", "e2"]]}},
     "relations": {},
-})
+}
+CHAIN_MODEL = model_from_dict(CHAIN_MODEL_DATA)
 
 
 def test_a_reversed_product_in_compose_lifted_fails_the_chain_law(monkeypatch):
@@ -918,6 +951,31 @@ def test_a_reversed_product_in_compose_lifted_fails_the_chain_law(monkeypatch):
                                           (15, 4, [1, 0, 0], [0, 1, 0]),
                                           (18, 3, [1, 0, 0], [0, 1, 0])])
         + "result: FAIL\n")
+
+
+def _added_product(*lifts):
+    # the link matrices added, not multiplied, and built unchecked as the real
+    # product is: a column of k links sums to k, so it is no basis vector
+    return vl._lift_of(lifts[-1].source, lifts[-1].arity, lifts[0].target,
+                       reduce(np.add, [lf.mat for lf in lifts]))
+
+
+def test_a_product_that_is_no_lift_fails_the_chain_law_by_name(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(CHAIN_MODEL_DATA))
+    argv = ["check", "--law", "chain", "--model", str(path), "--trials", "50"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(hm, "compose_lifted", _added_product)
+    want = ("law: chain\nseed: 0\ntrials: 50\nchecks: 74\nfailures: 38\n"
+            + "".join(f"counterexample: trial {t}: chain of length {n} at 'e1': "
+                      f"lifted {got} expected [1, 0, 0]\n"
+                      for t, n, got in [(0, 5, [2, 3, 0]), (3, 4, [4, 0, 0]), (4, 4, [4, 0, 0]),
+                                        (5, 2, [2, 0, 0]), (7, 5, [4, 1, 0])])
+            + "result: FAIL\n")
+    assert laws.run_law("chain", 0, 50, CHAIN_MODEL).render() == want
+    capsys.readouterr()
+    assert cli.main(argv) == 1  # the routes disagree: not 2, a refused lift
+    assert capsys.readouterr().out == want
 
 
 # g is the first projection, so g(a,b) is a and g(b,a) is b

@@ -297,6 +297,18 @@ def test_operator_validation():
         LiftMatrix(TRUTH, 1, TRUTH, np.array([[2, 0], [-1, 1]]))
 
 
+def test_a_checked_lift_keeps_a_copy_of_the_callers_array():
+    # kept as it is, an int64 array would be frozen under its caller, and a
+    # write through it once unfrozen would change a lift that was checked
+    a = np.eye(2, dtype=np.int64)
+    lift = LiftMatrix(TRUTH, 1, TRUTH, a)
+    assert a.flags.writeable and not np.shares_memory(lift.mat, a)
+    assert not lift.mat.flags.writeable and not lift.ten.flags.writeable
+    a[:, 0] = [1, 1]
+    assert lift.mat.tolist() == [[1, 0], [0, 1]]
+    assert lift([embed_truth(1)]).tolist() == [1, 0]
+
+
 ABC = build_domain_map(("a", "b", "c"), tag="abc")
 
 
