@@ -71,15 +71,14 @@ def compose_lifted(*lifts: LiftMatrix) -> LiftMatrix:
                        reduce(np.matmul, [lf.mat for lf in lifts]))
 
 
-def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
-                 arity: int, member: int = 1) -> bytearray:
-    """One byte per arity-tuple over m, in lexicographic order: member
-    exactly when the tuple is a member, else 1 - member.  Every relation and
-    subset lift is read here."""
+def _member_bits(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap, arity: int) -> bytearray:
+    """One byte per arity-tuple over m, in lexicographic order: the TRUTH row
+    of TRUE_VEC exactly when the tuple is a member, else of FALSE_VEC.  Every
+    relation and subset lift is read here."""
     if not 1 <= arity <= vl.ARITY_CAP or m.dim ** arity > 1 << vl.ARITY_CAP:
         raise LiftError(f"a relation of arity {arity} over {m.dim} elements is past the caps "
                         f"of arity {vl.ARITY_CAP} and 2^{vl.ARITY_CAP} tuples")
-    d, index = m.dim, m.index
+    d, index, member = m.dim, m.index, TRUTH.index[1]
     bits = bytearray([1 - member]) * d ** arity
     for tup in tuples:
         if len(tup) != arity:
@@ -98,7 +97,7 @@ def lift_relation(tuples: Iterable[tuple[Hashable, ...]], m: DomainMap,
     """Lift of the relation's characteristic function into TRUTH: column j
     is TRUE_VEC exactly when the j-th tuple is a member, its TRUTH row
     TRUTH.index[1] (the row of bit b is 1 - b)."""
-    return vl.lift_by_rows(m, arity, TRUTH, _member_bits(tuples, m, arity, TRUTH.index[1]))
+    return vl.lift_by_rows(m, arity, TRUTH, _member_bits(tuples, m, arity))
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ class DomainMap:
 
     tag: str
     elements: tuple[Hashable, ...]
-    index: Mapping[Hashable, int] = field(repr=False)
+    index: Mapping[Hashable, int] = field(repr=False, compare=False)  # derived from elements
     dim: int = field(init=False, repr=False, compare=False)  # len(elements)
     # basis_matrix of this map, made on first use: a relation-only map never pays dim^2
     basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)

@@ -3,9 +3,20 @@
 The acceptance tests record one status line per criterion; pytest's
 capture would otherwise swallow those lines on passing runs, so they
 are replayed in a terminal summary section at the end.
+
+The `tables` fixture runs a test once from each state of the process-wide
+tables that every verdict must ignore: "cold", right after
+model.reset_tables() as a fresh process has them, and "warm", once every
+law has run at seed 10 over 200 trials and the laws' kept maps hold lifts.
+It resets again after the test, so nothing built under a patch is kept.
 """
 
 import sys
+
+import pytest
+
+from semlink import laws, veclogic as vl
+from semlink.model import reset_tables
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -16,3 +27,15 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(params=["cold", "warm"])
+def tables(request):
+    reset_tables()
+    if request.param == "warm":
+        for law in laws.LAWS:
+            assert laws.run_law(law, 10, 200).ok, law
+        entity = [vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity") for n in (2, 3, 4)]
+        assert all(m.lifts for m in entity + [laws._range_map(d) for d in (1, 2, 3, 4)])
+    yield
+    reset_tables()

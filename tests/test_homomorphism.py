@@ -467,28 +467,20 @@ def test_compose_lifted_is_the_lift_of_the_composite_over_range_maps(sizes, data
     assert not product.mat.flags.writeable and not product.ten.flags.writeable
 
 
-@pytest.fixture
-def fresh_tables():
-    # a lift built under a patched basis would be kept by its map: empty
-    # every process-wide table before the test and after it
-    reset_tables()
-    yield
-    reset_tables()
-
-
-def test_a_permuted_basis_fails_the_chain_law(monkeypatch, fresh_tables):
+def test_a_permuted_basis_fails_the_chain_law(monkeypatch, tables):
     # the chain reads its mapped points from the maps' bases, not from
     # map_element, so a wrong basis on both sides must still show
     def permuted(m, real=vl.basis_matrix):
         return real(m)[:, np.roll(np.arange(m.dim), 1)]
 
-    assert laws.run_law("chain", 0, 50).ok
-    reset_tables()
     monkeypatch.setattr(vl, "basis_matrix", permuted)
     monkeypatch.setattr(hm, "basis_matrix", permuted)
     report = laws.run_law("chain", 0, 50)
     assert not report.ok
     assert report.render().endswith("result: FAIL\n")
+    monkeypatch.undo()
+    reset_tables()  # the maps kept lifts built under the permuted basis
+    assert laws.run_law("chain", 0, 50).ok
 
 
 def test_chain_arg_validation():
@@ -624,12 +616,14 @@ BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
 
 
 @pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
-def test_broken_lift_fails_formula_law(monkeypatch, target):
-    assert laws.run_law("formula", 0, 200).ok
+def test_broken_lift_fails_formula_law(monkeypatch, tables, target):
+    # warm, the real builder returns kept lifts: the fault acts after it, and must still show
     monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
     report = laws.run_law("formula", 0, 200)
     assert not report.ok
     assert report.render().endswith("result: FAIL\n")
+    monkeypatch.undo()
+    assert laws.run_law("formula", 0, 200).ok
 
 
 @pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
@@ -656,16 +650,16 @@ def test_broken_lift_fails_check_with_model(monkeypatch, tmp_path, capsys, targe
     assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
-def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsys):
+def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsys, tables):
     # subsets are lifted as unary relations, so the sets law checks lift_relation
     argv = ["check", "--law", "sets", "--trials", "20"]
-    assert cli.main(argv) == 0
     monkeypatch.setattr(hm, "lift_relation", _member_dropped_relation_lift)
-    capsys.readouterr()
     assert cli.main(argv) == 1
     out = capsys.readouterr().out
     assert "counterexample: trial 0: characteristic of" in out
     assert out.endswith("result: FAIL\n")
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("law,target,broken,want", [
@@ -688,6 +682,11 @@ def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsy
      "counterexample: trial 4: chain of length 4 at 0: lifted [0, 0, 1] expected [0, 1, 0]\n"
      "counterexample: trial 5: chain of length 4 at 0: lifted [1, 0] expected [0, 1]\n"
      "result: FAIL\n"),
+    ("relation", "lift_relation", _empty_relation_lift,
+     "law: relation\nseed: 0\ntrials: 10\nchecks: 107\nfailures: 54\n"
+     + "".join(f"counterexample: trial 0: tuple {t}: lifted 0 extensional 1\n"
+               for t in ([0, 0], [1, 3], [2, 0], [2, 1], [2, 2]))
+     + "result: FAIL\n"),
     ("sets", "lift_relation", _member_dropped_relation_lift,
      "law: sets\nseed: 0\ntrials: 10\nchecks: 100\nfailures: 30\n"
      "counterexample: trial 0: union of ['x0', 'x1', 'x2'] and ['x3', 'x4', 'x5'] "
@@ -701,9 +700,10 @@ def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsy
      "and ['x0', 'x1', 'x3', 'x4'] does not commute\n"
      "result: FAIL\n"),
 ])
-def test_a_broken_builder_fails_the_law_with_these_lines(monkeypatch, law, target, broken, want):
-    # every golden report is a PASS: these pin the failing lines, and the
-    # counts of checks and failures they come with
+def test_a_broken_builder_fails_the_law_with_these_lines(monkeypatch, tables, law, target,
+                                                         broken, want):
+    # every golden report is a PASS: these pin the failing lines and counts,
+    # also where the real builder behind each broken one returns kept lifts
     monkeypatch.setattr(hm, target, broken)
     assert laws.run_law(law, 0, 10).render() == want
 
@@ -1104,7 +1104,7 @@ def test_union_computed_as_intersection_fails_the_sets_law(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kept maps keep their lifts
+# kept maps keep their lifts (what each keeps, lift by lift: test_veclogic.KeptLifts)
 
 
 def _kept(n, tag):
@@ -1114,87 +1114,9 @@ def _kept(n, tag):
     return m
 
 
-def test_a_kept_map_gives_one_lift_per_table():
-    # every kind here has at most KEPT_LIFTS tables, so each is admitted
-    m, two = _kept(3, "kept-one-per-table"), _kept(2, "kept-one-per-table-2")
-    f = {"k0": "k1", "k1": "k2", "k2": "k0"}  # 3^3 unary tables
-    assert hm.lift_function(f, m, m) is hm.lift_function(dict(reversed(f.items())), m, m)
-    g = {(a, b): b for a in two.elements for b in two.elements}  # 2^4 binary tables
-    assert hm.lift_function(g, two, two, 2) is hm.lift_function(dict(reversed(g.items())), two,
-                                                                 two, 2)
-    r = [("k0", "k1"), ("k1", "k1")]  # 2^4 binary relations
-    assert hm.lift_relation(r, two, 2) is hm.lift_relation(set(reversed(r)), two, 2)
-    assert hm.lift_subset(["k2", "k0"], m) is hm.lift_subset({"k0", "k2"}, m)
-    assert hm.lift_subset(["k1"], m) is hm.lift_relation([("k1",)], m, 1)
-    assert len(m.lifts) == 3 and len(two.lifts) == 2
-
-
-def test_a_kept_lift_is_told_apart_by_arity_table_and_maps():
-    one = _kept(1, "kept-one")
-    # over one element every table has one row, so only the arity tells them apart
-    unary, binary = hm.lift_function({"k0": "k0"}, one, one), hm.lift_function(
-        {("k0", "k0"): "k0"}, one, one, 2)
-    assert unary is not binary and (unary.arity, binary.arity) == (1, 2)
-    p, r = hm.lift_relation([("k0",)], one, 1), hm.lift_relation([("k0", "k0")], one, 2)
-    assert p is not r and (p.arity, r.arity) == (1, 2)
-    assert len(one.lifts) == 4
-    m = _kept(3, "kept-apart")
-    f = {"k0": "k1", "k1": "k2", "k2": "k0"}
-    lf = hm.lift_function(f, m, m)
-    assert hm.lift_function({**f, "k2": "k1"}, m, m) is not lf
-    assert hm.lift_relation([("k0",)], m, 1) is not hm.lift_relation([("k1",)], m, 1)
-    # a function into a map of two elements and a subset can have equal rows:
-    # the target, the map itself or TRUTH, tells them apart
-    two = _kept(2, "kept-apart-2")
-    same = hm.lift_function({"k0": "k0", "k1": "k1"}, two, two)
-    subset = hm.lift_subset(["k0"], two)
-    assert same.mat.tolist() == subset.mat.tolist() == [[1, 0], [0, 1]]
-    assert same is not subset and (same.target, subset.target) == (two, hm.TRUTH)
-    assert hm.lift_function({"k0": "k0", "k1": "k1"}, two, two) is same
-    assert hm.lift_subset(["k0"], two) is subset and len(two.lifts) == 2
-    twin = vl.kept_map.__wrapped__(m.elements, m.tag)  # equal, but another kept map
-    assert twin == m and twin is not m and twin.lifts == {}
-    # a lift into another map, kept or not, is rebuilt on every call and kept by neither
-    into_twin = hm.lift_function(f, m, twin)
-    assert into_twin is not lf and into_twin.target is twin
-    assert hm.lift_function(f, m, twin) is not into_twin
-    assert hm.lift_function(f, twin, m) is not hm.lift_function(f, twin, m)
-    assert hm.lift_function(f, m, _kept(3, "kept-other")) is not lf
-    assert twin.lifts == {} and len(m.lifts) == 4
-    from_twin = hm.lift_function(f, twin, twin)
-    assert from_twin is not lf and from_twin.source is twin
-    assert hm.lift_function(f, twin, twin) is from_twin  # kept by the twin, not by m
-    plain = hm.build_domain_map(m.elements, tag=m.tag)
-    from_plain = hm.lift_function(f, plain, plain)
-    assert hm.lift_function(f, plain, plain) is not from_plain  # a plain map keeps nothing
-
-
-def test_a_kept_lift_equals_a_fresh_one_and_is_read_only():
-    m = _kept(3, "kept-fresh")
-    plain = hm.build_domain_map(m.elements, tag="plain")
-    # a 3^3 unary function table and a unary relation are admitted; a binary
-    # relation over 3 elements (2^9 tables), a binary function (3^9) and any
-    # lift into a plain map are rebuilt on every call, and never kept
-    table = {(a, b): b for a in m.elements for b in m.elements}
-    f = {"k0": "k1", "k1": "k2", "k2": "k0"}
-    builds = [(True, lambda d: hm.lift_function(f, d, d)),
-              (True, lambda d: hm.lift_subset(["k2"], d)),
-              (False, lambda d: hm.lift_relation([("k0", "k1"), ("k1", "k1")], d, 2)),
-              (False, lambda d: hm.lift_function(table, d, d, 2)),
-              (False, lambda d: hm.lift_function(f, d, plain))]
-    for admitted, build in builds:
-        kept = build(m)
-        assert (kept is build(m)) == admitted
-        assert np.array_equal(kept.mat, build(m).mat)
-        assert np.array_equal(kept.mat, build(plain).mat)
-        assert not kept.mat.flags.writeable and not kept.ten.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            kept.mat[0, 0] = 1 - kept.mat[0, 0]
-    assert len(m.lifts) == 2
-
-
-def test_a_range_map_is_the_kept_map_of_its_size(fresh_tables):
+def test_a_range_map_is_the_kept_map_of_its_size():
     # the laws' range maps live in kept_map's table alone, so a reset drops them
+    reset_tables()
     before = laws._range_map(3)
     hm.lift_relation([(0,)], before, 1)
     assert len(before.lifts) == 1
@@ -1244,19 +1166,6 @@ def test_a_kept_maps_lift_table_stays_within_its_bound():
         assert len(m.lifts) == admitted
 
 
-def test_a_kept_map_keeps_no_lift_into_another_kept_map():
-    # the kept maps' cache holds KEPT_MAPS of them, so 20 targets evict each
-    # other, and each pass makes 20 new ones: a table that kept a lift per
-    # target would grow by 20 on every pass
-    src = vl.kept_map(("a",), "kept-src")
-    src.lifts.clear()
-    for _ in range(3):
-        for i in range(20):
-            tgt = vl.kept_map((0, 1), f"kept-tgt{i}")
-            assert hm.lift_function({"a": 0}, src, tgt).mat.tolist() == [[1], [0]]
-        assert src.lifts == {}
-
-
 def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
     reset_tables()
     built = []
@@ -1297,33 +1206,3 @@ def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
         laws.run_law("formula", s, 20)
     sizes = {len(elements): len(vl.kept_map(elements, "entity").lifts) for elements in maps}
     assert sizes == {2: 40, 3: 35, 4: 16}
-
-
-@pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
-def test_a_warm_lift_table_hides_no_broken_lift(monkeypatch, target):
-    # each kept map already holds the lifts this run asks for, so the real
-    # builder behind each broken one returns kept lifts: the fault acts after
-    # it, and must still show
-    assert laws.run_law("formula", 0, 200).ok
-    warm = [vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity") for n in (2, 3, 4)]
-    assert all(m.lifts for m in warm)
-    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
-    report = laws.run_law("formula", 0, 200)
-    assert not report.ok
-    assert report.render().endswith("result: FAIL\n")
-
-
-@pytest.mark.parametrize("law,target", [("function", "lift_function"),
-                                        ("relation", "lift_relation"),
-                                        ("sets", "lift_relation"), ("chain", "lift_function")])
-def test_a_warm_lift_table_hides_no_broken_lift_from_the_lift_laws(monkeypatch, law, target):
-    # as above, over the sets law's kept map or the kept maps over range(d)
-    # whose kinds are admitted: a unary function over 4 elements has 4^4 tables
-    assert laws.run_law(law, 0, 200).ok
-    warm = ([vl.kept_map(tuple(f"x{i}" for i in range(6)), "set-domain")] if law == "sets"
-            else [laws._range_map(d) for d in (1, 2, 3)])
-    assert all(m.lifts for m in warm)
-    monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
-    report = laws.run_law(law, 0, 200)
-    assert not report.ok
-    assert report.render().endswith("result: FAIL\n")

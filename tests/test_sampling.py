@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from semlink import laws
 from semlink import sampling as sp
-from semlink import veclogic as vl
-from semlink.model import reset_tables
 from semlink.terms import Signature, children, pretty, subterms
 
 FORMULA_STREAM = Path(__file__).parent / "data" / "formula_stream_20_trials.txt"
@@ -55,28 +53,14 @@ class _Recording:
         return formula
 
 
-def formula_stream(monkeypatch, seeds=range(10), trials=20) -> str:
-    """What run_law("formula", seed, trials) draws, model by model."""
+def test_formula_stream_matches_pinned_file(monkeypatch, tables):
+    # what run_law("formula", seed, 20) draws, model by model
     lines: list[str] = []
     monkeypatch.setattr(laws, "sp", _Recording(lines))
-    for seed in seeds:
+    for seed in range(10):
         lines.append(f"seed {seed}")
-        assert laws.run_law("formula", seed, trials).ok
-    return "\n".join(lines) + "\n"
-
-
-def test_formula_stream_matches_pinned_file(monkeypatch):
-    assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
-
-
-def test_formula_stream_matches_pinned_file_from_empty_and_full_lift_tables(monkeypatch):
-    # the formula law's kept entity maps keep their lifts for the process
-    reset_tables()
-    assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
-    assert all(vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity").lifts
-               for n in (2, 3, 4))
-    assert formula_stream(monkeypatch, seeds=range(10, 20), trials=50)  # more lifts join
-    assert formula_stream(monkeypatch) == FORMULA_STREAM.read_text()
+        assert laws.run_law("formula", seed, 20).ok
+    assert "\n".join(lines) + "\n" == FORMULA_STREAM.read_text()
 
 
 # ---------------------------------------------------------------------------

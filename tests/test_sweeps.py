@@ -189,9 +189,9 @@ def test_relation_sweep_catches_broken_lift(monkeypatch):
 def test_relation_sweep_catches_transposed_arguments(monkeypatch):
     real = hm._member_bits
 
-    def transposed(tuples, m, arity, member=1):
+    def transposed(tuples, m, arity):
         # each tuple sets the bit of its components in reverse order
-        return real([tup[::-1] for tup in tuples], m, arity, member)
+        return real([tup[::-1] for tup in tuples], m, arity)
 
     monkeypatch.setattr(hm, "_member_bits", transposed)
     _, failures = laws.sweep_relations(all_relation_masks(2, 2), 2, 2)

@@ -4,6 +4,8 @@ Expected matrices are frozen from hand-checked sources; the operator
 faithfulness law is cross-checked against classical evaluation.
 """
 
+import copy
+import pickle
 import re
 from itertools import islice, product
 
@@ -11,14 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, initialize, invariant,
+                                 multiple, rule)
 
 from semlink import homomorphism as hm
 from semlink import veclogic
+from semlink.model import reset_tables
 from semlink.terms import ConnectiveKind
 from semlink.veclogic import (
     ArityCapError,
     TruthTable,
     ARITY_CAP,
+    KEPT_LIFTS,
     LiftError,
     LiftMatrix,
     OffImageError,
@@ -357,12 +363,96 @@ def test_lift_by_rows_checks_a_long_bytes_row_as_an_array():
         lift_by_rows(ten, 3, TRUTH, rows)
 
 
-def test_a_lift_built_from_rows_equals_the_checked_constructors():
-    lift = lift_by_rows(ABC, 2, ABC, [2, 1, 0] * 3)
-    same = LiftMatrix(ABC, 2, ABC, lift.mat)
-    assert type(lift) is LiftMatrix and lift.mat.tolist() == same.mat.tolist()
-    assert lift.ten.shape == same.ten.shape == (3, 3, 3) and lift.ten.base is lift.mat
-    assert not lift.mat.flags.writeable and not lift.ten.flags.writeable
+def test_a_domain_map_hashes_by_its_tag_and_elements():
+    m = build_domain_map(("a", "b"), tag="ab")
+    same = [build_domain_map(("a", "b"), tag="ab"), copy.deepcopy(m),
+            pickle.loads(pickle.dumps(m)), kept_map(("a", "b"), "ab")]
+    assert all(x == m and hash(x) == hash(m) for x in same) and len({m, *same}) == 1
+    assert hash(copy.deepcopy(TRUTH)) == hash(TRUTH)
+    assert m not in [build_domain_map(*other) for other in [(("b", "a"), "ab"), (("a",), "ab"),
+                                                            (("a", "b"), "ba")]]
+
+
+class KeptLifts(RuleBasedStateMachine):
+    """Kept maps of 1-3 elements under two tags, and plain maps, lifted in any
+    order through every builder, with refused rows and resets between.  Each
+    kept map keeps a lift into itself or TRUTH of a kind with at most
+    KEPT_LIFTS tables, by arity, target and rows; every other lift is new."""
+
+    maps = Bundle("maps")
+
+    def __init__(self):
+        super().__init__()
+        reset_tables()
+        self.model, self.built = {}, []  # id of each kept map: (it, {key: lift}); every lift
+
+    def kept(self, n, tag):
+        m = kept_map(tuple(f"k{i}" for i in range(n)), tag)
+        return self.model.setdefault(id(m), (m, {}))[0]
+
+    @initialize(target=maps)
+    def a_kept_map_of_each_size(self):
+        return multiple(*(self.kept(n, "kept-a") for n in (1, 2, 3)))
+
+    @rule(target=maps, n=st.integers(1, 3), tag=st.sampled_from(["kept-a", "kept-b"]),
+          kept=st.booleans())
+    def make_map(self, n, tag, kept):
+        return self.kept(n, tag) if kept else build_domain_map([f"k{i}" for i in range(n)], tag)
+
+    @rule(src=maps, other=maps, into=st.sampled_from(["self", "truth", "other"]),
+          arity=st.integers(1, 2), data=st.data())
+    def lift(self, src, other, into, arity, data):
+        tgt = {"self": src, "truth": TRUTH, "other": other}[into]
+        t, tuples = tgt.dim, list(product(src.elements, repeat=arity))
+        # the rows are the digits of one draw, whose small values repeat, so kept hits are common
+        k = data.draw(st.integers(0, t ** len(tuples) - 1))
+        rows = [k // t ** i % t for i in reversed(range(len(tuples)))]
+        # a relation is lifted into TRUTH, and a subset is a unary one
+        way = data.draw(st.sampled_from(["rows", "function", "relation", "subset"]
+                                        [:2 if tgt is not TRUTH else 3 if arity > 1 else 4]))
+        members = [tup for tup, r in zip(tuples, rows) if r == TRUTH.index[1]]
+        if way == "rows":
+            lift = lift_by_rows(src, arity, tgt, rows)
+        elif way == "function":
+            pairs = zip(src.elements if arity == 1 else tuples, [tgt.elements[r] for r in rows])
+            lift = hm.lift_function(dict(data.draw(st.permutations(list(pairs)))), src, tgt, arity)
+        elif way == "relation":
+            lift = hm.lift_relation(data.draw(st.permutations(members)), src, arity)
+        else:
+            lift = hm.lift_subset(data.draw(st.permutations([a for (a,) in members])), src)
+        assert type(lift) is LiftMatrix and lift.arity == arity
+        assert lift.source is src and lift.target is tgt
+        assert lift.mat.tolist() == np.eye(t, dtype=np.int64)[:, rows].tolist()
+        assert lift.ten.shape == (t,) + (src.dim,) * arity and lift.ten.base is lift.mat
+        assert not lift.mat.flags.writeable and not lift.ten.flags.writeable
+        admitted = (tgt is src or tgt is TRUTH) and t ** len(rows) <= KEPT_LIFTS
+        keeps = self.model[id(src)][1] if admitted and id(src) in self.model else {}
+        if (key := (arity, tgt is TRUTH, tuple(rows))) in keeps:
+            assert lift is keeps[key]
+        else:  # built anew
+            assert all(lift is not b for b in self.built)
+            self.built.append(keeps.setdefault(key, lift))
+
+    @rule(src=maps, into_truth=st.booleans(), at=st.integers(0, 2), off=st.integers(-3, 253))
+    def refuse_a_row(self, src, into_truth, at, off):
+        tgt, rows = TRUTH if into_truth else src, [0] * src.dim
+        bad = rows[at % src.dim] = off if off < 0 else tgt.dim + off
+        with pytest.raises(LiftError, match=re.escape(
+                f"row {bad} of a lift into {tgt.tag!r} is outside range({tgt.dim})")):
+            lift_by_rows(src, 1, tgt, rows)
+
+    @rule()
+    def reset(self):
+        reset_tables()
+
+    @invariant()
+    def each_kept_map_keeps_what_the_model_keeps(self):
+        for m, keeps in self.model.values():
+            assert sorted(map(id, m.lifts.values())) == sorted(map(id, keeps.values()))
+
+
+TestKeptLifts = KeptLifts.TestCase
+TestKeptLifts.settings = settings(max_examples=50, deadline=None)
 
 
 @st.composite
