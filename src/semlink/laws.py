@@ -93,11 +93,16 @@ def _lift_mismatch(tgt: hm.DomainMap, got, want) -> "str | None":
 
 def _function_lift_outcomes(label: str, table, src: hm.DomainMap, tgt: hm.DomainMap,
                             arity: int = 1) -> Iterator["str | None"]:
-    """lift_function's lift of table, asked about every point of its domain."""
-    for tup, got in hm.lift_function(table, src, tgt, arity).table():
-        a = tup[0] if arity == 1 else tup
-        bad = _lift_mismatch(tgt, got, table[a])
-        yield f"{label} {a!r}: {bad}" if bad else None
+    """lift_function's lift of table, asked about every point of its domain:
+    the row of each column, read in one pass as LiftMatrix.table reads a
+    batch, must be the row of the table's value in tgt.  A lift whose rows
+    differ is walked, to name each point it fails at."""
+    got = hm.lift_function(table, src, tgt, arity).mat.argmax(axis=0).tolist()
+    keys = src.elements if arity == 1 else list(iproduct(src.elements, repeat=arity))
+    if got == [tgt.index[table[a]] for a in keys]:
+        return repeat(None, len(got))
+    return (f"{label} {a!r}: {bad}" if (bad := _lift_mismatch(tgt, tgt.elements[g], table[a]))
+            else None for a, g in zip(keys, got))
 
 
 def _law_function(rng, trials, model) -> Iterator["str | None"]:
@@ -147,14 +152,20 @@ def _off_image_is_false(lifted: hm.LiftMatrix) -> bool:
     return lifted(off).tolist() == vl.FALSE_VEC.tolist()
 
 
-def _relation_instance_outcomes(label: str, values, off_false: bool,
-                                members) -> Iterator["str | None"]:
-    """A relation lift's (tuple, truth value) pairs, in the order of its
-    table, then its _off_image_is_false, against the relation's members."""
-    for tup, got in values:
-        yield None if got == (tup in members) else (
-            f"{label}: tuple {list(tup)}: lifted {got} extensional {int(tup in members)}")
-    yield None if off_false else f"{label}: off-image argument did not evaluate to 0"
+def _relation_instance_outcomes(label: str, m: hm.DomainMap, arity: int, rows,
+                                off_false: bool, members) -> Iterator["str | None"]:
+    """A relation lift's rows, one per arity-tuple over m in the order of its
+    columns, against the TRUTH row of each tuple's membership (the row of bit
+    b is 1 - b), then its _off_image_is_false.  The rows are compared as one
+    list; a lift that fails is walked, to name each check it fails."""
+    tuples = iproduct(m.elements, repeat=arity)
+    if off_false and rows == [0 if tup in members else 1 for tup in tuples]:
+        return repeat(None, len(rows) + 1)
+    truth = vl.TRUTH.elements
+    return chain((None if truth[r] == (tup in members) else f"{label}: tuple {list(tup)}: "
+                  f"lifted {truth[r]} extensional {int(tup in members)}"
+                  for tup, r in zip(iproduct(m.elements, repeat=arity), rows)),
+                 [None if off_false else f"{label}: off-image argument did not evaluate to 0"])
 
 
 def _law_relation(rng, trials, model) -> Iterator["str | None"]:
@@ -167,21 +178,21 @@ def _law_relation(rng, trials, model) -> Iterator["str | None"]:
         @cache
         def read(name):  # the lifts cannot change during the run: each is read once
             lifted = fam.relation(name)
-            return [got for _, got in lifted.table()], _off_image_is_false(lifted)
+            return [vl.TRUTH.index[b] for _, b in lifted.table()], _off_image_is_false(lifted)
 
         for t in range(trials):
             name = names[t % len(names)]
-            rel, (truth, off_false) = model.relations[name], read(name)
-            values = zip(iproduct(fam.entity.elements, repeat=rel.arity), truth)
-            yield from _relation_instance_outcomes(f"trial {t}: relation {name}", values,
-                                                   off_false, rel.tuples)
+            rel = model.relations[name]
+            yield from _relation_instance_outcomes(f"trial {t}: relation {name}", fam.entity,
+                                                   rel.arity, *read(name), rel.tuples)
         return
     for t in range(trials):
         m = _range_map(1 + rng.below(4))
         arity = 1 + rng.below(3)
         tuples = {args for args in iproduct(m.elements, repeat=arity) if rng.below(2)}
         lifted = hm.lift_relation(tuples, m, arity)
-        yield from _relation_instance_outcomes(f"trial {t}", lifted.table(),
+        rows = lifted.mat.argmax(axis=0).tolist()
+        yield from _relation_instance_outcomes(f"trial {t}", m, arity, rows,
                                                _off_image_is_false(lifted), tuples)
 
 
@@ -215,7 +226,8 @@ def sweep_relations(masks, d: int, arity: int) -> tuple[int, list[str]]:
             return
         members = set(compress(tuples, mask))
         lifted = hm.lift_relation(members, m, arity)
-        yield from _relation_instance_outcomes(f"relation {r}", lifted.table(),
+        rows = lifted.mat.argmax(axis=0).tolist()
+        yield from _relation_instance_outcomes(f"relation {r}", m, arity, rows,
                                                _off_image_is_false(lifted), members)
 
     return _tally(chain.from_iterable(starmap(outcomes, enumerate(mk.tolist()))))
@@ -282,14 +294,15 @@ def _law_sets(rng, trials, model) -> Iterator["str | None"]:
         for label, ok in hm.check_set_ops(e1, e2, m).items():
             yield None if ok else (
                 f"trial {t}: {label} of {sorted(e1)} and {sorted(e2)} does not commute")
-        # e1's lift at each element's image is its characteristic function
-        lifted = hm.lift_subset(e1, m)
-        for (a,), chi_lifted in lifted.table():
-            chi = 1 if a in e1 else 0
-            yield None if chi == chi_lifted else (
-                f"trial {t}: characteristic of {a!r} in {sorted(e1)}: {chi} vs {chi_lifted}")
+        # e1's lift at each element's image is its characteristic function chi:
+        # the column's row is the TRUTH row 1 - chi, and a lift that fails is walked
+        lifted, want = hm.lift_subset(e1, m), [1 if a in e1 else 0 for a in m.elements]
+        rows, truth = lifted.mat.argmax(axis=0).tolist(), vl.TRUTH.elements
+        yield from repeat(None, len(rows)) if rows == [1 - chi for chi in want] else (
+            None if chi == truth[r] else
+            f"trial {t}: characteristic of {a!r} in {sorted(e1)}: {chi} vs {truth[r]}"
+            for a, chi, r in zip(m.elements, want, rows))
         ind = lifted.mat[0].tolist()
-        want = [1 if a in e1 else 0 for a in elements]
         yield None if ind == want else (
             f"trial {t}: indicator of {sorted(e1)} is {ind}, expected {want}")
 

@@ -334,9 +334,9 @@ def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]
     of them, each in range(tgt.dim), so each column of the identity they
     pick is a basis vector.  take gives a C-contiguous matrix, so ten is a
     view of it.  Over a kept map, a lift into that map or TRUTH whose kind
-    has at most KEPT_LIFTS tables (tgt.dim ** len(rows)) is kept by
-    bytes(rows), looked up before the rows are checked: a key is stored only
-    once its rows pass the check, so a hit needs none."""
+    has at most KEPT_LIFTS tables (tgt.dim ** len(rows)) is kept by the
+    bytes of its rows' values, looked up before the rows are checked: a key
+    is stored only once its rows pass the check, so a hit needs none."""
     lifts, d, t = src.lifts, src.dim, tgt.dim
     # the arity is bounded first, so d**arity is computed only when it is small
     if not 1 <= arity <= ARITY_CAP or len(rows) != d ** arity:
@@ -345,7 +345,8 @@ def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]
     keep = (lifts is not None and (tgt is src or tgt is TRUTH)
             and len(rows) < KEPT_LIFTS.bit_length() and t ** len(rows) <= KEPT_LIFTS)
     try:  # a row below 0 or past 255 has no byte, and the check below refuses it
-        key = keep and (arity, tgt is TRUTH, bytes(rows))
+        key = keep and (arity, tgt is TRUTH,  # an array by its values, not its buffer
+                        bytes(rows.tolist() if isinstance(rows, np.ndarray) else rows))
     except ValueError:
         keep = False
     if keep and (kept := lifts.get(key)) is not None:

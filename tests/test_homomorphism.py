@@ -650,14 +650,37 @@ def test_broken_lift_fails_check_with_model(monkeypatch, tmp_path, capsys, targe
     assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
+SETS_REPORT_OF_A_DROPPED_MEMBER = (
+    "law: sets\nseed: 0\ntrials: 20\nchecks: 200\nfailures: 66\n"
+    "counterexample: trial 0: union of ['x0', 'x1', 'x2'] and ['x3', 'x4', 'x5'] does not commute\n"
+    "counterexample: trial 0: difference of ['x0', 'x1', 'x2'] and ['x3', 'x4', 'x5'] "
+    "does not commute\n"
+    "counterexample: trial 0: characteristic of 'x0' in ['x0', 'x1', 'x2']: 1 vs 0\n"
+    "counterexample: trial 0: indicator of ['x0', 'x1', 'x2'] is [0, 1, 1, 0, 0, 0], "
+    "expected [1, 1, 1, 0, 0, 0]\n"
+    "counterexample: trial 1: intersection of ['x0', 'x1', 'x2', 'x3', 'x4', 'x5'] and "
+    "['x0', 'x1', 'x3', 'x4'] does not commute\n"
+    "result: FAIL\n")
+# each trial's first member of e1, and e1, where its characteristic is lifted 0 for 1
+SETS_CHARACTERISTIC_OF_A_DROPPED_MEMBER = [
+    (0, "x0", "012"), (1, "x0", "012345"), (2, "x1", "1245"), (4, "x1", "125"), (5, "x0", "0124"),
+    (6, "x2", "235"), (7, "x0", "0124"), (8, "x3", "35"), (9, "x0", "024"), (10, "x0", "024"),
+    (11, "x0", "023"), (12, "x3", "3"), (13, "x0", "0145"), (14, "x3", "345"),
+    (15, "x0", "01234"), (16, "x2", "235"), (17, "x0", "0134"), (18, "x0", "0235"),
+    (19, "x1", "1345")]
+
+
 def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsys, tables):
     # subsets are lifted as unary relations, so the sets law checks lift_relation
     argv = ["check", "--law", "sets", "--trials", "20"]
     monkeypatch.setattr(hm, "lift_relation", _member_dropped_relation_lift)
     assert cli.main(argv) == 1
-    out = capsys.readouterr().out
-    assert "counterexample: trial 0: characteristic of" in out
-    assert out.endswith("result: FAIL\n")
+    assert capsys.readouterr().out == SETS_REPORT_OF_A_DROPPED_MEMBER
+    # the report shows five failures: every characteristic line is pinned here
+    failures = laws.run_law("sets", 0, 20).failures
+    assert [f for f in failures if "characteristic" in f] == [
+        f"trial {t}: characteristic of {a!r} in {[f'x{i}' for i in e1]}: 1 vs 0"
+        for t, a, e1 in SETS_CHARACTERISTIC_OF_A_DROPPED_MEMBER]
     monkeypatch.undo()
     assert cli.main(argv) == 0
 

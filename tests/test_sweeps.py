@@ -213,11 +213,28 @@ def test_relation_sweep_catches_off_image_true(monkeypatch):
     assert "relation 0: off-image argument did not evaluate to 0" in failures
 
 
-def test_relation_law_report_does_not_depend_on_batch_size(monkeypatch):
-    # the relation law asks each lift about its tuples a batch at a time
-    whole = laws.run_law("relation", 4, 40).render()
+THREE = hm.build_domain_map(range(3), tag="three")
+WIDE_LIFTS = {  # each has more than 5 columns
+    "function": lambda: hm.lift_function({(a, b): (a + 2 * b) % 3 for a, b in
+                                          itertools.product(range(3), repeat=2)}, THREE, THREE, 2),
+    "relation": lambda: hm.lift_relation({(0, 1, 2), (2, 2, 2), (1, 0, 0)}, THREE, 3),
+    "subset": lambda: hm.lift_subset({"b", "d", "e"}, hm.build_domain_map("abcdef", tag="six")),
+    "operator": lambda: vl.majority_matrix(3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_LIFTS))
+def test_a_lift_table_reads_the_one_pass_rows_at_any_batch_size(monkeypatch, kind):
+    # the laws read a lift's rows in one pass; table() reads them a batch at
+    # a time, for the CLI's lift output and the fixed-model reads
+    lifted = WIDE_LIFTS[kind]()
+    rows = lifted.mat.argmax(axis=0).tolist()
+    pairs = list(lifted.table())
+    assert len(rows) > 5 and pairs == list(zip(
+        itertools.product(lifted.source.elements, repeat=lifted.arity),
+        [lifted.target.elements[r] for r in rows]))
     monkeypatch.setattr(vl, "_BATCH_COLUMNS", 5)
-    assert laws.run_law("relation", 4, 40).render() == whole
+    assert list(lifted.table()) == pairs
 
 
 def test_all_relation_masks_enumerates_all():

@@ -353,6 +353,24 @@ def test_a_kept_hit_returns_the_stored_lift_without_building_one(monkeypatch):
     assert taken == []
 
 
+def test_a_kept_lift_is_keyed_by_the_values_of_its_rows_whatever_holds_them():
+    # an int64 array's buffer holds 8 bytes a row: keyed by that buffer, the
+    # same rows as a list and as an int64 array were kept as two lifts
+    kept = kept_map(ABC.elements, "abc")
+    kept.lifts.clear()
+    lifts = [lift_by_rows(kept, 1, kept, rows) for rows in (
+        [2, 1, 0], np.array([2, 1, 0], dtype=np.int64), np.array([2, 1, 0], dtype=np.uint8),
+        bytearray([2, 1, 0]))]
+    assert all(lift is lifts[0] for lift in lifts) and len(kept.lifts) == 1
+    # 256 has no byte: wrapped to 0, it would find the kept [0, 0, 0] and never be refused
+    zeros = lift_by_rows(kept, 1, kept, [0, 0, 0])
+    for rows in ([0, 256, 0], np.array([0, 256, 0], dtype=np.int64)):
+        with pytest.raises(LiftError, match=re.escape(
+                "row 256 of a lift into 'abc' is outside range(3)")):
+            lift_by_rows(kept, 1, kept, rows)
+    assert list(kept.lifts.values()) == [lifts[0], zeros]
+
+
 def test_lift_by_rows_checks_a_long_bytes_row_as_an_array():
     # past 256 rows a bytes-like is viewed by numpy, not reduced by the builtins
     ten = build_domain_map(range(10), tag="ten")
@@ -371,6 +389,12 @@ def test_a_domain_map_hashes_by_its_tag_and_elements():
     assert hash(copy.deepcopy(TRUTH)) == hash(TRUTH)
     assert m not in [build_domain_map(*other) for other in [(("b", "a"), "ab"), (("a",), "ab"),
                                                             (("a", "b"), "ba")]]
+
+
+# the containers lift_by_rows takes rows in; a kept lift is keyed by the rows' values
+ROW_HOLDERS = {"list": list, "bytearray": bytearray,
+               "int64": lambda rows: np.array(rows, dtype=np.int64),
+               "uint8": lambda rows: np.array(rows, dtype=np.uint8)}
 
 
 class KeptLifts(RuleBasedStateMachine):
@@ -412,7 +436,8 @@ class KeptLifts(RuleBasedStateMachine):
                                         [:2 if tgt is not TRUTH else 3 if arity > 1 else 4]))
         members = [tup for tup, r in zip(tuples, rows) if r == TRUTH.index[1]]
         if way == "rows":
-            lift = lift_by_rows(src, arity, tgt, rows)
+            lift = lift_by_rows(src, arity, tgt, ROW_HOLDERS[data.draw(st.sampled_from(
+                sorted(ROW_HOLDERS)))](rows))
         elif way == "function":
             pairs = zip(src.elements if arity == 1 else tuples, [tgt.elements[r] for r in rows])
             lift = hm.lift_function(dict(data.draw(st.permutations(list(pairs)))), src, tgt, arity)
@@ -433,13 +458,14 @@ class KeptLifts(RuleBasedStateMachine):
             assert all(lift is not b for b in self.built)
             self.built.append(keeps.setdefault(key, lift))
 
-    @rule(src=maps, into_truth=st.booleans(), at=st.integers(0, 2), off=st.integers(-3, 253))
-    def refuse_a_row(self, src, into_truth, at, off):
+    @rule(src=maps, into_truth=st.booleans(), at=st.integers(0, 2), off=st.integers(-3, 253),
+          holder=st.sampled_from(["list", "int64"]))
+    def refuse_a_row(self, src, into_truth, at, off, holder):
         tgt, rows = TRUTH if into_truth else src, [0] * src.dim
         bad = rows[at % src.dim] = off if off < 0 else tgt.dim + off
         with pytest.raises(LiftError, match=re.escape(
                 f"row {bad} of a lift into {tgt.tag!r} is outside range({tgt.dim})")):
-            lift_by_rows(src, 1, tgt, rows)
+            lift_by_rows(src, 1, tgt, ROW_HOLDERS[holder](rows))
 
     @rule()
     def reset(self):
