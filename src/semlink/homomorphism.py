@@ -136,20 +136,23 @@ SET_OPS = {
 
 
 def check_set_ops(e1: Iterable[Hashable], e2: Iterable[Hashable],
-                  m: DomainMap) -> dict[str, bool]:
-    """Whether each of SET_OPS commutes with the subset lift, by name: its
-    arithmetic on the top row of e1's lift and e2's indicator vector against
-    each result's membership, read from the result set in m's order; a
-    result with an element outside m is refused by name."""
+                  m: DomainMap) -> tuple[dict[str, bool], LiftMatrix]:
+    """Whether each of SET_OPS commutes with the subset lift, by name, and
+    e1's lift, the one its verdicts read, so a caller checks that lift
+    without building it again.  Each verdict is the operation's arithmetic
+    on the top row of e1's lift and e2's indicator vector against the
+    result's membership, read from the result set in m's order; a result
+    with an element outside m is refused by name."""
     s1, s2 = set(e1), set(e2)
-    x, y = lift_subset(s1, m).mat[0], indicator_vector(s2, m)
+    lifted = lift_subset(s1, m)
+    x, y = lifted.mat[0], indicator_vector(s2, m)
     ok = {}
     for name, (on_sets, on_vectors) in SET_OPS.items():
         r = on_sets(s1, s2)
         if len(r) != sum(bits := [a in r for a in m.elements]):
             _unary(r, m)  # r has fewer members in m than in all
         ok[name] = bits == on_vectors(x, y).tolist()
-    return ok
+    return ok, lifted
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +179,15 @@ def check_composition_chain(tables: Sequence[Mapping[Hashable, Hashable]],
                         f"functions and {len(maps)} maps")
     lifts = [lift_function(t, maps[i], maps[i + 1]) for i, t in enumerate(tables)]
     product = compose_lifted(*reversed(lifts))
-    composite = {a: reduce(lambda val, t: t[val], tables, a) for a in maps[0].elements}
-    direct = lift_function(composite, maps[0], maps[-1])
+    values = list(maps[0].elements)  # the composite's, one link at a time
+    for t in tables:
+        values = [t[v] for v in values]
+    direct = lift_function(dict(zip(maps[0].elements, values)), maps[0], maps[-1])
     along = lifts[0].mat
     for lf in lifts[1:]:
         along = lf.mat @ along
     index = maps[-1].index
-    mapped = basis_matrix(maps[-1]).take([index[v] for v in composite.values()], axis=1)
+    mapped = basis_matrix(maps[-1]).take([index[v] for v in values], axis=1)
     routes = [(got, want) for got, want in [(along, mapped), (product.mat, direct.mat)]
               if got.shape != want.shape or got.tobytes() != want.tobytes()]
     for k, a in enumerate(maps[0].elements if routes else ()):

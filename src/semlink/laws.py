@@ -146,8 +146,9 @@ def sweep_unary_function_lifts(max_dim: int = 5) -> tuple[int, list[str]]:
 
 
 def _off_image_is_false(lifted: hm.LiftMatrix) -> bool:
-    """Whether off-image arguments make the relation lift false; they must
-    not raise."""
+    """Whether off-image arguments, all zeros, make the relation lift false;
+    they must not raise.  LiftMatrix.__call__ decides that they are off the
+    image without building an exception."""
     off = [np.zeros(lifted.source.dim, dtype=np.int64)] * lifted.arity
     return lifted(off).tolist() == vl.FALSE_VEC.tolist()
 
@@ -291,12 +292,14 @@ def _law_sets(rng, trials, model) -> Iterator["str | None"]:
     for t in range(trials):
         e1 = sp.random_subset(rng, elements)
         e2 = sp.random_subset(rng, elements)
-        for label, ok in hm.check_set_ops(e1, e2, m).items():
-            yield None if ok else (
+        ok, lifted = hm.check_set_ops(e1, e2, m)
+        for label, holds in ok.items():
+            yield None if holds else (
                 f"trial {t}: {label} of {sorted(e1)} and {sorted(e2)} does not commute")
-        # e1's lift at each element's image is its characteristic function chi:
-        # the column's row is the TRUTH row 1 - chi, and a lift that fails is walked
-        lifted, want = hm.lift_subset(e1, m), [1 if a in e1 else 0 for a in m.elements]
+        # e1's lift, the one the set operations read, at each element's image is its
+        # characteristic function chi: the column's row is the TRUTH row 1 - chi,
+        # and a lift that fails is walked
+        want = [1 if a in e1 else 0 for a in m.elements]
         rows, truth = lifted.mat.argmax(axis=0).tolist(), vl.TRUTH.elements
         yield from repeat(None, len(rows)) if rows == [1 - chi for chi in want] else (
             None if chi == truth[r] else

@@ -220,16 +220,23 @@ def map_element(m: DomainMap, a: Hashable) -> np.ndarray:
     return out
 
 
+def _image_index(m: DomainMap, vec: np.ndarray) -> "int | None":
+    """The index of the element whose basis vector vec is, or None when vec
+    is off the image: not exactly one-hot of the right length."""
+    v = np.asarray(vec)
+    return one_hot_index(v.tolist()) if v.shape == (m.dim,) else None
+
+
 def unmap_element(m: DomainMap, vec: np.ndarray) -> Hashable:
     """Partial inverse of map_element; anything not exactly one-hot of the
     right length is off the image and raises OffImageError."""
+    if (i := _image_index(m, vec)) is not None:
+        return m.elements[i]
     v = np.asarray(vec)
     if v.shape != (m.dim,):
         raise OffImageError(
             f"vector of shape {v.shape} is off the image of {m.tag!r} (dim {m.dim})")
-    if (i := one_hot_index(v.tolist())) is None:
-        raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
-    return m.elements[i]
+    raise OffImageError(f"vector {v.tolist()!r} is off the image of {m.tag!r}")
 
 
 def basis_matrix(m: DomainMap) -> np.ndarray:
@@ -305,16 +312,16 @@ class LiftMatrix:
 
     def __call__(self, vecs: Sequence[np.ndarray]) -> np.ndarray:
         """The lift applied to vecs by veclogic.contract, once each argument
-        is checked to be on the image of the source."""
+        is checked to be on the image of the source.  At the first argument
+        off it, a relation's lift returns FALSE_VEC and builds no exception;
+        any other lift raises unmap_element's OffImageError for it."""
         if len(vecs) != self.arity:
             raise LiftError(f"lift of arity {self.arity} got {len(vecs)} arguments")
-        try:
-            for v in vecs:
-                unmap_element(self.source, v)
-        except OffImageError:
-            if self.target.elements != TRUTH.elements or self.source == TRUTH:
-                raise
-            return FALSE_VEC
+        for v in vecs:
+            if _image_index(self.source, v) is None:
+                if self.target.elements != TRUTH.elements or self.source == TRUTH:
+                    unmap_element(self.source, v)  # raises, with the message of v
+                return FALSE_VEC
         return contract(self.ten, vecs)
 
     def table(self) -> Iterator[tuple[tuple[Hashable, ...], Hashable]]:

@@ -162,6 +162,11 @@ AND = named_operator("and")
      "vector [1, 1] is off the image of 'truth'"),
     (lambda: AND([embed_truth(1), np.array([1, 0, 0])]), OffImageError,
      "vector of shape (3,) is off the image of 'truth' (dim 2)"),
+    # with several inputs off the image, the first is named
+    (lambda: AND([np.array([1, 1]), np.array([1, 0, 0])]), OffImageError,
+     "vector [1, 1] is off the image of 'truth'"),
+    (lambda: AND([np.array([1, 0, 0]), np.array([0, 0])]), OffImageError,
+     "vector of shape (3,) is off the image of 'truth' (dim 2)"),
     (lambda: AND([embed_truth(1)]), LiftError, "lift of arity 2 got 1 arguments"),
     (lambda: apply_operator(AND, [embed_truth(1)]), LiftError,
      "lift of arity 2 got 1 arguments"),
@@ -170,7 +175,8 @@ AND = named_operator("and")
      "vector [1, 1] is off the image of 'truth'"),
     (lambda: project_truth(np.array([1, 0, 0])), OffImageError,
      "vector of shape (3,) is off the image of 'truth' (dim 2)"),
-], ids=["call-off-image", "apply-off-image", "call-wrong-shape", "call-too-few",
+], ids=["call-off-image", "apply-off-image", "call-wrong-shape", "call-first-of-two-off-image",
+        "call-first-of-two-wrong-shape", "call-too-few",
         "apply-too-few", "call-too-many", "project-off-image", "project-wrong-shape"])
 def test_operator_refusals_name_the_value(call, error, message):
     with pytest.raises(error) as exc:
