@@ -38,8 +38,7 @@ def lift_function(table: Mapping[Hashable, Hashable], m_src: DomainMap,
     """Lift a total function so that lift(map(a1), ..., map(an)) =
     map(f(a1, ..., an)).  The table is keyed by elements of m_src when the
     arity is 1 and by arity-tuples of them otherwise.  Column j is basis
-    vector rows[j] of m_tgt, built (and kept, over a kept map) by
-    veclogic.lift_by_rows."""
+    vector rows[j] of m_tgt, built by veclogic.lift_by_rows."""
     index, rows = m_tgt.index, []
     for a in m_src.elements if arity == 1 else iproduct(m_src.elements, repeat=arity):
         try:
@@ -209,14 +208,12 @@ class LiftFamily:
     Each function and relation lift is built the first time it is asked
     for, then kept by the family.  A symbol's image depends on the model
     alone, not on the term, so every evaluation over the model shares one
-    family.  Over a kept entity map (veclogic.kept_map) the builders return
-    the lift the map keeps for an equal table of a kind with few tables, so
-    the families of the formula law's random models share those lifts across
-    models and runs.  An entity vector depends on the entity map alone, so
-    the map keeps it, and every family over one map shares it.  The model cannot
-    change after it is validated, so a kept lift never goes stale; each kept
-    array is read-only, so no caller can corrupt a later evaluation by
-    writing into one.
+    family, and no family shares a lift with another.  An entity vector
+    depends on the entity map alone, so the map keeps it, and every family
+    over one map (veclogic.kept_map, for the formula law's random models)
+    shares it.  The model cannot change after it is validated, so a kept
+    lift never goes stale; each kept array is read-only, so no caller can
+    corrupt a later evaluation by writing into one.
 
     Each value is checked once, where it is made: an entity vector is a
     basis vector, and every node, connectives included, contracts a lift

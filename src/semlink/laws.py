@@ -74,8 +74,8 @@ _RANGE_KEYS = {d: (tuple(range(d)), f"range{d}") for d in range(1, 6)}
 
 def _range_map(d: int) -> hm.DomainMap:
     """The kept map over range(d) that the function, relation and chain laws
-    share, so its basis and admitted lifts are built once per process; the
-    key of each size they draw (1-5) is built once, in _RANGE_KEYS."""
+    share, so its basis is built once per process; the key of each size
+    they draw (1-5) is built once, in _RANGE_KEYS."""
     return vl.kept_map(*(_RANGE_KEYS.get(d) or (tuple(range(d)), f"range{d}")))
 
 
@@ -355,7 +355,7 @@ def _law_formula(rng, trials, model) -> Iterator["str | None"]:
     for t in range(trials):
         if model is None:  # a fresh model each trial needs a fresh family
             # random models have three entity tuples: each has one kept map for
-            # the process, and their lifts repeat across trials and runs
+            # the process, whose basis and entity vectors serve every trial and run
             m = sp.random_model(rng, n_entities=2 + rng.below(3))
             fam, sig = hm.LiftFamily(m, vl.kept_map(m.entities, "entity")), m.signature()
         m = fam.model

@@ -195,8 +195,8 @@ def _signature_of(constants: tuple, functions: tuple, predicates: tuple) -> Sign
 
 def reset_tables() -> None:
     """Empty every process-wide table a later call can read: the interned
-    signatures, the kept maps (with the lifts, basis and vectors each
-    keeps), and the element vectors of TRUTH, its only mutable table."""
+    signatures, the kept maps (with the basis and vectors each keeps), and
+    the element vectors of TRUTH, its only mutable table."""
     _interned_signature.cache_clear()
     kept_map.cache_clear()
     TRUTH.vectors.clear()

@@ -158,9 +158,8 @@ class DomainMap:
     """Injective map from a finite domain onto the standard basis vectors.
 
     It keeps what it derives from its elements: its basis matrix and
-    element vectors.  A kept map (kept_map) also keeps the lifts
-    of few-table kinds built over it (KEPT_LIFTS); every other map, copies
-    of a kept one included, keeps none, so no lift outlives its run."""
+    element vectors.  It keeps no lift: lift_by_rows builds every lift
+    from its checked rows."""
 
     tag: str
     elements: tuple[Hashable, ...]
@@ -170,9 +169,6 @@ class DomainMap:
     basis: "np.ndarray | None" = field(default=None, init=False, repr=False, compare=False)
     # the read-only map_element of each element asked for, by element
     vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the lifts kept over a kept map (kept_map), by what determines each;
-    # None on every other map, which keeps no lifts
-    lifts: "dict | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.elements:
@@ -193,22 +189,14 @@ def build_domain_map(elements: Iterable[Hashable], tag: str = "domain") -> Domai
 # The laws ask for nine kept maps: five over range(d), d = 1..5, for the
 # function, relation and chain laws, the sets law's, and the formula law's three.
 KEPT_MAPS = 16
-# A kept map keeps a lift into itself or TRUTH, the vector route's targets,
-# only when its kind has at most this many tables; larger kinds rarely repeat
-# a table.  So each table is bounded by what it admits and never evicts: over
-# the formula law's 2, 3 and 4 entities it fills to 40, 35 and 16 lifts.
-KEPT_LIFTS = 128
 
 
 @lru_cache(maxsize=KEPT_MAPS)
 def kept_map(elements: tuple[Hashable, ...], tag: str) -> DomainMap:
-    """The map of elements under tag kept for the whole process, with an
-    empty table of lifts: lift_by_rows returns the lift kept over it for an
-    equal table of an admitted kind (KEPT_LIFTS), so a later run over the
-    same elements reuses the lifts an earlier one built and validated."""
-    m = build_domain_map(elements, tag)
-    object.__setattr__(m, "lifts", {})
-    return m
+    """The map of elements under tag kept for the whole process, so a later
+    run over the same elements reuses the basis and element vectors an
+    earlier one made."""
+    return build_domain_map(elements, tag)
 
 
 def map_element(m: DomainMap, a: Hashable) -> np.ndarray:
@@ -337,37 +325,22 @@ class LiftMatrix:
 
 def lift_by_rows(src: DomainMap, arity: int, tgt: DomainMap, rows: Sequence[int]) -> LiftMatrix:
     """The lift of arity over src whose column j is basis vector rows[j] of
-    tgt.  The rows are checked, not the columns: there are src.dim ** arity
-    of them, each in range(tgt.dim), so each column of the identity they
-    pick is a basis vector.  take gives a C-contiguous matrix, so ten is a
-    view of it.  Over a kept map, a lift into that map or TRUTH whose kind
-    has at most KEPT_LIFTS tables (tgt.dim ** len(rows)) is kept by the
-    bytes of its rows' values, looked up before the rows are checked: a key
-    is stored only once its rows pass the check, so a hit needs none."""
-    lifts, d, t = src.lifts, src.dim, tgt.dim
+    tgt, built on every call.  The rows are checked, not the columns: there
+    are src.dim ** arity of them, each in range(tgt.dim), so each column of
+    the identity they pick is a basis vector.  take gives a C-contiguous
+    matrix, so ten is a view of it."""
+    d, t = src.dim, tgt.dim
     # the arity is bounded first, so d**arity is computed only when it is small
     if not 1 <= arity <= ARITY_CAP or len(rows) != d ** arity:
         raise LiftError(f"lift of arity {arity} from dim {d} to dim {t} "
                         f"must be {t} x {d}^{arity}, got {(t, len(rows))}")
-    keep = (lifts is not None and (tgt is src or tgt is TRUTH)
-            and len(rows) < KEPT_LIFTS.bit_length() and t ** len(rows) <= KEPT_LIFTS)
-    try:  # a row below 0 or past 255 has no byte, and the check below refuses it
-        key = keep and (arity, tgt is TRUTH,  # an array by its values, not its buffer
-                        bytes(rows.tolist() if isinstance(rows, np.ndarray) else rows))
-    except ValueError:
-        keep = False
-    if keep and (kept := lifts.get(key)) is not None:
-        return kept
     # numpy reduces an array, or a long bytes-like viewed as one, without boxing each entry
     long_bytes = isinstance(rows, (bytes, bytearray)) and len(rows) > 256
     r = np.frombuffer(rows, np.uint8) if long_bytes else rows
     if (r.min() < 0 or r.max() >= t) if isinstance(r, np.ndarray) else (min(r) < 0 or max(r) >= t):
         bad = next(x for x in rows if not 0 <= x < t)
         raise LiftError(f"row {bad} of a lift into {tgt.tag!r} is outside range({t})")
-    lift = _lift_of(src, arity, tgt, basis_matrix(tgt).take(rows, axis=1))
-    if keep:
-        lifts[key] = lift
-    return lift
+    return _lift_of(src, arity, tgt, basis_matrix(tgt).take(rows, axis=1))
 
 
 def _lift_of(src: DomainMap, arity: int, tgt: DomainMap, mat: np.ndarray) -> LiftMatrix:

@@ -7,8 +7,9 @@ are replayed in a terminal summary section at the end.
 The `tables` fixture runs a test once from each state of the process-wide
 tables that every verdict must ignore: "cold", right after
 model.reset_tables() as a fresh process has them, and "warm", once every
-law has run at seed 10 over 200 trials and the laws' kept maps hold lifts.
-It resets again after the test, so nothing built under a patch is kept.
+law has run at seed 10 over 200 trials and the laws' kept maps hold their
+bases and entity vectors.  It resets again after the test, so nothing built
+under a patch is kept.
 """
 
 import sys
@@ -35,7 +36,9 @@ def tables(request):
     if request.param == "warm":
         for law in laws.LAWS:
             assert laws.run_law(law, 10, 200).ok, law
+        assert vl.kept_map.cache_info().currsize == 9
         entity = [vl.kept_map(tuple(f"e{i + 1}" for i in range(n)), "entity") for n in (2, 3, 4)]
-        assert all(m.lifts for m in entity + [laws._range_map(d) for d in (1, 2, 3, 4)])
+        assert all(m.basis is not None and m.vectors.keys() == set(m.elements) for m in entity)
+        assert all(laws._range_map(d).basis is not None for d in range(1, 6))
     yield
     reset_tables()

@@ -1,8 +1,10 @@
 """Domain maps, lifts of functions/relations/subsets, chains, dual routes."""
 
 import copy
+import gc
 import json
 import pickle
+import weakref
 from functools import reduce
 from itertools import product as iproduct
 
@@ -373,8 +375,7 @@ def test_a_relation_is_refused_by_the_tuple_that_mentions_the_outside_element():
 @pytest.mark.parametrize("entities", [None, 9], ids=["random", "model-of-9"])
 def test_a_sets_trial_builds_one_lift(monkeypatch, entities):
     # check_set_ops asks for e1's lift and returns it, and the law's
-    # characteristic and indicator checks read that lift: one ask a trial,
-    # also past 7 entities, where no lift is kept and an ask is a build
+    # characteristic and indicator checks read that lift: one ask a trial
     lifts = []
     real = hm.lift_subset
 
@@ -386,8 +387,6 @@ def test_a_sets_trial_builds_one_lift(monkeypatch, entities):
     monkeypatch.setattr(hm, "lift_subset", recorded)
     assert laws.run_law("sets", 0, 50, model).ok
     assert len(lifts) == 50
-    if model is None:
-        assert len(vl.kept_map(tuple(f"x{i}" for i in range(6)), "set-domain").lifts) <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +518,7 @@ def test_a_permuted_basis_fails_the_chain_law(monkeypatch, tables):
     report = laws.run_law("chain", 0, 50)
     assert not report.ok
     assert report.render().endswith("result: FAIL\n")
-    monkeypatch.undo()
-    reset_tables()  # the maps kept lifts built under the permuted basis
+    monkeypatch.undo()  # with no reset: a map keeps its own basis, no lift built under the patch
     assert laws.run_law("chain", 0, 50).ok
 
 
@@ -650,7 +648,7 @@ def _member_dropped_relation_lift(tuples, m, arity, real=hm.lift_relation):
     return real(sorted(tuples)[1:], m, arity)
 
 
-# each acts after the real builder, so on a kept map it breaks the kept lift it is given
+# each acts after the real builder, on the lift that builder returns
 BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
                 "lift_function": _shifted_lift_function,
                 "lift_relation": _empty_relation_lift}
@@ -658,7 +656,7 @@ BROKEN_LIFTS = {"lifted_model_function": _shifted_function_lift,
 
 @pytest.mark.parametrize("target", sorted(BROKEN_LIFTS))
 def test_broken_lift_fails_formula_law(monkeypatch, tables, target):
-    # warm, the real builder returns kept lifts: the fault acts after it, and must still show
+    # cold or warm, the fault acts after the real builder, and must show
     monkeypatch.setattr(hm, target, BROKEN_LIFTS[target])
     report = laws.run_law("formula", 0, 200)
     assert not report.ok
@@ -726,8 +724,7 @@ def test_relation_lift_that_drops_a_member_fails_the_sets_law(monkeypatch, capsy
     assert cli.main(argv) == 0
 
 
-# run_law("sets", k, 50, random_model(Draws(k), 9)): a 9-entity map keeps no
-# subset lift, so each trial's lift of e1 is a build; captured at the commit
+# run_law("sets", k, 50, random_model(Draws(k), 9)), captured at the commit
 # before the law read e1's lift from check_set_ops
 SETS_OVER_NINE_PASS = "law: sets\nseed: {k}\ntrials: 50\nchecks: 650\nfailures: 0\nresult: PASS\n"
 SETS_OVER_NINE_OF_A_DROPPED_MEMBER = [
@@ -767,8 +764,7 @@ SETS_OVER_NINE_OF_A_DROPPED_MEMBER = [
 
 
 @pytest.mark.parametrize("k", range(3))
-def test_the_sets_law_over_a_model_past_the_kept_lifts_gives_these_reports(monkeypatch,
-                                                                            tables, k):
+def test_the_sets_law_over_a_model_of_nine_entities_gives_these_reports(monkeypatch, tables, k):
     def run():
         return laws.run_law("sets", k, 50, random_model(Draws(k), 9)).render()
 
@@ -817,8 +813,7 @@ def test_the_sets_law_over_a_model_past_the_kept_lifts_gives_these_reports(monke
 ])
 def test_a_broken_builder_fails_the_law_with_these_lines(monkeypatch, tables, law, target,
                                                          broken, want):
-    # every golden report is a PASS: these pin the failing lines and counts,
-    # also where the real builder behind each broken one returns kept lifts
+    # every golden report is a PASS: these pin the failing lines and counts
     monkeypatch.setattr(hm, target, broken)
     assert laws.run_law(law, 0, 10).render() == want
 
@@ -1219,25 +1214,16 @@ def test_union_computed_as_intersection_fails_the_sets_law(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kept maps keep their lifts (what each keeps, lift by lift: test_veclogic.KeptLifts)
-
-
-def _kept(n, tag):
-    """A kept map over n elements whose tag no law uses, with an empty table."""
-    m = vl.kept_map(tuple(f"k{i}" for i in range(n)), tag)
-    m.lifts.clear()
-    return m
+# kept maps: the laws' domain maps, each with its basis and element vectors
 
 
 def test_a_range_map_is_the_kept_map_of_its_size():
     # the laws' range maps live in kept_map's table alone, so a reset drops them
     reset_tables()
     before = laws._range_map(3)
-    hm.lift_relation([(0,)], before, 1)
-    assert len(before.lifts) == 1
     reset_tables()
     after = laws._range_map(3)
-    assert after is not before and after.lifts == {}
+    assert after is not before and after == before
     assert after is vl.kept_map(tuple(range(3)), "range3")
     for d in range(1, 6):  # every size the laws draw
         m = laws._range_map(d)
@@ -1248,37 +1234,15 @@ def test_a_range_map_is_the_kept_map_of_its_size():
         laws._range_map(0)
 
 
-def test_only_a_kept_map_has_a_lift_table():
-    assert dmap(3).lifts is None and hm.entity_map(MODEL).lifts is None
-    assert hm.LiftFamily.for_model(MODEL).entity.lifts is None
-    m = _kept(3, "kept-copies")
-    hm.lift_relation([("k0",)], m, 1)
-    assert len(m.lifts) == 1
+def test_a_copy_of_a_kept_map_is_an_equal_map_that_lifts_alike():
+    m = vl.kept_map(tuple(f"k{i}" for i in range(3)), "kept-copies")
+    f = {a: m.elements[0] for a in m.elements}
+    lift = hm.lift_function(f, m, m)
     for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-        assert twin == m and twin is not m and twin.lifts is None
-
-
-def test_a_kept_maps_lift_table_stays_within_its_bound():
-    # the unary relations over 7 elements are 2^7 = KEPT_LIFTS tables, so
-    # all are kept and none is ever evicted; over 8 elements (2^8) none is
-    assert vl.KEPT_LIFTS == 1 << 7
-    seven, eight = _kept(7, "kept-bound-7"), _kept(8, "kept-bound-8")
-
-    def subset(m, i):  # the subset whose members are the bits of i
-        return hm.lift_subset([a for k, a in enumerate(m.elements) if i >> k & 1], m)
-
-    first = [subset(seven, i) for i in range(1 << 7)]
-    assert len(seven.lifts) == vl.KEPT_LIFTS
-    assert all(subset(seven, i) is lf for i, lf in enumerate(first))
-    assert len(seven.lifts) == vl.KEPT_LIFTS
-    assert subset(eight, 5) is not subset(eight, 5) and eight.lifts == {}
-    # a unary function over 3 elements has 3^3 tables and is kept; over 4,
-    # 4^4 = 256, and it is not
-    for n, admitted in ((3, True), (4, False)):
-        m = _kept(n, f"kept-bound-fn-{n}")
-        f = {a: m.elements[0] for a in m.elements}
-        assert (hm.lift_function(f, m, m) is hm.lift_function(f, m, m)) == admitted
-        assert len(m.lifts) == admitted
+        assert twin == m and twin is not m and vl.kept_map(m.elements, m.tag) is m
+        copied = hm.lift_function(f, twin, twin)
+        assert copied.source is twin and np.array_equal(copied.mat, lift.mat)
+        assert twin.basis is not m.basis  # the copy made its own
 
 
 def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
@@ -1301,23 +1265,33 @@ def test_formula_law_runs_share_their_kept_entity_maps(monkeypatch):
     monkeypatch.undo()
     assert vl.kept_map.cache_info().misses == 3  # 2 to 4 entities, one kept map each
     maps = {lf.source.elements: lf.source for lf in runs[0]}
-    assert len(maps) == 3 and all(m.lifts is not None for m in maps.values())
-    kept = {id(lf) for m in maps.values() for lf in m.lifts.values()}
-    # the second run's lifts, over the same maps, are the first run's where
-    # their kind is admitted, and equal rebuilt ones elsewhere
+    assert len(maps) == 3
+    # the second run's lifts are over the first run's maps, and equal to its lifts
     assert len(runs[1]) == len(runs[0])
-    assert 0 < sum(id(a) in kept for a in runs[0]) < len(runs[0])
     for a, b in zip(*runs):
         assert b.source is maps[b.source.elements]
-        assert (a is b) == (id(a) in kept) and np.array_equal(a.mat, b.mat)
+        assert np.array_equal(a.mat, b.mat)
     reset_tables()
     for elements, m in maps.items():
         fresh = vl.kept_map(elements, "entity")
-        assert fresh is not m and fresh == m and len(fresh.lifts) == 0
-    # every admitted kind over 2 to 4 entities, once the law has drawn it:
-    # 2 entities keep 4 + 16 function and 4 + 16 relation tables, 3 keep 27
-    # unary functions and 8 unary relations, and 4 keep 16 unary relations
-    for s in range(200):
-        laws.run_law("formula", s, 20)
-    sizes = {len(elements): len(vl.kept_map(elements, "entity").lifts) for elements in maps}
-    assert sizes == {2: 40, 3: 35, 4: 16}
+        assert fresh is not m and fresh == m
+
+
+def test_a_reset_frees_every_kept_map_without_the_collector():
+    # a kept map holds no lift, so nothing it keeps refers back to it, and
+    # dropping kept_map's table frees it by reference counting alone
+    reset_tables()
+    for law in laws.LAWS:
+        assert laws.run_law(law, 0, 50).ok
+    keys = ([(tuple(f"e{i + 1}" for i in range(n)), "entity") for n in (2, 3, 4)]
+            + [(tuple(f"x{i}" for i in range(6)), "set-domain")]
+            + [(tuple(range(d)), f"range{d}") for d in range(1, 6)])
+    misses = vl.kept_map.cache_info().misses
+    refs = [weakref.ref(vl.kept_map(*key)) for key in keys]
+    assert vl.kept_map.cache_info()[1:] == (misses, vl.KEPT_MAPS, 9)
+    gc.disable()
+    try:
+        reset_tables()
+        assert [ref() for ref in refs] == [None] * 9
+    finally:
+        gc.enable()

@@ -13,18 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from hypothesis.stateful import (Bundle, RuleBasedStateMachine, initialize, invariant,
-                                 multiple, rule)
 
 from semlink import homomorphism as hm
 from semlink import veclogic
-from semlink.model import reset_tables
 from semlink.terms import ConnectiveKind
 from semlink.veclogic import (
     ArityCapError,
     TruthTable,
     ARITY_CAP,
-    KEPT_LIFTS,
     LiftError,
     LiftMatrix,
     OffImageError,
@@ -330,51 +326,40 @@ ABC = build_domain_map(("a", "b", "c"), tag="abc")
     (np.array([0, 2, -1], dtype=np.int8), "row -1 of a lift into 'abc' is outside range(3)"),
     (bytearray([0, 1, 3]), "row 3 of a lift into 'abc' is outside range(3)"),
     ([0, 1], "lift of arity 1 from dim 3 to dim 3 must be 3 x 3^1, got (3, 2)"),
+    # 256 has no byte: a uint8 cast would wrap it to 0, a valid row
+    ([0, 256, 0], "row 256 of a lift into 'abc' is outside range(3)"),
+    (np.array([0, 256, 0], dtype=np.int64), "row 256 of a lift into 'abc' is outside range(3)"),
 ])
 def test_lift_by_rows_refuses_rows_that_pick_no_basis_vector(rows, message):
-    # a kept lift is looked up before the rows are checked, so the refusal
-    # must hold with a valid lift of the same kind already kept
-    kept = kept_map(ABC.elements, "abc")
-    kept.lifts.clear()
-    valid = lift_by_rows(kept, 1, kept, [2, 1, 0])
-    for m in (ABC, kept):
+    for m in (ABC, kept_map(ABC.elements, "abc")):
         with pytest.raises(LiftError, match=re.escape(message)):
             lift_by_rows(m, 1, m, rows)
-    assert list(kept.lifts.values()) == [valid]
 
 
-def test_a_kept_hit_returns_the_stored_lift_without_building_one(monkeypatch):
-    kept = kept_map(ABC.elements, "abc")
-    kept.lifts.clear()
-    lift = lift_by_rows(kept, 1, kept, [2, 1, 0])
+@pytest.mark.parametrize("holder", [list, bytearray, lambda rows: np.array(rows, dtype=np.int64),
+                                    lambda rows: np.array(rows, dtype=np.uint8)],
+                         ids=["list", "bytearray", "int64", "uint8"])
+def test_lift_by_rows_builds_a_new_lift_on_every_call(monkeypatch, holder):
+    # no map keeps a lift: each call, over a plain or a kept map, takes its
+    # columns from the target's basis anew, whatever holds the same rows
     taken = []
 
-    class Basis:
-        def take(self, *args, **kwargs):
-            taken.append(args)
+    def counted(m, real=veclogic.basis_matrix):
+        taken.append(m)
+        return real(m)
 
-    monkeypatch.setattr(veclogic, "basis_matrix", lambda m: Basis())
-    for rows in ([2, 1, 0], bytearray([2, 1, 0]), np.array([2, 1, 0], dtype=np.uint8)):
-        assert lift_by_rows(kept, 1, kept, rows) is lift
-    assert taken == []
-
-
-def test_a_kept_lift_is_keyed_by_the_values_of_its_rows_whatever_holds_them():
-    # an int64 array's buffer holds 8 bytes a row: keyed by that buffer, the
-    # same rows as a list and as an int64 array were kept as two lifts
+    monkeypatch.setattr(veclogic, "basis_matrix", counted)
     kept = kept_map(ABC.elements, "abc")
-    kept.lifts.clear()
-    lifts = [lift_by_rows(kept, 1, kept, rows) for rows in (
-        [2, 1, 0], np.array([2, 1, 0], dtype=np.int64), np.array([2, 1, 0], dtype=np.uint8),
-        bytearray([2, 1, 0]))]
-    assert all(lift is lifts[0] for lift in lifts) and len(kept.lifts) == 1
-    # 256 has no byte: wrapped to 0, it would find the kept [0, 0, 0] and never be refused
-    zeros = lift_by_rows(kept, 1, kept, [0, 0, 0])
-    for rows in ([0, 256, 0], np.array([0, 256, 0], dtype=np.int64)):
-        with pytest.raises(LiftError, match=re.escape(
-                "row 256 of a lift into 'abc' is outside range(3)")):
-            lift_by_rows(kept, 1, kept, rows)
-    assert list(kept.lifts.values()) == [lifts[0], zeros]
+    maps = (ABC, kept, kept)
+    lifts = [lift_by_rows(m, 1, m, holder([2, 1, 0])) for m in maps]
+    assert taken == list(maps) and len(set(map(id, lifts))) == 3
+    for lift, m in zip(lifts, maps):
+        assert type(lift) is LiftMatrix and lift.arity == 1
+        assert lift.source is m and lift.target is m
+        assert lift.mat.tolist() == np.eye(3, dtype=np.int64)[:, [2, 1, 0]].tolist()
+        assert lift.ten.shape == (3, 3) and lift.ten.base is lift.mat
+        assert not lift.mat.flags.writeable and not lift.ten.flags.writeable
+        assert not np.shares_memory(lift.mat, m.basis)
 
 
 def test_lift_by_rows_checks_a_long_bytes_row_as_an_array():
@@ -395,96 +380,6 @@ def test_a_domain_map_hashes_by_its_tag_and_elements():
     assert hash(copy.deepcopy(TRUTH)) == hash(TRUTH)
     assert m not in [build_domain_map(*other) for other in [(("b", "a"), "ab"), (("a",), "ab"),
                                                             (("a", "b"), "ba")]]
-
-
-# the containers lift_by_rows takes rows in; a kept lift is keyed by the rows' values
-ROW_HOLDERS = {"list": list, "bytearray": bytearray,
-               "int64": lambda rows: np.array(rows, dtype=np.int64),
-               "uint8": lambda rows: np.array(rows, dtype=np.uint8)}
-
-
-class KeptLifts(RuleBasedStateMachine):
-    """Kept maps of 1-3 elements under two tags, and plain maps, lifted in any
-    order through every builder, with refused rows and resets between.  Each
-    kept map keeps a lift into itself or TRUTH of a kind with at most
-    KEPT_LIFTS tables, by arity, target and rows; every other lift is new."""
-
-    maps = Bundle("maps")
-
-    def __init__(self):
-        super().__init__()
-        reset_tables()
-        self.model, self.built = {}, []  # id of each kept map: (it, {key: lift}); every lift
-
-    def kept(self, n, tag):
-        m = kept_map(tuple(f"k{i}" for i in range(n)), tag)
-        return self.model.setdefault(id(m), (m, {}))[0]
-
-    @initialize(target=maps)
-    def a_kept_map_of_each_size(self):
-        return multiple(*(self.kept(n, "kept-a") for n in (1, 2, 3)))
-
-    @rule(target=maps, n=st.integers(1, 3), tag=st.sampled_from(["kept-a", "kept-b"]),
-          kept=st.booleans())
-    def make_map(self, n, tag, kept):
-        return self.kept(n, tag) if kept else build_domain_map([f"k{i}" for i in range(n)], tag)
-
-    @rule(src=maps, other=maps, into=st.sampled_from(["self", "truth", "other"]),
-          arity=st.integers(1, 2), data=st.data())
-    def lift(self, src, other, into, arity, data):
-        tgt = {"self": src, "truth": TRUTH, "other": other}[into]
-        t, tuples = tgt.dim, list(product(src.elements, repeat=arity))
-        # the rows are the digits of one draw, whose small values repeat, so kept hits are common
-        k = data.draw(st.integers(0, t ** len(tuples) - 1))
-        rows = [k // t ** i % t for i in reversed(range(len(tuples)))]
-        # a relation is lifted into TRUTH, and a subset is a unary one
-        way = data.draw(st.sampled_from(["rows", "function", "relation", "subset"]
-                                        [:2 if tgt is not TRUTH else 3 if arity > 1 else 4]))
-        members = [tup for tup, r in zip(tuples, rows) if r == TRUTH.index[1]]
-        if way == "rows":
-            lift = lift_by_rows(src, arity, tgt, ROW_HOLDERS[data.draw(st.sampled_from(
-                sorted(ROW_HOLDERS)))](rows))
-        elif way == "function":
-            pairs = zip(src.elements if arity == 1 else tuples, [tgt.elements[r] for r in rows])
-            lift = hm.lift_function(dict(data.draw(st.permutations(list(pairs)))), src, tgt, arity)
-        elif way == "relation":
-            lift = hm.lift_relation(data.draw(st.permutations(members)), src, arity)
-        else:
-            lift = hm.lift_subset(data.draw(st.permutations([a for (a,) in members])), src)
-        assert type(lift) is LiftMatrix and lift.arity == arity
-        assert lift.source is src and lift.target is tgt
-        assert lift.mat.tolist() == np.eye(t, dtype=np.int64)[:, rows].tolist()
-        assert lift.ten.shape == (t,) + (src.dim,) * arity and lift.ten.base is lift.mat
-        assert not lift.mat.flags.writeable and not lift.ten.flags.writeable
-        admitted = (tgt is src or tgt is TRUTH) and t ** len(rows) <= KEPT_LIFTS
-        keeps = self.model[id(src)][1] if admitted and id(src) in self.model else {}
-        if (key := (arity, tgt is TRUTH, tuple(rows))) in keeps:
-            assert lift is keeps[key]
-        else:  # built anew
-            assert all(lift is not b for b in self.built)
-            self.built.append(keeps.setdefault(key, lift))
-
-    @rule(src=maps, into_truth=st.booleans(), at=st.integers(0, 2), off=st.integers(-3, 253),
-          holder=st.sampled_from(["list", "int64"]))
-    def refuse_a_row(self, src, into_truth, at, off, holder):
-        tgt, rows = TRUTH if into_truth else src, [0] * src.dim
-        bad = rows[at % src.dim] = off if off < 0 else tgt.dim + off
-        with pytest.raises(LiftError, match=re.escape(
-                f"row {bad} of a lift into {tgt.tag!r} is outside range({tgt.dim})")):
-            lift_by_rows(src, 1, tgt, ROW_HOLDERS[holder](rows))
-
-    @rule()
-    def reset(self):
-        reset_tables()
-
-    @invariant()
-    def each_kept_map_keeps_what_the_model_keeps(self):
-        for m, keeps in self.model.values():
-            assert sorted(map(id, m.lifts.values())) == sorted(map(id, keeps.values()))
-
-
-TestKeptLifts = KeptLifts.TestCase
-TestKeptLifts.settings = settings(max_examples=50, deadline=None)
 
 
 @st.composite
